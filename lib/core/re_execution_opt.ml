@@ -8,55 +8,9 @@ let c_grow_skips = Ftes_obs.Metrics.counter "kernel.grow_skips"
 
 let c_grow_exp_elided = Ftes_obs.Metrics.counter "kernel.grow_exp_elided"
 
-let for_mapping_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
-  let members = Design.n_members design in
-  let analyse member =
-    match cache with
-    | Some cache ->
-        Ftes_par.Sfp_cache.node_analysis cache problem design ~member ~kmax
-    | None ->
-        Sfp.node_analysis ~kmax (Design.pfail_vector problem design ~member)
-  in
-  let analyses = Array.init members analyse in
-  let app = problem.Problem.app in
-  let iterations = Application.iterations_per_hour app in
-  let goal = Application.reliability_goal app in
-  let k = Array.make members 0 in
-  let reliability_of k =
-    let per_iteration_failure = Sfp.system_failure_per_iteration analyses ~k in
-    Sfp.reliability ~per_iteration_failure ~iterations_per_hour:iterations
-  in
-  (* Greedy ascent: always spend the next re-execution where it buys the
-     most system reliability. *)
-  let rec grow current =
-    if current >= goal then Some (Array.copy k)
-    else begin
-      let best = ref None in
-      for j = 0 to members - 1 do
-        if k.(j) < kmax then begin
-          k.(j) <- k.(j) + 1;
-          let r = reliability_of k in
-          k.(j) <- k.(j) - 1;
-          match !best with
-          | Some (_, br) when br >= r -> ()
-          | Some _ | None -> best := Some (j, r)
-        end
-      done;
-      match !best with
-      | None -> None
-      | Some (j, r) when r > current ->
-          k.(j) <- k.(j) + 1;
-          grow r
-      | Some _ ->
-          (* No increment improves reliability any further: the goal is
-             unreachable at these hardening levels. *)
-          None
-    end
-  in
-  grow (reliability_of k)
-
-(* Incremental variant of the same ascent.  Three accelerations, each
-   preserving every float the reference produces (see DESIGN.md §10):
+(* Greedy ascent: always spend the next re-execution where it buys the
+   most system reliability.  Three accelerations, each preserving every
+   float a from-scratch ascent produces (see DESIGN.md §10):
 
    - candidates are evaluated over the cached per-node exceedance
      tables with the shared fold prefix of formula (5) reused across
@@ -64,15 +18,15 @@ let for_mapping_reference ?cache ?(kmax = Sfp.default_kmax) problem design =
    - a candidate whose node is saturated ([Incremental.saturated]) is
      skipped: its bumped failure equals the current one bit-for-bit, so
      it can never win the strict acceptance test, and when every
-     candidate ties the reference returns [None] just the same;
+     candidate ties a from-scratch ascent returns [None] just the same;
    - formula (6)'s exponentiation runs only when a candidate's
      per-iteration failure is strictly below the best one seen this
      sweep.  Reliability is monotone non-increasing in the failure
      probability (each composed operation is monotone under rounding),
      so a candidate at or above the running minimum evaluates to at
-     most the best reliability and the reference's [br >= r] arm would
-     keep the incumbent anyway. *)
-let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
+     most the best reliability and a from-scratch ascent's [br >= r]
+     keep-incumbent test would keep it anyway. *)
+let for_mapping ?cache ?(kmax = Sfp.default_kmax) problem design =
   let members = Design.n_members design in
   let vectors_of member =
     match cache with
@@ -99,9 +53,9 @@ let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
     if current >= goal then Some (Array.copy k)
     else begin
       Incremental.prefix_into inc ~k prefix;
-      (* Sweep state as plain refs (unboxed locals): [best_j < 0] plays
-         the reference's [None]; acceptance [r > best_r] is exactly the
-         negation of its [br >= r] keep-incumbent arm.  [best_pf] is
+      (* Sweep state as plain refs (unboxed locals): [best_j < 0] means
+         no candidate yet; acceptance [r > best_r] is exactly the
+         negation of a [br >= r] keep-incumbent test.  [best_pf] is
          the smallest candidate failure whose reliability is already
          folded in; candidates at or above it cannot displace it. *)
       let best_j = ref (-1) in
@@ -137,11 +91,6 @@ let for_mapping_incremental ?cache ?(kmax = Sfp.default_kmax) problem design =
     end
   in
   grow (reliability_of_failure (Incremental.system_failure inc ~k))
-
-let for_mapping ?cache ?kmax problem design =
-  if Ftes_util.Kernel.incremental () then
-    for_mapping_incremental ?cache ?kmax problem design
-  else for_mapping_reference ?cache ?kmax problem design
 
 let optimize ?cache ?kmax problem design =
   Option.map (Design.with_reexecs design)

@@ -22,20 +22,11 @@ val for_mapping :
     [cache] is given, the per-node SFP tables are served from it
     (bit-identical to fresh computation).
 
-    Under {!Ftes_util.Kernel.Incremental} (the default) the ascent runs
-    over cached exceedance tables ({!Ftes_sfp.Incremental}) with shared
-    fold prefixes, saturation skips and elided exponentiations; the
-    returned vector — and every float compared along the way — is
-    bit-identical to {!for_mapping_reference}. *)
-
-val for_mapping_reference :
-  ?cache:Ftes_par.Sfp_cache.t ->
-  ?kmax:int ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  int array option
-(** The original from-scratch ascent, retained as the equivalence and
-    benchmark baseline for {!for_mapping}. *)
+    The ascent runs over cached exceedance tables
+    ({!Ftes_sfp.Incremental}) with shared fold prefixes, saturation
+    skips and elided exponentiations; the returned vector — and every
+    float compared along the way — is bit-identical to an ascent that
+    rebuilds formulae (5) and (6) from scratch for every candidate. *)
 
 val optimize :
   ?cache:Ftes_par.Sfp_cache.t ->

@@ -542,24 +542,21 @@ let max_levels problem design =
    back unschedulable recorded exactly this climb's [(None, best_len)]
    outcome (reduction only runs on a schedulable result).  So a
    memoized unschedulable probe proves the whole escalation futile, and
-   the incremental kernel returns the recorded outcome without
-   re-climbing.  The probe-table peek deliberately bypasses the
-   [evals.*] lookup counters: it is not one of the lookups whose
-   hits/misses they reconcile. *)
+   the recorded outcome is returned without re-climbing.  The
+   probe-table peek deliberately bypasses the [evals.*] lookup
+   counters: it is not one of the lookups whose hits/misses they
+   reconcile. *)
 let escalate_shortcut cache design =
-  if not (Ftes_util.Kernel.incremental ()) then None
-  else begin
-    let key =
-      { pr_policy = Config.Optimize;
-        pr_members = design.Design.members;
-        pr_mapping = design.Design.mapping }
-    in
-    match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
-    | Some ((None, _) as outcome) ->
-        Ftes_obs.Metrics.incr c_probe_shortcuts;
-        Some outcome
-    | Some (Some _, _) | None -> None
-  end
+  let key =
+    { pr_policy = Config.Optimize;
+      pr_members = design.Design.members;
+      pr_mapping = design.Design.mapping }
+  in
+  match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
+  | Some ((None, _) as outcome) ->
+      Ftes_obs.Metrics.incr c_probe_shortcuts;
+      Some outcome
+  | Some (Some _, _) | None -> None
 
 let escalate ?cache ?prune config problem design =
   Ftes_obs.Span.with_ ~name:"opt/escalate" @@ fun () ->

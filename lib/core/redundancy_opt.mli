@@ -53,11 +53,11 @@ val create_cache : ?max_evals:int -> unit -> cache
     [obs/cache-capacity] verifier rule), so a saturated cache is
     observable instead of silently degrading into recomputation.
 
-    Under {!Ftes_util.Kernel.Incremental}, a memoized [Optimize] probe
-    that came back unschedulable also short-circuits later escalations
-    of the same (members, mapping) — the recorded [(None, best_len)]
-    outcome is returned without re-climbing (bit-identical: the climb
-    is deterministic), counted by [kernel.probe_shortcuts]. *)
+    A memoized [Optimize] probe that came back unschedulable also
+    short-circuits later escalations of the same (members, mapping) —
+    the recorded [(None, best_len)] outcome is returned without
+    re-climbing (bit-identical: the climb is deterministic), counted by
+    [kernel.probe_shortcuts]. *)
 
 val sfp_cache : cache -> Ftes_par.Sfp_cache.t
 (** The SFP node-table layer of [cache], for hit-rate reporting and for

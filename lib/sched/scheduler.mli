@@ -46,11 +46,6 @@ type slack_mode =
       (** checkpoints per process (>= 1 each) and the cost of one
           state save. *)
 
-val priorities : Ftes_model.Problem.t -> Ftes_model.Design.t -> float array
-(** Bottom-level (longest remaining path) priority per process, using
-    the design's WCETs and counting transmission times only on edges
-    that cross nodes under the design's mapping. *)
-
 val schedule :
   ?slack:slack_mode ->
   ?bus:Bus.policy ->
@@ -59,22 +54,12 @@ val schedule :
   Schedule.t
 (** Build the root schedule (defaults: [Shared] slack, [Fcfs] bus).
 
-    Under {!Ftes_util.Kernel.Incremental} (the default) the ready set
-    lives in a binary heap ordered (priority desc, index asc) — the
-    exact argmax of the reference rescan — priority vectors are served
-    from a per-domain memo ring, and short-lived working arrays come
-    from the domain's {!Scratch} arena.  The resulting schedule is
-    bit-identical to {!schedule_reference} for every slack and bus
-    policy. *)
-
-val schedule_reference :
-  ?slack:slack_mode ->
-  ?bus:Bus.policy ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  Schedule.t
-(** The original O(n) rescan implementation, retained as the
-    equivalence and benchmark baseline for {!schedule}. *)
+    Processes are placed in decreasing bottom-level priority, ties to
+    the lower index — the bottom level counts the design's WCETs and
+    transmission times only on edges that cross nodes under its
+    mapping.  The ready set lives in a binary heap, priority vectors
+    are served from a per-domain memo ring, and short-lived working
+    arrays come from the domain's {!Scratch} arena. *)
 
 val schedule_length :
   ?slack:slack_mode ->
@@ -82,7 +67,10 @@ val schedule_length :
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   float
-(** Worst-case schedule length [SL] of {!schedule}. *)
+(** Worst-case schedule length [SL] of {!schedule}, bit for bit, from
+    the same placement pass run without building entry or message
+    records: a call allocates a constant number of words whatever the
+    graph size. *)
 
 val is_schedulable :
   ?slack:slack_mode ->

@@ -21,15 +21,6 @@ let pr_exceeds_upper p ~k =
     Rounding.clamp01
       (Rounding.up ((s ** float_of_int (k + 1)) /. (1.0 -. s)))
 
-let required_k_scan p ~budget ~kmax =
-  if kmax < 0 then invalid_arg "Bound.required_k: negative kmax";
-  let rec search k =
-    if k > kmax then None
-    else if pr_exceeds_upper p ~k <= budget then Some k
-    else search (k + 1)
-  in
-  search 0
-
 (* [pr_exceeds_upper] is non-increasing in [k] (S^(k+1) shrinks for
    S < 1 and both degenerate branches are constant), so the predicate
    "bound <= budget" is monotone and the smallest satisfying [k] can be

@@ -26,13 +26,10 @@ val required_k : float array -> budget:float -> kmax:int -> int option
     {!pr_exceeds_upper} does not exceed [budget], if any.  Found by
     binary search — the bound is monotone in [k]. *)
 
-val required_k_scan : float array -> budget:float -> kmax:int -> int option
-(** Retained linear-scan reference of {!required_k}; the test-suite
-    asserts agreement between the two on random probability vectors. *)
-
 val is_sound : float array -> k:int -> bool
 (** [is_sound p ~k] checks the defining inequality against the exact
-    analysis — used by the test-suite, exported for convenience. *)
+    analysis; the [sfp/bound-sound] verifier rule runs it on every
+    member of the design it checks. *)
 
 (** {2 Exact-analysis admissibility}
 

@@ -1,9 +1,10 @@
-(* Equivalence suite for the incremental evaluation kernels (the heap
-   scheduler, the incremental SFP ascent and the bound-guided k-search):
-   each must be bit-identical to its retained reference implementation,
-   and the delta paths must demonstrably fire. *)
+(* Equivalence suite for the evaluation kernels (the heap scheduler,
+   the incremental SFP ascent and the bisected k-search): each must be
+   bit-identical to its reference in the test-only [Ftes_oracle], the
+   delta paths must demonstrably fire, and the length-only schedule
+   must allocate the same per call whatever the graph size. *)
 
-module Kernel = Ftes_util.Kernel
+module Oracle = Ftes_oracle
 module Prng = Ftes_util.Prng
 module Task_graph = Ftes_model.Task_graph
 module Design = Ftes_model.Design
@@ -72,21 +73,18 @@ let prop_heap_schedule_matches_reference =
         (fun slack ->
           List.for_all
             (fun bus ->
-              let fast =
-                Kernel.with_mode Kernel.Incremental (fun () ->
-                    Scheduler.schedule ~slack ~bus problem design)
-              in
+              let fast = Scheduler.schedule ~slack ~bus problem design in
               let reference =
-                Scheduler.schedule_reference ~slack ~bus problem design
+                Oracle.Scheduler.schedule_reference ~slack ~bus problem design
               in
               schedule_eq fast reference)
             bus_policies)
         (slack_policies prng n))
 
-(* [schedule_length] takes a separate length-only path under the
-   incremental kernel (no entry/message records are built), so it gets
-   its own equivalence property: the duplicated placement code must
-   keep producing the reference's makespan bit for bit. *)
+(* [schedule_length] runs the placement pass without recording (no
+   entry/message records, inline FCFS booking), so it gets its own
+   equivalence property: it must keep producing the reference's
+   makespan bit for bit. *)
 let prop_schedule_length_matches_reference =
   QCheck.Test.make ~count:30
     ~name:"length-only schedule = reference length (all slack x bus policies)"
@@ -104,13 +102,11 @@ let prop_schedule_length_matches_reference =
         (fun slack ->
           List.for_all
             (fun bus ->
-              let fast =
-                Kernel.with_mode Kernel.Incremental (fun () ->
-                    Scheduler.schedule_length ~slack ~bus problem design)
-              in
+              let fast = Scheduler.schedule_length ~slack ~bus problem design in
               let reference =
                 Schedule.length
-                  (Scheduler.schedule_reference ~slack ~bus problem design)
+                  (Oracle.Scheduler.schedule_reference ~slack ~bus problem
+                     design)
               in
               feq fast reference)
             bus_policies)
@@ -193,16 +189,14 @@ let prop_for_mapping_matches_reference =
           ()
       in
       let design = random_design prng problem in
-      let reference = Re_execution_opt.for_mapping_reference problem design in
-      let fast =
-        Kernel.with_mode Kernel.Incremental (fun () ->
-            Re_execution_opt.for_mapping problem design)
+      let reference =
+        Oracle.Re_execution_opt.for_mapping_reference problem design
       in
+      let fast = Re_execution_opt.for_mapping problem design in
       let cached =
-        Kernel.with_mode Kernel.Incremental (fun () ->
-            Re_execution_opt.for_mapping
-              ~cache:(Ftes_par.Sfp_cache.create ())
-              problem design)
+        Re_execution_opt.for_mapping
+          ~cache:(Ftes_par.Sfp_cache.create ())
+          problem design
       in
       fast = reference && cached = reference)
 
@@ -220,7 +214,7 @@ let prop_required_k_matches_scan =
       for kmax = 0 to 14 do
         if
           Bound.required_k p ~budget ~kmax
-          <> Bound.required_k_scan p ~budget ~kmax
+          <> Oracle.Bound.required_k_scan p ~budget ~kmax
         then ok := false
       done;
       !ok)
@@ -252,34 +246,58 @@ let test_grow_skips_saturated_member () =
     Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
       ~reexecs:[| 0; 0 |] ~mapping:[| 1; 1 |]
   in
-  Kernel.with_mode Kernel.Incremental (fun () ->
-      let before = counter_value "kernel.grow_skips" in
-      let k = Re_execution_opt.for_mapping problem design in
-      let after = counter_value "kernel.grow_skips" in
-      Alcotest.(check bool) "goal reachable" true (k <> None);
-      Alcotest.(check bool) "empty member needs no re-executions" true
-        ((Option.get k).(0) = 0);
-      Alcotest.(check bool) "saturated candidates were skipped" true
-        (after > before);
-      Alcotest.(check (option (array int)))
-        "skipping preserves the selected vector"
-        (Re_execution_opt.for_mapping_reference problem design)
-        k)
+  let before = counter_value "kernel.grow_skips" in
+  let k = Re_execution_opt.for_mapping problem design in
+  let after = counter_value "kernel.grow_skips" in
+  Alcotest.(check bool) "goal reachable" true (k <> None);
+  Alcotest.(check bool) "empty member needs no re-executions" true
+    ((Option.get k).(0) = 0);
+  Alcotest.(check bool) "saturated candidates were skipped" true
+    (after > before);
+  Alcotest.(check (option (array int)))
+    "skipping preserves the selected vector"
+    (Oracle.Re_execution_opt.for_mapping_reference problem design)
+    k
 
 let test_priorities_memo_hits_on_unchanged_wcet_vector () =
   let problem = Helpers.synthetic_problem ~seed:21 ~n:14 () in
   let design = Helpers.design_on_all_nodes ~levels:1 ~k:1 problem in
-  Kernel.with_mode Kernel.Incremental (fun () ->
-      let reference = Scheduler.schedule_reference problem design in
-      ignore (Scheduler.schedule problem design);
-      let before = counter_value "kernel.prio_hits" in
-      let again = Scheduler.schedule problem design in
-      let after = counter_value "kernel.prio_hits" in
-      Alcotest.(check bool) "re-schedule hits the priorities memo" true
-        (after > before);
-      Alcotest.(check bool) "memoized priorities leave the schedule intact"
-        true
-        (schedule_eq again reference))
+  let reference = Oracle.Scheduler.schedule_reference problem design in
+  ignore (Scheduler.schedule problem design);
+  let before = counter_value "kernel.prio_hits" in
+  let again = Scheduler.schedule problem design in
+  let after = counter_value "kernel.prio_hits" in
+  Alcotest.(check bool) "re-schedule hits the priorities memo" true
+    (after > before);
+  Alcotest.(check bool) "memoized priorities leave the schedule intact" true
+    (schedule_eq again reference)
+
+(* The length-only pass takes every working array from the domain's
+   scratch arena, so once warm its per-call minor allocation is a
+   constant: the same at 80 processes as at 20 on the same library.  A
+   float boxed per edge or process would show up as a size-dependent
+   count here. *)
+let test_length_only_allocation_is_size_independent () =
+  let words_per_call ~n =
+    let problem = Helpers.synthetic_problem ~seed:5 ~n () in
+    let design = Helpers.design_on_all_nodes ~levels:1 ~k:1 problem in
+    let length () = Scheduler.schedule_length ~bus:Bus.Fcfs problem design in
+    for _ = 1 to 10 do
+      ignore (length ())
+    done;
+    let calls = 1000 in
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (length ())
+    done;
+    let after = Gc.minor_words () in
+    Float.to_int (Float.round ((after -. before) /. float_of_int calls))
+  in
+  let small = words_per_call ~n:20 in
+  let large = words_per_call ~n:80 in
+  Alcotest.(check int)
+    (Printf.sprintf "minor words per call at n = 80 (n = 20: %d)" small)
+    small large
 
 (* A single fully-hardened unschedulable mapping: the first Optimize
    probe memoizes the (None, best_len) outcome, and the next escalation
@@ -293,28 +311,29 @@ let test_escalate_short_circuits_on_memoized_unschedulable_probe () =
       ~reexecs:[| 0; 0 |] ~mapping:[| 0; 1 |]
   in
   let config = Config.default in
-  Kernel.with_mode Kernel.Incremental (fun () ->
-      let cache = Redundancy_opt.create_cache () in
-      let outcome, best_len =
-        Redundancy_opt.probe ~cache ~config problem design
-      in
-      Alcotest.(check bool) "mapping is unschedulable" true (outcome = None);
-      let shortcuts_before = counter_value "kernel.probe_shortcuts" in
-      let fresh_before = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
-      let len2 = Redundancy_opt.best_effort_length ~cache ~config problem design in
-      let shortcuts_after = counter_value "kernel.probe_shortcuts" in
-      let fresh_after = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
-      Alcotest.(check bool) "escalation short-circuited" true
-        (shortcuts_after > shortcuts_before);
-      Alcotest.(check int) "no fresh evaluation" fresh_before fresh_after;
-      Alcotest.(check bool) "memoized best-effort length served" true
-        (feq len2 best_len);
-      (* The reference kernel, given the same cache, must agree. *)
-      let len_ref =
-        Kernel.with_mode Kernel.Reference (fun () ->
-            Redundancy_opt.best_effort_length ~cache ~config problem design)
-      in
-      Alcotest.(check bool) "reference agrees" true (feq len_ref best_len))
+  let cache = Redundancy_opt.create_cache () in
+  let outcome, best_len = Redundancy_opt.probe ~cache ~config problem design in
+  Alcotest.(check bool) "mapping is unschedulable" true (outcome = None);
+  let shortcuts_before = counter_value "kernel.probe_shortcuts" in
+  let fresh_before = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
+  let len2 = Redundancy_opt.best_effort_length ~cache ~config problem design in
+  let shortcuts_after = counter_value "kernel.probe_shortcuts" in
+  let fresh_after = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
+  Alcotest.(check bool) "escalation short-circuited" true
+    (shortcuts_after > shortcuts_before);
+  Alcotest.(check int) "no fresh evaluation" fresh_before fresh_after;
+  Alcotest.(check bool) "memoized best-effort length served" true
+    (feq len2 best_len);
+  (* A fresh cache holds no memoized probe, so no shortcut can fire:
+     the full climb must reach the same length. *)
+  let shortcuts_before = counter_value "kernel.probe_shortcuts" in
+  let len_fresh =
+    Redundancy_opt.best_effort_length ~cache:(Redundancy_opt.create_cache ())
+      ~config problem design
+  in
+  Alcotest.(check int) "no shortcut on a fresh cache" shortcuts_before
+    (counter_value "kernel.probe_shortcuts");
+  Alcotest.(check bool) "full climb agrees" true (feq len_fresh best_len)
 
 let () =
   Alcotest.run "kernels"
@@ -322,7 +341,9 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_heap_schedule_matches_reference;
           QCheck_alcotest.to_alcotest prop_schedule_length_matches_reference;
           Alcotest.test_case "priorities memo fires and preserves output"
-            `Quick test_priorities_memo_hits_on_unchanged_wcet_vector ] );
+            `Quick test_priorities_memo_hits_on_unchanged_wcet_vector;
+          Alcotest.test_case "length-only allocation is size-independent"
+            `Quick test_length_only_allocation_is_size_independent ] );
       ( "sfp",
         [ QCheck_alcotest.to_alcotest prop_exceed_vector_bit_identical;
           QCheck_alcotest.to_alcotest prop_system_failure_bit_identical;

@@ -109,7 +109,12 @@ let test_validate_fig4 () =
 let test_priorities_are_bottom_levels () =
   let problem = fig1 () in
   let design = Ftes_cc.Fig_examples.fig4e problem in
-  let prio = Scheduler.priorities problem design in
+  let wcet = Array.make (Problem.n_processes problem) 0.0 in
+  Design.wcet_into problem design ~out:wcet;
+  let prio =
+    Task_graph.bottom_levels_wcet (Problem.graph problem) ~wcet
+      ~mapping:design.Design.mapping
+  in
   (* Mono-node: no communication counted; exec times at N2 h3. *)
   check_float "sink P4" 90.0 prio.(3);
   check_float "P2 = t2 + t4" 180.0 prio.(1);
