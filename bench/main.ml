@@ -64,27 +64,23 @@ let walled f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Sequential-vs-parallel comparison of one OPT experiment cell.  Three
-   configurations over the same applications: the unmemoized sequential
-   baseline, the memoized single-domain run, and the memoized run on at
-   least two domains.  The per-application costs must match bit for bit
-   across all three; wall times, the (hardware-independent) evaluation
-   work ratio and the cache hit rates land in bench_par.csv. *)
+(* Sequential-vs-parallel comparison of one OPT experiment cell: the
+   same applications on one domain and on at least two.  The
+   per-application costs must match bit for bit; wall times, the
+   evaluation counts and the cache hit rates of the parallel run land
+   in bench_par.csv.  (That memoization itself never changes a result
+   is property-tested in test/test_par.ml against caches of capacity
+   0.) *)
 let bench_parallel ~apps ~seed =
   let specs = Workload.paper_suite ~count:apps ~seed () in
   let key =
     { Synthetic.ser = 1e-11; hpd = 0.25; policy = Config.Optimize }
   in
-  let baseline = Config.with_memoize false Config.default in
   Redundancy_opt.reset_eval_stats ();
   let seq, seq_s =
-    walled (fun () -> Synthetic.run_cell ~config:baseline ~specs key)
-  in
-  let seq_fresh = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
-  Redundancy_opt.reset_eval_stats ();
-  let memo, memo_s =
     walled (fun () -> Synthetic.run_cell ~config:Config.default ~specs key)
   in
+  let seq_fresh = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
   let domains = max 2 (Pool.default_domains ()) in
   let pool = Pool.create ~domains () in
   Sfp_cache.reset_totals ();
@@ -95,52 +91,39 @@ let bench_parallel ~apps ~seed =
   in
   let sfp = Sfp_cache.totals () in
   let evals = Redundancy_opt.eval_stats () in
-  let identical =
-    seq.Synthetic.costs = par.Synthetic.costs
-    && seq.Synthetic.costs = memo.Synthetic.costs
-  in
+  let identical = seq.Synthetic.costs = par.Synthetic.costs in
   let speedup = if par_s > 0.0 then seq_s /. par_s else 0.0 in
-  let memo_speedup = if memo_s > 0.0 then seq_s /. memo_s else 0.0 in
-  let work_ratio =
-    float_of_int seq_fresh /. float_of_int (max 1 evals.Redundancy_opt.fresh)
-  in
   Printf.printf
     "apps %d, domains %d (host: %d recommended)\n\
-     sequential (no memo): %.2fs wall, %d evaluations\n\
-     memoized, 1 domain:   %.2fs wall (%.2fx)\n\
-     memoized, %d domains:  %.2fs wall (%.2fx), %d evaluations (work \
-     ratio %.2fx)\n\
+     1 domain:   %.2fs wall, %d evaluations\n\
+     %d domains:  %.2fs wall (%.2fx), %d evaluations\n\
      per-app costs identical: %b\n\
      SFP cache: %d hits / %d misses (%.1f%% hit rate)\n\
      eval cache: %d hits / %d misses\n%!"
     apps domains
     (Domain.recommended_domain_count ())
-    seq_s seq_fresh memo_s memo_speedup domains par_s speedup
-    evals.Redundancy_opt.fresh work_ratio identical sfp.Sfp_cache.total_hits
-    sfp.Sfp_cache.total_misses
+    seq_s seq_fresh domains par_s speedup evals.Redundancy_opt.fresh
+    identical sfp.Sfp_cache.total_hits sfp.Sfp_cache.total_misses
     (100.0 *. Sfp_cache.hit_rate sfp)
     evals.Redundancy_opt.hits evals.Redundancy_opt.misses;
   if Domain.recommended_domain_count () < 2 then
     print_endline
       "note: single-core host — the multi-domain run can only measure \
-       synchronization overhead; the speedup is the memoization share alone.";
+       synchronization overhead.";
   if not identical then
     failwith "bench: parallel run diverged from the sequential baseline";
   save_csv "bench_par.csv"
-    [ [ "workload"; "apps"; "domains"; "seq_s"; "memo_s"; "par_s"; "speedup";
-        "memo_speedup"; "seq_evals"; "par_evals"; "work_ratio"; "identical";
-        "sfp_hits"; "sfp_misses"; "sfp_hit_rate"; "eval_hits"; "eval_misses" ];
+    [ [ "workload"; "apps"; "domains"; "seq_s"; "par_s"; "speedup";
+        "seq_evals"; "par_evals"; "identical"; "sfp_hits"; "sfp_misses";
+        "sfp_hit_rate"; "eval_hits"; "eval_misses" ];
       [ "synthetic-opt-cell";
         string_of_int apps;
         string_of_int domains;
         Printf.sprintf "%.4f" seq_s;
-        Printf.sprintf "%.4f" memo_s;
         Printf.sprintf "%.4f" par_s;
         Printf.sprintf "%.2f" speedup;
-        Printf.sprintf "%.2f" memo_speedup;
         string_of_int seq_fresh;
         string_of_int evals.Redundancy_opt.fresh;
-        Printf.sprintf "%.2f" work_ratio;
         string_of_bool identical;
         string_of_int sfp.Sfp_cache.total_hits;
         string_of_int sfp.Sfp_cache.total_misses;

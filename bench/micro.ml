@@ -63,7 +63,9 @@ let test_redundancy =
     (Staged.stage (fun () ->
          let problem = Lazy.force sample_problem in
          let design = Lazy.force sample_design in
-         Ftes_core.Redundancy_opt.probe ~config:Config.default problem design))
+         Ftes_core.Redundancy_opt.probe
+           ~cache:(Ftes_core.Redundancy_opt.create_cache ~capacity:0 ())
+           ~config:Config.default problem design))
 
 let test_mapping =
   Test.make ~name:"opt: MappingAlgorithm tabu run (20 procs, 2 nodes)"
@@ -73,7 +75,9 @@ let test_mapping =
           Workload.problem_of_spec { Workload.ser = 1e-11; hpd = 0.25 } spec
         in
         fun () ->
-          Ftes_core.Mapping_opt.run ~config:Config.default
+          Ftes_core.Mapping_opt.run
+            ~cache:(Ftes_core.Redundancy_opt.create_cache ~capacity:0 ())
+            ~config:Config.default
             ~objective:Ftes_core.Mapping_opt.Schedule_length problem
             ~members:[| 0; 1 |]))
 

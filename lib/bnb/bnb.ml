@@ -109,7 +109,7 @@ let pow_int base e =
    [Exhaustive.iter_mappings] order — mapping prefixes whose slot is
    already reliability-dead for the process or whose accumulated raw
    WCET load provably overruns what acceptance would need. *)
-let search_arch ?cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
+let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
     problem members =
   let n = Problem.n_processes problem in
   let m = Array.length members in
@@ -168,7 +168,7 @@ let search_arch ?cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
                   ~mapping
               in
               match
-                Re_execution_opt.optimize ?cache ~kmax:config.Config.kmax
+                Re_execution_opt.optimize ~cache ~kmax:config.Config.kmax
                   problem design
               with
               | None -> ()
@@ -229,10 +229,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
         Preflight.run ~kmax:config.Config.kmax ~slack:config.Config.slack
           problem
       in
-      let cache =
-        if config.Config.memoize then Some (Ftes_par.Sfp_cache.create ())
-        else None
-      in
+      let cache = Ftes_par.Sfp_cache.create () in
       let heuristic = Design_strategy.run ?pool ~preflight ~config problem in
       let heuristic_cost =
         match heuristic with
@@ -308,7 +305,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
         if parallel then closed_order := members :: !closed_order
         else begin
           let s =
-            search_arch ?cache ~config ~preflight ~prune_cost:current_prune
+            search_arch ~cache ~config ~preflight ~prune_cost:current_prune
               ~tick problem members
           in
           (match s.winner with
@@ -393,7 +390,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
             *. (float_of_int m ** float_of_int (Problem.n_processes problem)))
           (fun members ->
             ( members,
-              search_arch ?cache ~config ~preflight ~prune_cost:current_prune
+              search_arch ~cache ~config ~preflight ~prune_cost:current_prune
                 ~tick problem members ))
           (List.rev !closed_order)
         |> List.iter (fun (members, s) -> record members s);

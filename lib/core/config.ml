@@ -11,13 +11,12 @@ type t = {
   bus : Ftes_sched.Bus.policy;
   hardening : hardening_policy;
   certify : bool;
-  memoize : bool;
 }
 
 let make ?(tabu_tenure = 3) ?(waiting_boost = 12) ?(max_stall = 10)
     ?(max_iterations = 120) ?(move_candidates = 5) ?(kmax = 12)
     ?(slack = Ftes_sched.Scheduler.Shared) ?(bus = Ftes_sched.Bus.Fcfs)
-    ?(hardening = Optimize) ?(certify = false) ?(memoize = true) () =
+    ?(hardening = Optimize) ?(certify = false) () =
   if tabu_tenure < 0 then invalid_arg "Config.make: negative tabu_tenure";
   if max_stall < 0 then invalid_arg "Config.make: negative max_stall";
   if max_iterations < 0 then invalid_arg "Config.make: negative max_iterations";
@@ -25,7 +24,7 @@ let make ?(tabu_tenure = 3) ?(waiting_boost = 12) ?(max_stall = 10)
     invalid_arg "Config.make: move_candidates must be >= 1";
   if kmax < 0 then invalid_arg "Config.make: negative kmax";
   { tabu_tenure; waiting_boost; max_stall; max_iterations; move_candidates;
-    kmax; slack; bus; hardening; certify; memoize }
+    kmax; slack; bus; hardening; certify }
 
 let default = make ()
 
@@ -50,8 +49,6 @@ let with_bus bus t = { t with bus }
 let with_hardening hardening t = { t with hardening }
 
 let with_certify certify t = { t with certify }
-
-let with_memoize memoize t = { t with memoize }
 
 let min_strategy = with_hardening Fixed_min default
 

@@ -32,12 +32,6 @@ type t = {
       (** when set, {!Design_strategy.run} passes every emitted design
           through the {!Ftes_verify} static verifier and attaches the
           report to the solution. *)
-  memoize : bool;
-      (** when set (the default), {!Design_strategy.run} memoizes the
-          SFP node tables ({!Ftes_par.Sfp_cache}) and whole candidate
-          evaluations across the search.  Results are bit-identical
-          either way; the flag exists so benchmarks and the determinism
-          test-suite can compare both paths. *)
 }
 
 val make :
@@ -51,7 +45,6 @@ val make :
   ?bus:Ftes_sched.Bus.policy ->
   ?hardening:hardening_policy ->
   ?certify:bool ->
-  ?memoize:bool ->
   unit ->
   t
 (** The supported constructor: every omitted knob takes the {!default}
@@ -64,7 +57,9 @@ val make :
 
 val default : t
 (** [make ()]: [Optimize] policy, shared slack, FCFS bus, tenure 3,
-    stall 10, kmax 12, memoization on. *)
+    stall 10, kmax 12.  Memoization is not configured here: every
+    search shares its SFP tables and candidate evaluations through a
+    {!Redundancy_opt.cache}, bounded by the cache's own capacity. *)
 
 (** {2 Builders}
 
@@ -91,8 +86,6 @@ val with_bus : Ftes_sched.Bus.policy -> t -> t
 val with_hardening : hardening_policy -> t -> t
 
 val with_certify : bool -> t -> t
-
-val with_memoize : bool -> t -> t
 
 val min_strategy : t
 (** {!default} with [Fixed_min]. *)

@@ -80,10 +80,8 @@ let search ?pool ?cache ?preflight ~config ~on_feasible
      hardening policy. *)
   let cache =
     match cache with
-    | Some _ -> cache
-    | None ->
-        if config.Config.memoize then Some (Redundancy_opt.create_cache ())
-        else None
+    | Some cache -> cache
+    | None -> Redundancy_opt.create_cache ()
   in
   let explored = ref 0 in
   let best = ref None in
@@ -110,13 +108,13 @@ let search ?pool ?cache ?preflight ~config ~on_feasible
     if provably_dead then `Unschedulable
     else
     match
-      Mapping_opt.run ?cache ?pool ?preflight ~config
+      Mapping_opt.run ~cache ?pool ?preflight ~config
         ~objective:Mapping_opt.Schedule_length problem ~members
     with
     | None -> `Unschedulable
     | Some sl_result ->
         let refined =
-          Mapping_opt.run ?cache ?pool ?preflight ~config
+          Mapping_opt.run ~cache ?pool ?preflight ~config
             ~objective:Mapping_opt.Architecture_cost
             ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
             ~members
@@ -245,13 +243,10 @@ let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
       problem design
   in
   let analyses =
-    match cache with
-    | Some cache ->
-        let sfp = Redundancy_opt.sfp_cache cache in
-        Array.init (Design.n_members design) (fun member ->
-            Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
-              ~kmax:(Sfp.analysis_kmax design ~member))
-    | None -> Sfp.analyses_for problem design
+    let sfp = Redundancy_opt.sfp_cache cache in
+    Array.init (Design.n_members design) (fun member ->
+        Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
+          ~kmax:(Sfp.analysis_kmax design ~member))
   in
   let certificate =
     if config.Config.certify then
@@ -269,7 +264,7 @@ let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
 type recorded = {
   rec_problem : Problem.t;
   rec_config : Config.t;
-  rec_cache : Redundancy_opt.cache option;
+  rec_cache : Redundancy_opt.cache;
   rec_preflight : Ftes_analyze.Preflight.t option;
   rec_trail : step list;
   rec_solution : solution option;
@@ -334,14 +329,8 @@ let rerun ?pool ~from delta =
       in
       let footprint = Ftes_whatif.Delta.footprint from.rec_problem delta in
       let cache, migration =
-        match from.rec_cache with
-        | Some cache ->
-            let cache, migration =
-              Redundancy_opt.migrate_cache ~base:from.rec_problem ~footprint
-                cache
-            in
-            (Some cache, Some migration)
-        | None -> (None, None)
+        Redundancy_opt.migrate_cache ~base:from.rec_problem ~footprint
+          from.rec_cache
       in
       (* Pre-flight reuse: only when the delta provably cannot weaken
          the report (tightening-only), and then the stored witnesses are
@@ -358,17 +347,15 @@ let rerun ?pool ~from delta =
               List.length pf.Ftes_analyze.Preflight.witnesses )
         | _ -> (None, false, 0)
       in
-      let warm = run_recorded ?pool ?cache ?preflight ~config perturbed in
-      let zero = Option.is_none migration in
-      let stat f = if zero then 0 else f (Option.get migration) in
+      let warm = run_recorded ?pool ~cache ?preflight ~config perturbed in
       let reuse =
         { Ftes_whatif.Reuse.delta_class = Ftes_whatif.Delta.class_name delta;
-          sfp_kept = stat (fun m -> m.Redundancy_opt.mig_sfp_kept);
-          sfp_dropped = stat (fun m -> m.Redundancy_opt.mig_sfp_dropped);
-          evals_kept = stat (fun m -> m.Redundancy_opt.mig_evals_kept);
-          evals_dropped = stat (fun m -> m.Redundancy_opt.mig_evals_dropped);
-          probes_kept = stat (fun m -> m.Redundancy_opt.mig_probes_kept);
-          probes_dropped = stat (fun m -> m.Redundancy_opt.mig_probes_dropped);
+          sfp_kept = migration.Redundancy_opt.mig_sfp_kept;
+          sfp_dropped = migration.Redundancy_opt.mig_sfp_dropped;
+          evals_kept = migration.Redundancy_opt.mig_evals_kept;
+          evals_dropped = migration.Redundancy_opt.mig_evals_dropped;
+          probes_kept = migration.Redundancy_opt.mig_probes_kept;
+          probes_dropped = migration.Redundancy_opt.mig_probes_dropped;
           steps_replayed = replayed_prefix from.rec_trail warm.rec_trail;
           steps_total = List.length warm.rec_trail;
           preflight_reused;

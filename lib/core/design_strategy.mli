@@ -35,14 +35,14 @@ type step = {
 (** One entry of a recorded walk.  Steps correspond 1:1 with the
     [explored] counter's increments and fire only from the walk's
     deterministic bookkeeping path, so a trail is bit-identical across
-    pool modes and across memoization. *)
+    pool modes and across cache capacities. *)
 
 type recorded = {
   rec_problem : Ftes_model.Problem.t;
   rec_config : Config.t;
-  rec_cache : Redundancy_opt.cache option;
-      (** the populated per-run cache (present when the config memoizes
-          or a cache was supplied) — the warm-start capital. *)
+  rec_cache : Redundancy_opt.cache;
+      (** the populated per-run (or supplied) cache — the warm-start
+          capital. *)
   rec_preflight : Ftes_analyze.Preflight.t option;
   rec_trail : step list;  (** evaluated architectures, in walk order. *)
   rec_solution : solution option;
@@ -66,10 +66,11 @@ val run :
     of each size level are scored concurrently (speculatively) and the
     results merged back in speed order, replaying the sequential prune
     and size-jump decisions — the returned solution, its schedule and
-    the [explored] counter are bit-identical to a sequential run.  When
-    {!Config.t.memoize} is set, SFP node tables and whole candidate
-    evaluations are shared across the walk through a per-run
-    {!Redundancy_opt.cache}, which likewise never changes any result.
+    the [explored] counter are bit-identical to a sequential run.  SFP
+    node tables and whole candidate evaluations are shared across the
+    walk through a per-run {!Redundancy_opt.cache}, which likewise
+    never changes any result: a run over a [~capacity:0] cache, which
+    retains nothing, returns the same solution.
 
     [cache] overrides the per-run cache, letting several runs over the
     {e same problem} share evaluations — e.g. a MIN / MAX / OPT

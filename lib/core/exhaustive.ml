@@ -86,9 +86,7 @@ let run ?pool ?(limit = 2_000_000) ~config problem =
     invalid_arg
       (Printf.sprintf "Exhaustive.run: %.3g candidates exceed the limit %d"
          space limit);
-  let cache =
-    if config.Config.memoize then Some (Ftes_par.Sfp_cache.create ()) else None
-  in
+  let cache = Ftes_par.Sfp_cache.create () in
   let n = Problem.n_processes problem in
   let d = deadline problem in
   (* Fold one architecture subset, starting from [init].  Pruning a
@@ -113,7 +111,7 @@ let run ?pool ?(limit = 2_000_000) ~config problem =
                   ~reexecs:(Array.make m 0) ~mapping
               in
               match
-                Re_execution_opt.optimize ?cache ~kmax:config.Config.kmax
+                Re_execution_opt.optimize ~cache ~kmax:config.Config.kmax
                   problem design
               with
               | None -> ()

@@ -53,7 +53,6 @@ val run :
     exceeds [limit] (default 2_000_000).
 
     With a multi-domain [pool] the architecture subsets are searched
-    concurrently and their winners merged in subset order; with
-    {!Config.t.memoize} the SFP node tables are shared across
-    candidates.  Either way the enumeration order inside a subset and
+    concurrently and their winners merged in subset order; the SFP node
+    tables are shared across candidates.  Either way the enumeration order inside a subset and
     the tie-breaking across subsets match the sequential search. *)

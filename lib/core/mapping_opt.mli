@@ -26,7 +26,7 @@ val initial_mapping :
     the tabu starting point. *)
 
 val run :
-  ?cache:Redundancy_opt.cache ->
+  cache:Redundancy_opt.cache ->
   ?pool:Ftes_par.Pool.t ->
   ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
@@ -46,8 +46,8 @@ val run :
 
     [cache] memoizes candidate evaluations across tabu iterations;
     [pool] scores the moves of one iteration concurrently.  Both leave
-    the returned solution bit-identical to the sequential, uncached
-    search: moves are evaluated on private copies of the mapping and
+    the returned solution bit-identical to a sequential search over an
+    empty [~capacity:0] cache: moves are evaluated on private copies of the mapping and
     merged back in move order.  [preflight] forwards to every
     {!Redundancy_opt.probe}, skipping hardening vectors the report
     proves futile — likewise without changing any result. *)

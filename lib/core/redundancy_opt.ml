@@ -45,7 +45,7 @@ let policy_tag = function
   | Config.Fixed_max -> 2
   | Config.Optimize -> 3
 
-module Eval_tbl = Hashtbl.Make (struct
+module Eval_memo = Ftes_par.Memo.Make (struct
   type t = eval_key
 
   let equal a b =
@@ -54,7 +54,7 @@ module Eval_tbl = Hashtbl.Make (struct
   let hash k = hash_ints (hash_ints (hash_ints 0x811c9dc5 k.members) k.levels) k.mapping
 end)
 
-module Probe_tbl = Hashtbl.Make (struct
+module Probe_memo = Ftes_par.Memo.Make (struct
   type t = probe_key
 
   let equal a b =
@@ -70,24 +70,23 @@ end)
 
 type cache = {
   sfp : Ftes_par.Sfp_cache.t;
-  evals : result option Eval_tbl.t;
-  probes : (result option * float) Probe_tbl.t;
-  mutex : Mutex.t;
-  max_evals : int;
+  evals : result option Eval_memo.t;
+  probes : (result option * float) Probe_memo.t;
 }
 
-let create_cache ?(max_evals = 200_000) () =
-  { sfp = Ftes_par.Sfp_cache.create ();
-    evals = Eval_tbl.create 1024;
-    probes = Probe_tbl.create 1024;
-    mutex = Mutex.create ();
-    max_evals }
+(* Cache statistics live on the Ftes_obs registry: one source of truth
+   for the bench harness (via [eval_stats]), metrics snapshots and the
+   `obs/cache-consistency` verifier rule.  The [evals.*] family counts
+   both the whole-evaluation and the probe memo tables. *)
+let evals_family = Ftes_par.Memo.family "evals"
+
+let create_cache ?capacity () =
+  let bound = Option.value capacity ~default:200_000 in
+  { sfp = Ftes_par.Sfp_cache.create ?capacity ();
+    evals = Eval_memo.create ~capacity:bound evals_family;
+    probes = Probe_memo.create ~capacity:bound evals_family }
 
 let sfp_cache cache = cache.sfp
-
-let locked cache f =
-  Mutex.lock cache.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock cache.mutex) f
 
 (* --- warm-start cache migration -------------------------------------
 
@@ -124,6 +123,17 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
     let rec go level = level > levels || (slot_clean node level && go (level + 1)) in
     go 1
   in
+  (* Most deltas leave the library numbering alone; when they do, every
+     surviving key is its own remap, so all three memos can reuse the
+     source bucket layout (copy + in-place filter) instead of rehashing
+     thousands of array keys — migration is the floor of a warm rerun. *)
+  let identity_map =
+    let lib = Problem.n_library base in
+    let rec go j =
+      j >= lib || (fp.Ftes_whatif.Delta.node_map j = Some j && go (j + 1))
+    in
+    go 0
+  in
   (* Renumber a member array; [None] when a member is gone, the input
      array itself when the map is the identity on it (preserving
      physical sharing between key and stored design). *)
@@ -139,18 +149,7 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
             out.(i) <- j;
             go (i + 1) (changed || j <> arr.(i))
     in
-    go 0 false
-  in
-  (* Most deltas leave the library numbering alone; when they do, every
-     surviving key is its own remap, so both memo tables can reuse the
-     source bucket layout (copy + in-place filter) instead of rehashing
-     thousands of array keys — migration is the floor of a warm rerun. *)
-  let identity_map =
-    let lib = Problem.n_library base in
-    let rec go j =
-      j >= lib || (fp.Ftes_whatif.Delta.node_map j = Some j && go (j + 1))
-    in
-    go 0
+    if identity_map then Some arr else go 0 false
   in
   let keep_sfp (k : Ftes_par.Sfp_cache.key) =
     if fp.Ftes_whatif.Delta.pfail_dirty ~node:k.Ftes_par.Sfp_cache.node
@@ -165,170 +164,80 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
     Ftes_par.Sfp_cache.migrate ~same_keys:identity_map ~keep:keep_sfp cache.sfp
   in
   let remap_design members (r : result) =
-    if members == r.design.Design.members then r
+    if identity_map || members == r.design.Design.members then r
     else { r with design = { r.design with Design.members = members } }
   in
-  let eval_clean (key : eval_key) =
-    let n = Array.length key.members in
-    let rec clean i =
-      i = n || (slot_clean key.members.(i) key.levels.(i) && clean (i + 1))
-    in
-    clean 0
+  let all_clean clean members =
+    let n = Array.length members in
+    let rec go i = i = n || (clean i members.(i) && go (i + 1)) in
+    go 0
   in
-  let probe_clean (key : probe_key) =
-    let n = Array.length key.pr_members in
-    let rec clean i = i = n || (node_clean key.pr_members.(i) && clean (i + 1)) in
-    clean 0
-  in
-  let fix_result policy r =
-    match policy with
+  let fix_result (r : result) =
+    match fp.Ftes_whatif.Delta.eval_policy with
     | `Remap_slack d ->
         (* Bit-identical to a fresh evaluation: [evaluate_fresh]
            computes slack as exactly [deadline -. schedule_length], and
            the schedule never reads the deadline. *)
         { r with slack = d -. r.schedule_length }
-    | `Keep -> r
+    | `Keep | `Drop -> r
   in
-  let evals_kept = ref 0 and evals_dropped = ref 0 in
-  let probes_kept = ref 0 and probes_dropped = ref 0 in
-  let fresh =
-    locked cache (fun () ->
-        let evals =
-          match fp.Ftes_whatif.Delta.eval_policy with
-          | `Drop ->
-              evals_dropped := Eval_tbl.length cache.evals;
-              Eval_tbl.create 1024
-          | (`Keep | `Remap_slack _) as policy when identity_map ->
-              let t = Eval_tbl.copy cache.evals in
-              Eval_tbl.filter_map_inplace
-                (fun key result ->
-                  if eval_clean key then begin
-                    incr evals_kept;
-                    Some (Option.map (fix_result policy) result)
-                  end
-                  else begin
-                    incr evals_dropped;
-                    None
-                  end)
-                t;
-              t
-          | (`Keep | `Remap_slack _) as policy ->
-              let t = Eval_tbl.create 1024 in
-              Eval_tbl.iter
-                (fun key result ->
-                  let surviving =
-                    if not (eval_clean key) then None
-                    else
-                      match remap_members key.members with
-                      | None -> None
-                      | Some members ->
-                          let key =
-                            if members == key.members then key
-                            else { key with members }
-                          in
-                          let fix r =
-                            remap_design members (fix_result policy r)
-                          in
-                          Some (key, Option.map fix result)
-                  in
-                  match surviving with
-                  | Some (key, result) ->
-                      incr evals_kept;
-                      Eval_tbl.replace t key result
-                  | None -> incr evals_dropped)
-                cache.evals;
-              t
-        in
-        let probes =
-          if not fp.Ftes_whatif.Delta.keep_probes then begin
-            probes_dropped := Probe_tbl.length cache.probes;
-            Probe_tbl.create 1024
-          end
-          else if identity_map then begin
-            let t = Probe_tbl.copy cache.probes in
-            Probe_tbl.filter_map_inplace
-              (fun key outcome ->
-                if probe_clean key then begin
-                  incr probes_kept;
-                  Some outcome
-                end
-                else begin
-                  incr probes_dropped;
-                  None
-                end)
-              t;
-            t
-          end
-          else begin
-            let t = Probe_tbl.create 1024 in
-            Probe_tbl.iter
-              (fun key (result, best_len) ->
-                let surviving =
-                  if not (probe_clean key) then None
-                  else
-                    match remap_members key.pr_members with
-                    | None -> None
-                    | Some pr_members ->
-                        let key =
-                          if pr_members == key.pr_members then key
-                          else { key with pr_members }
-                        in
-                        Some
-                          ( key,
-                            (Option.map (remap_design pr_members) result, best_len)
-                          )
-                in
-                match surviving with
-                | Some (key, outcome) ->
-                    incr probes_kept;
-                    Probe_tbl.replace t key outcome
-                | None -> incr probes_dropped)
-              cache.probes;
-            t
-          end
-        in
-        { sfp;
-          evals;
-          probes;
-          mutex = Mutex.create ();
-          max_evals = cache.max_evals })
+  let drop_evals =
+    match fp.Ftes_whatif.Delta.eval_policy with
+    | `Drop -> true
+    | `Keep | `Remap_slack _ -> false
   in
-  ( fresh,
+  let keep_eval (key : eval_key) result =
+    let clean i node = slot_clean node key.levels.(i) in
+    if drop_evals || not (all_clean clean key.members)
+    then None
+    else
+      Option.map
+        (fun members ->
+          ( (if members == key.members then key else { key with members }),
+            Option.map (fun r -> remap_design members (fix_result r)) result ))
+        (remap_members key.members)
+  in
+  let keep_probe (key : probe_key) (result, best_len) =
+    let clean _ node = node_clean node in
+    if (not fp.Ftes_whatif.Delta.keep_probes)
+       || not (all_clean clean key.pr_members)
+    then None
+    else
+      Option.map
+        (fun pr_members ->
+          ( (if pr_members == key.pr_members then key
+             else { key with pr_members }),
+            (Option.map (remap_design pr_members) result, best_len) ))
+        (remap_members key.pr_members)
+  in
+  let evals, (evals_kept, evals_dropped) =
+    Eval_memo.migrate ~same_keys:identity_map ~keep:keep_eval cache.evals
+  in
+  let probes, (probes_kept, probes_dropped) =
+    Probe_memo.migrate ~same_keys:identity_map ~keep:keep_probe cache.probes
+  in
+  ( { sfp; evals; probes },
     { mig_sfp_kept = sfp_kept;
       mig_sfp_dropped = sfp_dropped;
-      mig_evals_kept = !evals_kept;
-      mig_evals_dropped = !evals_dropped;
-      mig_probes_kept = !probes_kept;
-      mig_probes_dropped = !probes_dropped } )
-
-(* Cache statistics live on the Ftes_obs registry: one source of truth
-   for the bench harness (via [eval_stats]), metrics snapshots and the
-   `obs/cache-consistency` verifier rule.  [evals.*] counts both the
-   whole-evaluation and the probe memo tables, as before. *)
-let c_eval_lookups = Ftes_obs.Metrics.counter "evals.lookups"
-
-let c_eval_hits = Ftes_obs.Metrics.counter "evals.hits"
-
-let c_eval_misses = Ftes_obs.Metrics.counter "evals.misses"
+      mig_evals_kept = evals_kept;
+      mig_evals_dropped = evals_dropped;
+      mig_probes_kept = probes_kept;
+      mig_probes_dropped = probes_dropped } )
 
 let c_eval_fresh = Ftes_obs.Metrics.counter "evals.fresh"
-
-(* Inserts skipped because the table reached [max_evals]; the
-   obs/cache-capacity rule checks drops never exceed misses. *)
-let c_capacity_drops = Ftes_obs.Metrics.counter "evals.capacity_drops"
 
 let c_probe_shortcuts = Ftes_obs.Metrics.counter "kernel.probe_shortcuts"
 
 type eval_stats = { hits : int; misses : int; fresh : int }
 
 let eval_stats () =
-  { hits = Ftes_obs.Metrics.counter_value c_eval_hits;
-    misses = Ftes_obs.Metrics.counter_value c_eval_misses;
+  { hits = Ftes_obs.Metrics.counter_value evals_family.Ftes_par.Memo.hits;
+    misses = Ftes_obs.Metrics.counter_value evals_family.Ftes_par.Memo.misses;
     fresh = Ftes_obs.Metrics.counter_value c_eval_fresh }
 
 let reset_eval_stats () =
-  List.iter Ftes_obs.Metrics.reset_counter
-    [ c_eval_lookups; c_eval_hits; c_eval_misses; c_eval_fresh ]
+  Ftes_par.Memo.reset evals_family;
+  Ftes_obs.Metrics.reset_counter c_eval_fresh
 
 let deadline problem =
   problem.Problem.app.Ftes_model.Application.deadline_ms
@@ -456,12 +365,12 @@ let prune_rejected prune problem levels =
       if rejected then Ftes_obs.Metrics.incr c_pruned_assignments;
       rejected
 
-let evaluate_fresh ?sfp config problem design levels =
+let evaluate_fresh sfp config problem design levels =
   Ftes_obs.Metrics.incr c_eval_fresh;
   Ftes_obs.Span.with_ ~name:"opt/evaluate" (fun () ->
       let d = Design.with_levels design levels in
       match
-        Re_execution_opt.optimize ?cache:sfp ~kmax:config.Config.kmax problem d
+        Re_execution_opt.optimize ~cache:sfp ~kmax:config.Config.kmax problem d
       with
       | None -> None
       | Some d ->
@@ -472,17 +381,13 @@ let evaluate_fresh ?sfp config problem design levels =
           (* The optimizer proper only compares lengths and costs; slack
              and margin ride along so frontier recording (and callers
              such as the ablations) need not re-derive them.  The SFP
-             tables are the ones [Re_execution_opt] just built — shared
-             via [sfp] when memoized. *)
+             tables are the ones [Re_execution_opt] just built, shared
+             via [sfp]. *)
           let kmax = config.Config.kmax in
-          let analyse member =
-            match sfp with
-            | Some cache ->
-                Ftes_par.Sfp_cache.node_analysis cache problem d ~member ~kmax
-            | None ->
-                Sfp.node_analysis ~kmax (Design.pfail_vector problem d ~member)
+          let analyses =
+            Array.init (Design.n_members d) (fun member ->
+                Ftes_par.Sfp_cache.node_analysis sfp problem d ~member ~kmax)
           in
-          let analyses = Array.init (Design.n_members d) analyse in
           let per_iteration_failure =
             Sfp.system_failure_per_iteration analyses ~k:d.Design.reexecs
           in
@@ -494,39 +399,23 @@ let evaluate_fresh ?sfp config problem design levels =
               margin =
                 Sfp.log10_margin problem.Problem.app ~per_iteration_failure })
 
-let evaluate ?cache config problem design levels =
-  match cache with
-  | None -> evaluate_fresh config problem design levels
-  | Some cache -> (
-      (* Lookups borrow the live arrays; only an insert snapshots them
-         (the caller may mutate its levels array after we return). *)
-      let key =
-        { members = design.Design.members;
-          levels;
-          mapping = design.Design.mapping }
-      in
-      Ftes_obs.Metrics.incr c_eval_lookups;
-      match locked cache (fun () -> Eval_tbl.find_opt cache.evals key) with
-      | Some result ->
-          Ftes_obs.Metrics.incr c_eval_hits;
-          result
-      | None ->
-          Ftes_obs.Metrics.incr c_eval_misses;
-          (* Compute outside the lock; a duplicated concurrent
-             evaluation of the same pure key is harmless. *)
-          let result =
-            evaluate_fresh ~sfp:cache.sfp config problem design levels
-          in
-          let key =
-            { members = Array.copy design.Design.members;
-              levels = Array.copy levels;
-              mapping = Array.copy design.Design.mapping }
-          in
-          locked cache (fun () ->
-              if Eval_tbl.length cache.evals < cache.max_evals then
-                Eval_tbl.replace cache.evals key result
-              else Ftes_obs.Metrics.incr c_capacity_drops);
-          result)
+let evaluate cache config problem design levels =
+  (* Lookups borrow the live arrays; only an insert snapshots them (the
+     caller may mutate its levels array after we return). *)
+  let key =
+    { members = design.Design.members; levels; mapping = design.Design.mapping }
+  in
+  match Eval_memo.find cache.evals key with
+  | Some result -> result
+  | None ->
+      (* Compute outside the lock; a duplicated concurrent evaluation of
+         the same pure key is harmless. *)
+      let result = evaluate_fresh cache.sfp config problem design levels in
+      Eval_memo.add cache.evals
+        { members = Array.copy design.Design.members;
+          levels = Array.copy levels;
+          mapping = Array.copy design.Design.mapping }
+        result
 
 let min_levels design = Array.map (fun _ -> 1) design.Design.members
 
@@ -543,7 +432,7 @@ let max_levels problem design =
    outcome (reduction only runs on a schedulable result).  So a
    memoized unschedulable probe proves the whole escalation futile, and
    the recorded outcome is returned without re-climbing.  The
-   probe-table peek deliberately bypasses the [evals.*] lookup
+   probe-memo peek deliberately bypasses the [evals.*] lookup
    counters: it is not one of the lookups whose hits/misses they
    reconcile. *)
 let escalate_shortcut cache design =
@@ -552,15 +441,15 @@ let escalate_shortcut cache design =
       pr_members = design.Design.members;
       pr_mapping = design.Design.mapping }
   in
-  match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
+  match Probe_memo.peek cache.probes key with
   | Some ((None, _) as outcome) ->
       Ftes_obs.Metrics.incr c_probe_shortcuts;
       Some outcome
   | Some (Some _, _) | None -> None
 
-let escalate ?cache ?prune config problem design =
+let escalate cache ?prune config problem design =
   Ftes_obs.Span.with_ ~name:"opt/escalate" @@ fun () ->
-  match Option.bind cache (fun c -> escalate_shortcut c design) with
+  match escalate_shortcut cache design with
   | Some outcome -> outcome
   | None ->
   let d = deadline problem in
@@ -568,7 +457,7 @@ let escalate ?cache ?prune config problem design =
      length still feeds the greedy climb's scoring. *)
   let evaluate_live levels =
     if prune_dead prune levels then None
-    else evaluate ?cache config problem design levels
+    else evaluate cache config problem design levels
   in
   let rec climb levels best_len =
     let here = evaluate_live levels in
@@ -605,7 +494,7 @@ let escalate ?cache ?prune config problem design =
 
 (* Reduction: keep taking the cheapest schedulable single-level
    decrease. *)
-let reduce ?cache ?prune config problem design (current : result) =
+let reduce cache ?prune config problem design (current : result) =
   Ftes_obs.Span.with_ ~name:"opt/reduce" @@ fun () ->
   let d = deadline problem in
   let rec descend (current : result) =
@@ -619,7 +508,7 @@ let reduce ?cache ?prune config problem design (current : result) =
         (* A candidate is kept only when schedulable and reliable, so a
            proof of either failure skips the evaluation outright. *)
         if not (prune_rejected prune problem candidate) then
-          match evaluate ?cache config problem design candidate with
+          match evaluate cache config problem design candidate with
           | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> (
               match !best with
               | Some (br : result) when br.cost <= r.cost -> ()
@@ -633,11 +522,11 @@ let reduce ?cache ?prune config problem design (current : result) =
   in
   descend current
 
-let fixed_levels ?cache ?prune config problem design levels =
+let fixed_levels cache ?prune config problem design levels =
   let d = deadline problem in
   if prune_rejected prune problem levels then None
   else
-    match evaluate ?cache config problem design levels with
+    match evaluate cache config problem design levels with
     | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> Some r
     | Some _ | None -> None
 
@@ -661,25 +550,25 @@ let prune_of ?preflight ~config problem design =
   Option.iter (validate_preflight ~config problem) preflight;
   prune_ctx preflight problem design
 
-let run ?cache ?preflight ~config problem design =
+let run ~cache ?preflight ~config problem design =
   let prune = prune_of ?preflight ~config problem design in
   match config.Config.hardening with
   | Config.Fixed_min ->
-      fixed_levels ?cache ?prune config problem design (min_levels design)
+      fixed_levels cache ?prune config problem design (min_levels design)
   | Config.Fixed_max ->
-      fixed_levels ?cache ?prune config problem design
+      fixed_levels cache ?prune config problem design
         (max_levels problem design)
   | Config.Optimize -> (
-      match escalate ?cache ?prune config problem design with
-      | Some r, _ -> Some (reduce ?cache ?prune config problem design r)
+      match escalate cache ?prune config problem design with
+      | Some r, _ -> Some (reduce cache ?prune config problem design r)
       | None, _ -> None)
 
-let probe_fixed ?cache ?prune config problem design levels =
+let probe_fixed cache ?prune config problem design levels =
   (* Deadness only: an over-deadline result's length is still
      returned, so the deadline bound must not shortcut it. *)
   if prune_dead prune levels then (None, infinity)
   else
-    match evaluate ?cache config problem design levels with
+    match evaluate cache config problem design levels with
     | Some r ->
         let ok =
           Ftes_util.Tolerance.leq r.schedule_length (deadline problem)
@@ -687,54 +576,42 @@ let probe_fixed ?cache ?prune config problem design levels =
         ((if ok then Some r else None), r.schedule_length)
     | None -> (None, infinity)
 
-let probe_uncached ?cache ?prune ~config problem design =
+let probe_fresh cache ?prune ~config problem design =
   match config.Config.hardening with
   | Config.Fixed_min ->
-      probe_fixed ?cache ?prune config problem design (min_levels design)
+      probe_fixed cache ?prune config problem design (min_levels design)
   | Config.Fixed_max ->
-      probe_fixed ?cache ?prune config problem design
+      probe_fixed cache ?prune config problem design
         (max_levels problem design)
   | Config.Optimize -> (
-      match escalate ?cache ?prune config problem design with
+      match escalate cache ?prune config problem design with
       | Some r, best_len ->
-          (Some (reduce ?cache ?prune config problem design r), best_len)
+          (Some (reduce cache ?prune config problem design r), best_len)
       | None, best_len -> (None, best_len))
 
-let probe ?cache ?preflight ~config problem design =
+let probe ~cache ?preflight ~config problem design =
   let prune = prune_of ?preflight ~config problem design in
-  match cache with
-  | None -> probe_uncached ?prune ~config problem design
-  | Some cache -> (
-      let key =
-        { pr_policy = config.Config.hardening;
-          pr_members = design.Design.members;
-          pr_mapping = design.Design.mapping }
-      in
-      Ftes_obs.Metrics.incr c_eval_lookups;
-      match locked cache (fun () -> Probe_tbl.find_opt cache.probes key) with
-      | Some outcome ->
-          Ftes_obs.Metrics.incr c_eval_hits;
-          outcome
-      | None ->
-          Ftes_obs.Metrics.incr c_eval_misses;
-          let outcome = probe_uncached ~cache ?prune ~config problem design in
-          let key =
-            { key with
-              pr_members = Array.copy design.Design.members;
-              pr_mapping = Array.copy design.Design.mapping }
-          in
-          locked cache (fun () ->
-              if Probe_tbl.length cache.probes < cache.max_evals then
-                Probe_tbl.replace cache.probes key outcome
-              else Ftes_obs.Metrics.incr c_capacity_drops);
-          outcome)
+  let key =
+    { pr_policy = config.Config.hardening;
+      pr_members = design.Design.members;
+      pr_mapping = design.Design.mapping }
+  in
+  match Probe_memo.find cache.probes key with
+  | Some outcome -> outcome
+  | None ->
+      let outcome = probe_fresh cache ?prune ~config problem design in
+      Probe_memo.add cache.probes
+        { key with
+          pr_members = Array.copy design.Design.members;
+          pr_mapping = Array.copy design.Design.mapping }
+        outcome
 
-let best_effort_length ?cache ?preflight ~config problem design =
+let best_effort_length ~cache ?preflight ~config problem design =
   let prune = prune_of ?preflight ~config problem design in
   let fixed levels =
     if prune_dead prune levels then infinity
     else
-      match evaluate ?cache config problem design levels with
+      match evaluate cache config problem design levels with
       | Some r -> r.schedule_length
       | None -> infinity
   in
@@ -742,5 +619,5 @@ let best_effort_length ?cache ?preflight ~config problem design =
   | Config.Fixed_min -> fixed (min_levels design)
   | Config.Fixed_max -> fixed (max_levels problem design)
   | Config.Optimize ->
-      let _, best_len = escalate ?cache ?prune config problem design in
+      let _, best_len = escalate cache ?prune config problem design in
       best_len

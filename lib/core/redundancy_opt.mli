@@ -38,20 +38,27 @@ type cache
     cache, a table of whole candidate evaluations keyed on
     [(members, levels, mapping)] — a pure key because {!run} overwrites
     levels and reexecs and the config is fixed per run — and a table of
-    whole {!probe} outcomes keyed on [(policy, members, mapping)].
-    Domain-safe; caching never changes any result.
+    whole {!probe} outcomes keyed on [(policy, members, mapping)] — three
+    {!Ftes_par.Memo} tables, the last two counting under the [evals.*]
+    family.  Domain-safe; caching never changes any result.
 
     One cache may also be shared by several runs over the same problem
     whose configs differ only in the hardening policy (probe outcomes
     carry the policy in their key; candidate evaluations are
     policy-independent). *)
 
-val create_cache : ?max_evals:int -> unit -> cache
-(** Fresh cache; at most [max_evals] (default 200_000) candidate
-    evaluations are retained.  Each insert skipped at capacity bumps
-    the process-wide [evals.capacity_drops] counter (checked by the
-    [obs/cache-capacity] verifier rule), so a saturated cache is
-    observable instead of silently degrading into recomputation.
+val create_cache : ?capacity:int -> unit -> cache
+(** Fresh cache.  [capacity], when given, bounds each of the three
+    tables; by default the SFP layer keeps up to [1 lsl 18] node tables
+    and the evaluation and probe tables up to 200_000 outcomes each.
+    [~capacity:0] retains nothing, so every call recomputes — the
+    unmemoized reference the determinism tests compare against.  Each
+    insert skipped at capacity bumps the process-wide
+    [sfp_cache.capacity_drops] or [evals.capacity_drops] counter
+    (checked by the [obs/cache-capacity] verifier rule), so a saturated
+    cache is observable instead of silently degrading into
+    recomputation.  Raises [Invalid_argument] on a negative
+    capacity.
 
     A memoized [Optimize] probe that came back unschedulable also
     short-circuits later escalations of the same (members, mapping) —
@@ -93,9 +100,9 @@ val migrate_cache :
 type eval_stats = { hits : int; misses : int; fresh : int }
 (** [hits] / [misses] count candidate-evaluation and probe cache
     lookups; [fresh] counts evaluations actually computed (re-execution
-    optimization plus one schedule), with or without a cache — the
-    ratio of [fresh] counts between two runs is a hardware-independent
-    measure of the work a cache saves. *)
+    optimization plus one schedule) — the ratio of [fresh] counts
+    between two runs is a hardware-independent measure of the work a
+    cache saves. *)
 
 val eval_stats : unit -> eval_stats
 (** Process-wide counters, aggregated over every {!cache} instance. *)
@@ -112,9 +119,11 @@ val validate_preflight :
     {!Design_strategy} applies it once up front. *)
 
 val reset_eval_stats : unit -> unit
+(** Zero the whole [evals.*] family (lookups, hits, misses, capacity
+    drops) and [evals.fresh]. *)
 
 val run :
-  ?cache:cache ->
+  cache:cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
@@ -137,7 +146,7 @@ val run :
     config's. *)
 
 val probe :
-  ?cache:cache ->
+  cache:cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
@@ -150,7 +159,7 @@ val probe :
     where a candidate's length still matters). *)
 
 val best_effort_length :
-  ?cache:cache ->
+  cache:cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->

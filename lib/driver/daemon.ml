@@ -6,43 +6,43 @@ module Problem_io = Ftes_model.Problem_io
 module Scheduler = Ftes_sched.Scheduler
 module Bus = Ftes_sched.Bus
 module Pool = Ftes_par.Pool
-module Keyed_cache = Ftes_par.Keyed_cache
 module Sfp_cache = Ftes_par.Sfp_cache
 module Clock = Ftes_obs.Clock
 
 (* --- shared evaluation caches --- *)
 
-let c_registry_hits = Ftes_obs.Metrics.counter "serve.registry_hits"
+module String_memo = Ftes_par.Memo.Make (struct
+  type t = string
 
-let c_registry_misses = Ftes_obs.Metrics.counter "serve.registry_misses"
+  let equal = String.equal
+
+  let hash = Hashtbl.hash
+end)
 
 type caches = {
-  evals : (string, Redundancy_opt.cache) Keyed_cache.t;
-  recorded : (string, Design_strategy.recorded) Keyed_cache.t;
+  buckets : Redundancy_opt.cache String_memo.t;
+  recorded : Design_strategy.recorded String_memo.t;
       (* recorded optimize walks by request id — the base registry
          what-if requests warm-start from via "base_id". *)
 }
 
-let registry_event = function
-  | `Hit -> Ftes_obs.Metrics.incr c_registry_hits
-  | `Miss -> Ftes_obs.Metrics.incr c_registry_misses
-  | `Drop -> ()
+let buckets_family = Ftes_par.Memo.family "serve.buckets"
+
+let registry_family = Ftes_par.Memo.family "serve.registry"
 
 let create_caches ?(max_problems = 64) () =
-  { evals = Keyed_cache.create ~max_entries:max_problems ();
-    recorded =
-      Keyed_cache.create ~max_entries:max_problems ~on_event:registry_event ()
-  }
+  { buckets = String_memo.create ~capacity:max_problems buckets_family;
+    recorded = String_memo.create ~capacity:max_problems registry_family }
 
-let cache_problems t = Keyed_cache.length t.evals
+let cache_problems t = String_memo.length t.buckets
 
-let cache_hits t = Keyed_cache.hits t.evals
+let cache_hits t = String_memo.hits t.buckets
 
-let cache_misses t = Keyed_cache.misses t.evals
+let cache_misses t = String_memo.misses t.buckets
 
-let registry_hits t = Keyed_cache.hits t.recorded
+let registry_hits t = String_memo.hits t.recorded
 
-let registry_misses t = Keyed_cache.misses t.recorded
+let registry_misses t = String_memo.misses t.recorded
 
 (* A Redundancy_opt.cache may be shared by runs over the same problem
    whose configs agree except in the hardening policy, so the bucket
@@ -82,8 +82,13 @@ let shared_cache caches (req : Request.t) =
       | Request.Optimize | Request.Pareto _ ->
           Option.map
             (fun key ->
-              Keyed_cache.find_or_add t.evals key (fun () ->
-                  Redundancy_opt.create_cache ()))
+              match String_memo.find t.buckets key with
+              | Some cache -> cache
+              | None ->
+                  (* Built outside the lock: concurrent first requests
+                     may each build one, and all but the stored one are
+                     dropped unused. *)
+                  String_memo.add t.buckets key (Redundancy_opt.create_cache ()))
             (bucket_key req))
 
 (* --- one batch --- *)
@@ -110,7 +115,7 @@ let execute ?caches ~enqueued_ns line =
           match List.assoc_opt id !memo with
           | Some r -> r
           | None ->
-              let r = Keyed_cache.find_opt t.recorded id in
+              let r = String_memo.find t.recorded id in
               memo := (id, r) :: !memo;
               r)
       caches
@@ -182,9 +187,10 @@ let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
       List.iter
         (fun (id, _, _, _, _, _, warm) ->
           match warm with
-          | Some (Some recorded, _) when id <> "" ->
-              ignore
-                (Keyed_cache.find_or_add t.recorded id (fun () -> recorded))
+          | Some (Some recorded, _) when id <> "" -> (
+              match String_memo.find t.recorded id with
+              | Some _ -> ()
+              | None -> ignore (String_memo.add t.recorded id recorded))
           | _ -> ())
         executed);
   (* One batch-end sample of the process-wide counters for every batch
@@ -314,12 +320,26 @@ let audit ?pool ?caches () =
         | Error e -> failwith ("Daemon.audit: unparseable response: " ^ e))
       responses
   in
+  (* The batch has returned, so every memo family (SFP tables,
+     evaluations, the daemon's own registries) is quiescent: its
+     counters must reconcile exactly. *)
   let subject =
-    Ftes_verify.Subject.with_responses
-      (Ftes_verify.Subject.of_problem (Ftes_cc.Fig_examples.fig1_problem ()))
-      envelopes
+    Ftes_verify.Subject.with_metrics
+      (Ftes_verify.Subject.with_responses
+         (Ftes_verify.Subject.of_problem (Ftes_cc.Fig_examples.fig1_problem ()))
+         envelopes)
+      (Ftes_obs.Metrics.snapshot ())
+  in
+  let cache_rules =
+    List.filter
+      (fun r ->
+        List.mem r.Ftes_verify.Rule.id
+          [ "obs/cache-consistency"; "obs/cache-capacity" ])
+      Ftes_verify.Obs_rules.all
   in
   ( responses,
     Ftes_verify.Verify.run
-      ~rules:(Ftes_verify.Serve_rules.all @ Ftes_verify.Whatif_rules.all)
+      ~rules:
+        (Ftes_verify.Serve_rules.all @ Ftes_verify.Whatif_rules.all
+       @ cache_rules)
       subject )

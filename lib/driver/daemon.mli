@@ -23,9 +23,9 @@ type caches
     strategy deliberately excluded: probe outcomes are segregated by
     policy inside each cache) — plus a registry of recorded optimize
     walks keyed on request id, the base trail what-if requests
-    warm-start from via ["base_id"].  The recorded registry feeds the
-    [serve.registry_hits] / [serve.registry_misses] obs counters
-    through its event hook. *)
+    warm-start from via ["base_id"].  Both registries are
+    {!Ftes_par.Memo} tables, counting under the [serve.buckets.*] and
+    [serve.registry.*] obs counter families. *)
 
 val create_caches : ?max_problems:int -> unit -> caches
 (** Fresh registry retaining at most [max_problems] (default 64)
@@ -101,4 +101,8 @@ val audit :
     drive a mixed built-in batch (analyze, optimize, pareto, a
     one-shot what-if, plus a deliberately malformed line) through
     {!run_lines}, re-parse the emitted wire bytes, and run the
-    [serve/*] and [whatif/*] rules over the captured stream. *)
+    [serve/*] and [whatif/*] rules over the captured stream, plus the
+    [obs/cache-consistency] and [obs/cache-capacity] rules over a
+    metrics snapshot taken once the batch returned — so every memo
+    family the batch touched, the daemon's registries included, is
+    audited. *)

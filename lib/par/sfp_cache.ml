@@ -6,7 +6,7 @@ type key = { node : int; level : int; kmax : int; procs : int array }
 
 (* The generic polymorphic hash samples only a prefix of the structure,
    so keys differing late in [procs] would chain; hash every element. *)
-module Key_tbl = Hashtbl.Make (struct
+module Key_memo = Memo.Make (struct
   type t = key
 
   let equal a b =
@@ -25,37 +25,14 @@ type entry = {
   vectors : Incremental.node_vectors;
 }
 
-type t = {
-  table : entry Key_tbl.t;
-  mutex : Mutex.t;
-  max_entries : int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-}
+type t = entry Key_memo.t
 
-(* Process-wide totals live on the Ftes_obs registry (PR 3 migrated
-   them off ad-hoc atomics), so metrics snapshots and the `ftes
-   profile` breakdown see them without extra plumbing; the per-instance
-   counters below stay plain atomics, as tests inspect them per run. *)
-let c_lookups = Ftes_obs.Metrics.counter "sfp_cache.lookups"
+(* Process-wide totals over every instance live on the Ftes_obs
+   registry, so metrics snapshots and the `ftes profile` breakdown see
+   them without extra plumbing. *)
+let family = Memo.family "sfp_cache"
 
-let c_hits = Ftes_obs.Metrics.counter "sfp_cache.hits"
-
-let c_misses = Ftes_obs.Metrics.counter "sfp_cache.misses"
-
-let c_capacity_drops = Ftes_obs.Metrics.counter "sfp_cache.capacity_drops"
-
-let create ?(max_entries = 1 lsl 18) () =
-  if max_entries < 1 then invalid_arg "Sfp_cache.create: empty capacity";
-  { table = Key_tbl.create 1024;
-    mutex = Mutex.create ();
-    max_entries;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0 }
-
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let create ?capacity () = Key_memo.create ?capacity family
 
 (* Ascending processes on [member], built without the intermediate
    list [Design.procs_on] returns — key construction runs on every
@@ -107,26 +84,15 @@ let node_entry t problem design ~member ~kmax =
       kmax;
       procs = procs_of design ~member }
   in
-  Ftes_obs.Metrics.incr c_lookups;
-  match locked t (fun () -> Key_tbl.find_opt t.table key) with
-  | Some entry ->
-      Atomic.incr t.hits;
-      Ftes_obs.Metrics.incr c_hits;
-      entry
+  match Key_memo.find t key with
+  | Some entry -> entry
   | None ->
-      Atomic.incr t.misses;
-      Ftes_obs.Metrics.incr c_misses;
-      (* Compute outside the lock: a concurrent duplicate computation
-         of a pure function is cheaper than serializing the kernel. *)
+      (* [procs] is a fresh partition array, never mutated: the key can
+         be stored as is. *)
       let analysis =
         Sfp.node_analysis ~kmax (Design.pfail_vector problem design ~member)
       in
-      let entry = { analysis; vectors = Incremental.node_vectors analysis } in
-      locked t (fun () ->
-          if Key_tbl.length t.table < t.max_entries then
-            Key_tbl.replace t.table key entry
-          else Ftes_obs.Metrics.incr c_capacity_drops);
-      entry
+      Key_memo.add t key { analysis; vectors = Incremental.node_vectors analysis }
 
 let node_analysis t problem design ~member ~kmax =
   (node_entry t problem design ~member ~kmax).analysis
@@ -134,71 +100,22 @@ let node_analysis t problem design ~member ~kmax =
 let node_vectors t problem design ~member ~kmax =
   (node_entry t problem design ~member ~kmax).vectors
 
-let migrate ?(same_keys = false) ~keep t =
-  let kept = ref 0 and dropped = ref 0 in
-  let fresh =
-    if same_keys then begin
-      (* Keys survive verbatim, so a bucket-preserving copy plus an
-         in-place filter skips rehashing every (node, level, kmax,
-         procs) key — migration is the floor of a warm what-if rerun,
-         and the rehash dominated it. *)
-      let table = locked t (fun () -> Key_tbl.copy t.table) in
-      Key_tbl.filter_map_inplace
-        (fun key entry ->
-          if Option.is_some (keep key) then begin
-            incr kept;
-            Some entry
-          end
-          else begin
-            incr dropped;
-            None
-          end)
-        table;
-      { table;
-        mutex = Mutex.create ();
-        max_entries = t.max_entries;
-        hits = Atomic.make 0;
-        misses = Atomic.make 0 }
-    end
-    else begin
-      let fresh = create ~max_entries:t.max_entries () in
-      locked t (fun () ->
-          Key_tbl.iter
-            (fun key entry ->
-              match keep key with
-              | Some key' ->
-                  incr kept;
-                  Key_tbl.replace fresh.table key' entry
-              | None -> incr dropped)
-            t.table);
-      fresh
-    end
-  in
-  (fresh, (!kept, !dropped))
+let migrate ?same_keys ~keep t =
+  Key_memo.migrate ?same_keys
+    ~keep:(fun key entry -> Option.map (fun key -> (key, entry)) (keep key))
+    t
 
-let hits t = Atomic.get t.hits
+let hits = Key_memo.hits
 
-let misses t = Atomic.get t.misses
-
-let length t = locked t (fun () -> Key_tbl.length t.table)
-
-let entries t =
-  locked t (fun () ->
-      Key_tbl.fold
-        (fun key entry acc -> (key, entry.analysis) :: acc)
-        t.table [])
+let misses = Key_memo.misses
 
 type totals = { total_hits : int; total_misses : int }
 
 let totals () =
-  { total_hits = Ftes_obs.Metrics.counter_value c_hits;
-    total_misses = Ftes_obs.Metrics.counter_value c_misses }
+  { total_hits = Ftes_obs.Metrics.counter_value family.Memo.hits;
+    total_misses = Ftes_obs.Metrics.counter_value family.Memo.misses }
 
-let reset_totals () =
-  Ftes_obs.Metrics.reset_counter c_lookups;
-  Ftes_obs.Metrics.reset_counter c_hits;
-  Ftes_obs.Metrics.reset_counter c_misses;
-  Ftes_obs.Metrics.reset_counter c_capacity_drops
+let reset_totals () = Memo.reset family
 
 let hit_rate { total_hits; total_misses } =
   let lookups = total_hits + total_misses in

@@ -16,10 +16,11 @@
     (as {!Ftes_core.Design_strategy.run} does) and never share it
     across problems.
 
-    All operations are domain-safe; concurrent lookups of the same key
-    may both compute the value, which is harmless because the analysis
-    is a pure function of the key.  Cached tables are bit-identical to
-    fresh computations, so memoization never changes any result. *)
+    The table is a {!Memo} counting under the [sfp_cache.*] family:
+    domain-safe, and concurrent lookups of the same key may both
+    compute the value, which is harmless because the analysis is a pure
+    function of the key.  Cached tables are bit-identical to fresh
+    computations, so memoization never changes any result. *)
 
 type key = {
   node : int;  (** library index of the member's node type. *)
@@ -30,12 +31,14 @@ type key = {
 
 type t
 
-val create : ?max_entries:int -> unit -> t
-(** Fresh empty cache.  Once [max_entries] (default [1 lsl 18]) keys
-    are stored, further misses compute without inserting, bounding the
-    footprint of exhaustive enumerations.  Each skipped insert bumps
-    the process-wide [sfp_cache.capacity_drops] counter so saturation
-    is observable (see the [obs/cache-capacity] verifier rule). *)
+val create : ?capacity:int -> unit -> t
+(** Fresh empty cache.  Once [capacity] (default [1 lsl 18]) keys are
+    stored, further misses compute without inserting, bounding the
+    footprint of exhaustive enumerations; [0] stores nothing.  Each
+    skipped insert bumps the process-wide [sfp_cache.capacity_drops]
+    counter so saturation is observable (see the [obs/cache-capacity]
+    verifier rule).  Raises [Invalid_argument] on a negative
+    capacity. *)
 
 val node_analysis :
   t ->
@@ -83,13 +86,6 @@ val migrate :
 val hits : t -> int
 
 val misses : t -> int
-
-val length : t -> int
-(** Number of distinct keys stored. *)
-
-val entries : t -> (key * Ftes_sfp.Sfp.node_analysis) list
-(** Snapshot of the stored tables (key order unspecified); consumed by
-    the static verifier's SFP-cache contract rule and by tests. *)
 
 (** Process-wide counters, aggregated over every cache instance, so the
     benchmark can report one hit rate across the per-application

@@ -82,13 +82,18 @@ let test_reexec_optimize_sets_design () =
 
 (* --- RedundancyOpt --- *)
 
+let fresh_cache () = Redundancy_opt.create_cache ()
+
 let test_redundancy_fig3_opt () =
   let problem = fig3 () in
   let design =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match Redundancy_opt.run ~config:Config.default problem design with
+  match
+    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
+      design
+  with
   | None -> Alcotest.fail "fig3 should be solvable"
   | Some r ->
       Alcotest.(check int) "chooses h=2" 2 r.Redundancy_opt.design.Design.levels.(0);
@@ -103,7 +108,9 @@ let test_redundancy_fixed_min () =
   in
   (* At minimum hardening the single process needs k=6 -> SL 680 > 360. *)
   Alcotest.(check bool) "MIN infeasible on fig3" true
-    (Redundancy_opt.run ~config:Config.min_strategy problem design = None)
+    (Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.min_strategy
+       problem design
+    = None)
 
 let test_redundancy_fixed_max () =
   let problem = fig3 () in
@@ -111,7 +118,10 @@ let test_redundancy_fixed_max () =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match Redundancy_opt.run ~config:Config.max_strategy problem design with
+  match
+    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.max_strategy
+      problem design
+  with
   | None -> Alcotest.fail "MAX feasible on fig3"
   | Some r ->
       Alcotest.(check int) "level 3" 3 r.Redundancy_opt.design.Design.levels.(0);
@@ -120,7 +130,10 @@ let test_redundancy_fixed_max () =
 let test_redundancy_result_is_feasible () =
   let problem = fig1 () in
   let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  match Redundancy_opt.run ~config:Config.default problem base with
+  match
+    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
+      base
+  with
   | None -> Alcotest.fail "feasible"
   | Some r ->
       let d = r.Redundancy_opt.design in
@@ -131,8 +144,14 @@ let test_redundancy_result_is_feasible () =
 let test_probe_matches_run () =
   let problem = fig1 () in
   let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  let run = Redundancy_opt.run ~config:Config.default problem base in
-  let probe, best_len = Redundancy_opt.probe ~config:Config.default problem base in
+  let run =
+    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
+      base
+  in
+  let probe, best_len =
+    Redundancy_opt.probe ~cache:(fresh_cache ()) ~config:Config.default
+      problem base
+  in
   (match (run, probe) with
   | Some a, Some b ->
       Alcotest.(check (float 1e-9)) "same cost" a.Redundancy_opt.cost b.Redundancy_opt.cost
@@ -146,10 +165,14 @@ let test_best_effort_length () =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  let len = Redundancy_opt.best_effort_length ~config:Config.default problem design in
+  let len =
+    Redundancy_opt.best_effort_length ~cache:(fresh_cache ())
+      ~config:Config.default problem design
+  in
   Alcotest.(check (float 1e-9)) "shortest reachable worst case" 340.0 len;
   let len_min =
-    Redundancy_opt.best_effort_length ~config:Config.min_strategy problem design
+    Redundancy_opt.best_effort_length ~cache:(fresh_cache ())
+      ~config:Config.min_strategy problem design
   in
   Alcotest.(check (float 1e-9)) "MIN best effort is 680" 680.0 len_min
 
@@ -167,7 +190,8 @@ let test_initial_mapping_total () =
 let test_mapping_single_node () =
   let problem = fig1 () in
   match
-    Mapping_opt.run ~config:Config.default ~objective:Mapping_opt.Schedule_length
+    Mapping_opt.run ~cache:(fresh_cache ()) ~config:Config.default
+      ~objective:Mapping_opt.Schedule_length
       problem ~members:[| 1 |]
   with
   | None -> Alcotest.fail "mono N2 is feasible (fig4e)"
@@ -178,7 +202,8 @@ let test_mapping_single_node () =
 let test_mapping_two_nodes_beats_paper () =
   let problem = fig1 () in
   match
-    Mapping_opt.run ~config:Config.default ~objective:Mapping_opt.Architecture_cost
+    Mapping_opt.run ~cache:(fresh_cache ()) ~config:Config.default
+      ~objective:Mapping_opt.Architecture_cost
       problem ~members:[| 0; 1 |]
   with
   | None -> Alcotest.fail "two-node architecture is feasible (fig4a)"
@@ -193,7 +218,8 @@ let test_mapping_respects_initial () =
   let problem = fig1 () in
   let initial = [| 0; 0; 1; 1 |] in
   match
-    Mapping_opt.run ~config:(Config.with_max_iterations 0 Config.default)
+    Mapping_opt.run ~cache:(fresh_cache ())
+      ~config:(Config.with_max_iterations 0 Config.default)
       ~objective:Mapping_opt.Schedule_length ~initial problem ~members:[| 0; 1 |]
   with
   | None -> Alcotest.fail "fig4a mapping is feasible"
@@ -205,7 +231,8 @@ let test_tabu_no_worse_than_greedy () =
   let problem = Helpers.synthetic_problem ~seed:77 ~n:16 ~ser:1e-10 () in
   let members = [| 0; 1 |] in
   let run config =
-    Mapping_opt.run ~config ~objective:Mapping_opt.Schedule_length problem ~members
+    Mapping_opt.run ~cache:(fresh_cache ()) ~config
+      ~objective:Mapping_opt.Schedule_length problem ~members
   in
   let greedy = run (Config.with_max_iterations 0 Config.default) in
   let tabu = run Config.default in

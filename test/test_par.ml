@@ -131,6 +131,101 @@ let test_sfp_cache_matches_fresh () =
     (Design.n_members design)
     (Sfp_cache.hits cache)
 
+(* --- Memo --- *)
+
+module Memo = Ftes_par.Memo
+module Metrics = Ftes_obs.Metrics
+
+module Int_memo = Memo.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash = Hashtbl.hash
+end)
+
+let memo_family = Memo.family "test.memo"
+
+let bindings memo =
+  List.sort compare (Int_memo.fold (fun k v acc -> (k, v) :: acc) memo [])
+
+let prop_memo_migrate_paths_agree =
+  QCheck.Test.make ~count:100
+    ~name:"Memo.migrate: same_keys copy = rehash (bindings, kept/dropped)"
+    QCheck.(small_list (pair small_int small_int))
+    (fun kvs ->
+      let memo = Int_memo.create memo_family in
+      List.iter (fun (k, v) -> ignore (Int_memo.add memo k v)) kvs;
+      let source = bindings memo in
+      let keep k v = if (k + v) mod 3 = 0 then None else Some (k, (2 * v) + 1) in
+      let copied, copied_counts = Int_memo.migrate ~same_keys:true ~keep memo in
+      let rehashed, rehashed_counts = Int_memo.migrate ~keep memo in
+      bindings copied = bindings rehashed
+      && copied_counts = rehashed_counts
+      && fst copied_counts + snd copied_counts = List.length source
+      && bindings memo = source)
+
+let test_memo_peek_uncounted () =
+  let memo = Int_memo.create memo_family in
+  Alcotest.(check int) "add stores" 10 (Int_memo.add memo 1 10);
+  let lookups () = Metrics.counter_value memo_family.Memo.lookups in
+  let before = lookups () in
+  Alcotest.(check (option int)) "peek sees the binding" (Some 10)
+    (Int_memo.peek memo 1);
+  Alcotest.(check (option int)) "peek misses quietly" None
+    (Int_memo.peek memo 2);
+  Alcotest.(check int) "peek leaves lookups alone" before (lookups ());
+  Alcotest.(check int) "no instance hit" 0 (Int_memo.hits memo);
+  Alcotest.(check int) "no instance miss" 0 (Int_memo.misses memo);
+  Alcotest.(check (option int)) "find sees the binding" (Some 10)
+    (Int_memo.find memo 1);
+  Alcotest.(check int) "find is counted" (before + 1) (lookups ());
+  Alcotest.(check int) "one instance hit" 1 (Int_memo.hits memo)
+
+let test_memo_capacity_zero () =
+  let family = Memo.family "test.memo_zero" in
+  let memo = Int_memo.create ~capacity:0 family in
+  for k = 1 to 5 do
+    Alcotest.(check (option int)) "never stored" None (Int_memo.find memo k);
+    Alcotest.(check int) "add hands its value back" (7 * k)
+      (Int_memo.add memo k (7 * k))
+  done;
+  Alcotest.(check int) "nothing retained" 0 (Int_memo.length memo);
+  Alcotest.(check int) "five misses" 5 (Int_memo.misses memo);
+  Alcotest.(check int) "one drop per miss" 5
+    (Metrics.counter_value family.Memo.capacity_drops);
+  Alcotest.(check int) "family misses" 5
+    (Metrics.counter_value family.Memo.misses)
+
+let test_memo_capacity_validation () =
+  let raises name f =
+    Alcotest.check_raises name (Invalid_argument "Memo.create: negative capacity")
+      (fun () -> ignore (f ()))
+  in
+  raises "negative memo capacity" (fun () ->
+      Int_memo.create ~capacity:(-1) memo_family);
+  raises "negative SFP cache capacity" (fun () -> Sfp_cache.create ~capacity:(-1) ());
+  raises "negative evaluation cache capacity" (fun () ->
+      Redundancy_opt.create_cache ~capacity:(-3) ());
+  Alcotest.(check int) "capacity 0 is accepted" 0
+    (Int_memo.length (Int_memo.create ~capacity:0 memo_family));
+  ignore (Redundancy_opt.create_cache ~capacity:0 ())
+
+let test_memo_concurrent_add_shares () =
+  let memo = Int_memo.create memo_family in
+  let values =
+    Pool.map ~pool:pool2
+      (fun i ->
+        match Int_memo.find memo 42 with
+        | Some v -> v
+        | None -> Int_memo.add memo 42 (ref i))
+      (List.init 64 Fun.id)
+  in
+  let first = List.hd values in
+  Alcotest.(check bool) "every caller got the stored value" true
+    (List.for_all (fun v -> v == first) values);
+  Alcotest.(check int) "one binding" 1 (Int_memo.length memo)
+
 (* --- Design_strategy determinism --- *)
 
 let slack_policies =
@@ -171,6 +266,10 @@ let problem_of_seed seed =
   in
   Workload.problem_of_spec { Workload.ser = 1e-11; hpd = 0.25 } spec
 
+(* A cache that retains nothing: every lookup misses and recomputes,
+   the unmemoized reference path. *)
+let unmemoized () = Redundancy_opt.create_cache ~capacity:0 ()
+
 let prop_strategy_parallel_identical =
   QCheck.Test.make ~count:6
     ~name:
@@ -185,9 +284,7 @@ let prop_strategy_parallel_identical =
             (fun (_, bus) ->
               let config = Config.(default |> with_slack slack |> with_bus bus) in
               let seq =
-                Design_strategy.run
-                  ~config:(Config.with_memoize false config)
-                  problem
+                Design_strategy.run ~cache:(unmemoized ()) ~config problem
               in
               let par =
                 Design_strategy.run ~pool:pool2 ~config problem
@@ -204,8 +301,7 @@ let prop_memoization_invisible =
       let problem = problem_of_seed seed in
       let on = Design_strategy.run ~config:Config.default problem in
       let off =
-        Design_strategy.run
-          ~config:(Config.with_memoize false Config.default)
+        Design_strategy.run ~cache:(unmemoized ()) ~config:Config.default
           problem
       in
       fingerprint on = fingerprint off)
@@ -217,16 +313,43 @@ let test_policy_sweep_shared_cache () =
     (fun policy ->
       let config = Config.with_hardening policy Config.default in
       let shared = Design_strategy.run ~cache ~config problem in
-      let fresh =
-        Design_strategy.run
-          ~config:(Config.with_memoize false config)
-          problem
-      in
+      let fresh = Design_strategy.run ~cache:(unmemoized ()) ~config problem in
       Alcotest.(check bool)
         (Config.policy_name policy ^ " with shared cache")
         true
         (fingerprint shared = fingerprint fresh))
     [ Config.Fixed_min; Config.Fixed_max; Config.Optimize ]
+
+(* Resetting the evaluation statistics zeroes the whole [evals.*]
+   family, capacity drops included, so a capped run followed by a reset
+   cannot leave more drops than misses behind. *)
+let test_reset_eval_stats_clears_drops () =
+  let drops () =
+    Option.value ~default:0
+      (Metrics.find_counter (Metrics.snapshot ()) "evals.capacity_drops")
+  in
+  let before = drops () in
+  let problem = problem_of_seed 321 in
+  ignore
+    (Design_strategy.run
+       ~cache:(Redundancy_opt.create_cache ~capacity:1 ())
+       ~config:Config.default problem);
+  Alcotest.(check bool) "the capped run dropped inserts" true
+    (drops () > before);
+  Redundancy_opt.reset_eval_stats ();
+  let subject =
+    Ftes_verify.Subject.with_metrics
+      (Ftes_verify.Subject.of_problem problem)
+      (Metrics.snapshot ())
+  in
+  let report =
+    Ftes_verify.Verify.run
+      ~rules:(Option.to_list (Ftes_verify.Verify.find "obs/cache-capacity"))
+      subject
+  in
+  if not (Ftes_verify.Report.ok report) then
+    Alcotest.failf "obs/cache-capacity rejected the snapshot:\n%s"
+      (Ftes_verify.Report.to_text report)
 
 let () =
   let q = QCheck_alcotest.to_alcotest in
@@ -244,6 +367,17 @@ let () =
       ("sfp-cache",
        [ Alcotest.test_case "cached tables match fresh analysis" `Quick
            test_sfp_cache_matches_fresh ]);
+      ("memo",
+       [ q prop_memo_migrate_paths_agree;
+         Alcotest.test_case "peek is uncounted" `Quick test_memo_peek_uncounted;
+         Alcotest.test_case "capacity 0 stores nothing" `Quick
+           test_memo_capacity_zero;
+         Alcotest.test_case "capacity validation" `Quick
+           test_memo_capacity_validation;
+         Alcotest.test_case "concurrent add shares one value" `Quick
+           test_memo_concurrent_add_shares;
+         Alcotest.test_case "reset_eval_stats clears capacity drops" `Quick
+           test_reset_eval_stats_clears_drops ]);
       ("determinism",
        [ q prop_strategy_parallel_identical;
          q prop_memoization_invisible;

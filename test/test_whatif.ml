@@ -333,11 +333,7 @@ let test_migration_stats () =
   let problem = Helpers.small_problem 9 in
   let config = Config.default in
   let base = Design_strategy.run_recorded ~config problem in
-  let cache =
-    match base.Design_strategy.rec_cache with
-    | Some c -> c
-    | None -> Alcotest.fail "memoizing config must record its cache"
-  in
+  let cache = base.Design_strategy.rec_cache in
   (* Deadline-only: everything survives (evals via the slack remap). *)
   let fp = Delta.footprint problem (Delta.Deadline_scale 0.9) in
   let _, mig = Redundancy_opt.migrate_cache ~base:problem ~footprint:fp cache in
