@@ -1255,13 +1255,13 @@ let run_campaign_run obs dir apps shards jobs sers hpds policies eps =
           if Sys.file_exists (Manifest.path ~dir) then
             fail "%s already holds a campaign; use resume" dir
           else begin
-            (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
             match
               Manifest.make ~sers ~hpds ~policies ~eps ~apps
                 ~seed:obs.Driver.seed ~shards ()
             with
             | exception Invalid_argument msg -> fail "%s" msg
             | manifest ->
+                (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
                 Manifest.save ~dir manifest;
                 Printf.printf "campaign %s: %d apps, %d shards, %d cells \
                                (manifest %s)\n%!"

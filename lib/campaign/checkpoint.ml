@@ -1,6 +1,5 @@
 module Json = Ftes_util.Json
 module Config = Ftes_core.Config
-module Workload = Ftes_gen.Workload
 module Synthetic = Ftes_exp.Synthetic
 module Frontier_io = Ftes_pareto.Frontier_io
 open Json
@@ -85,11 +84,10 @@ let costs_of_json ~lo ~hi json =
     in
     build [] items
 
-(* [specs] covers the shard's range: application [app]'s spec is at
-   offset [app - lo].  Every point's design is re-validated against the
-   problem regenerated for (cell, application). *)
-let cell_of_json ~manifest ~specs ~lo ~hi ~index json =
-  let expected = List.nth (Manifest.cells manifest) index in
+(* Every point's design is re-validated against the problem the plan
+   holds for (cell, application). *)
+let cell_of_json ~manifest ~lo ~hi ~index json =
+  let expected = Manifest.cell manifest index in
   let* ser = Result.bind (member "ser" json) to_float in
   let* hpd = Result.bind (member "hpd" json) to_float in
   let* policy_name = Result.bind (member "policy" json) to_string_value in
@@ -110,7 +108,6 @@ let cell_of_json ~manifest ~specs ~lo ~hi ~index json =
     let* elapsed_s = Result.bind (member "elapsed_s" json) to_float in
     let* costs = Result.bind (member "costs" json) (costs_of_json ~lo ~hi) in
     let* items = Result.bind (member "points" json) to_list in
-    let cell = { Workload.ser = expected.Synthetic.ser; hpd = expected.Synthetic.hpd } in
     let rec build acc row = function
       | [] -> Ok (List.rev acc)
       | item :: rest ->
@@ -122,11 +119,7 @@ let cell_of_json ~manifest ~specs ~lo ~hi ~index json =
                   range [%d, %d)"
                  index row app lo hi)
           else
-            let spec = List.nth specs (app - lo) in
-            let problem =
-              Workload.problem_of_spec ~params:manifest.Manifest.params cell
-                spec
-            in
+            let problem = Manifest.problem manifest ~cell:index ~app in
             let* p = Frontier_io.point_of_json ~problem ~row item in
             build ((app, p) :: acc) (row + 1) rest
     in
@@ -172,12 +165,11 @@ let of_json ~manifest json =
                "marked complete with %d of %d cells recorded"
                (List.length items) n_cells)
         else
-          let specs = Manifest.specs_for_shard manifest shard in
           let rec build acc index = function
             | [] -> Ok (List.rev acc)
             | item :: rest ->
                 let* c =
-                  cell_of_json ~manifest ~specs ~lo ~hi ~index item
+                  cell_of_json ~manifest ~lo ~hi ~index item
                 in
                 build (c :: acc) (index + 1) rest
           in

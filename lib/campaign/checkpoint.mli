@@ -11,10 +11,12 @@
     version, the manifest {!Manifest.fingerprint}, the shard's
     application range, the cell keys (which must be a prefix of
     {!Manifest.cells} in order), the cost-array lengths, and every
-    frontier point's design — regenerated per application through
-    {!Ftes_gen.Workload.problem_of_spec} and the checked
-    {!Ftes_model.Design.make}.  Corruption of any kind surfaces as
-    [Error], never an exception. *)
+    frontier point's design, through the checked
+    {!Ftes_model.Design.make} against its application's
+    {!Manifest.problem}.  The fingerprint and problems come from the
+    manifest's plan, so loading many checkpoints of one campaign
+    derives them once.  Corruption of any kind surfaces as [Error],
+    never an exception. *)
 
 type cell_result = {
   key : Ftes_exp.Synthetic.cell_key;

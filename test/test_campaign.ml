@@ -1,7 +1,8 @@
 (* Campaign subsystem (sharded, checkpointed, resumable exploration):
    manifest round-trips, the sharded-merge = sequential bit-identity
    (across shard counts, including a kill/damage + resume cycle), the
-   structured rejection of corrupted checkpoints, and the campaign/*
+   structured rejection of corrupted checkpoints, the plan a manifest
+   derives once and shares across loads and domains, and the campaign/*
    and new obs/* verifier rule families. *)
 
 module Manifest = Ftes_campaign.Manifest
@@ -57,7 +58,7 @@ let test_manifest_roundtrip () =
       ~apps:10 ~shards:3 ()
   in
   let back = ok_or_fail "of_json" (Manifest.of_json (Manifest.to_json manifest)) in
-  Alcotest.(check bool) "round-trips" true (back = manifest);
+  Alcotest.(check bool) "round-trips" true (Manifest.equal back manifest);
   let dir = mk_dir () in
   Manifest.save ~dir manifest;
   let loaded = ok_or_fail "load" (Manifest.load ~dir) in
@@ -74,7 +75,24 @@ let test_manifest_validation () =
   in
   raises "shards > apps" (fun () -> mini ~apps:2 ~shards:3 ());
   raises "empty policies" (fun () -> mini ~policies:[] ~shards:1 ());
-  raises "zero apps" (fun () -> mini ~apps:0 ~shards:1 ())
+  raises "zero apps" (fun () -> mini ~apps:0 ~shards:1 ());
+  raises "negative seed" (fun () ->
+      Manifest.make ~apps:2 ~seed:(-5) ~shards:1 ());
+  (* [of_json] refuses it too, with the constructor's message. *)
+  let doc =
+    match Manifest.to_json (mini ~apps:2 ~shards:1 ()) with
+    | Json.Object fields ->
+        Json.Object
+          (List.map
+             (fun (k, v) -> if k = "seed" then (k, Json.Number (-5.0)) else (k, v))
+             fields)
+    | json -> json
+  in
+  match Manifest.of_json doc with
+  | Error e ->
+      Alcotest.(check string) "of_json names the seed"
+        "Manifest.make: seed must be >= 0" e
+  | Ok _ -> Alcotest.fail "negative seed: of_json accepted"
 
 let test_shard_partition () =
   let manifest = mini ~apps:10 ~shards:3 () in
@@ -314,6 +332,122 @@ let test_out_of_range_point_rejected () =
     | Ok _ -> Alcotest.fail "out-of-range application index accepted"
   end
 
+(* --- the manifest's plan --- *)
+
+let counter name =
+  Option.value ~default:0 (Metrics.find_counter (Metrics.snapshot ()) name)
+
+let checkpoint_text c = Json.to_string (Checkpoint.to_json c)
+
+let state_text = function
+  | Runner.Complete c -> "complete " ^ checkpoint_text c
+  | Runner.Partial c -> "partial " ^ checkpoint_text c
+  | Runner.Missing -> "missing"
+  | Runner.Corrupt e -> "corrupt " ^ e
+
+let scan_text ~manifest ~dir =
+  Array.to_list (Array.map state_text (Runner.scan ~manifest ~dir))
+
+(* A finished 3-shard, 4-cell campaign whose shard 0 lost its last
+   cell, as a kill leaves it. *)
+let plan_campaign () =
+  let manifest, dir =
+    fresh_campaign ~policies:[ Config.Fixed_min; Config.Fixed_max ]
+      ~hpds:[ 0.05; 0.5 ] ~shards:3 ()
+  in
+  ignore (Runner.run_local ~manifest ~dir ());
+  let c = ok_or_fail "load" (Checkpoint.load ~manifest ~dir 0) in
+  Checkpoint.save ~dir
+    { c with
+      Checkpoint.cells = List.filteri (fun i _ -> i < 3) c.Checkpoint.cells;
+      complete = false };
+  (manifest, dir)
+
+let test_plan_derived_once () =
+  let _, dir = plan_campaign () in
+  (* A freshly loaded manifest has derived no spec yet. *)
+  let manifest = ok_or_fail "load" (Manifest.load ~dir) in
+  let slices () =
+    List.init manifest.Manifest.shards (Manifest.specs_for_shard manifest)
+  in
+  let before = counter "sched.schedules" in
+  let first = scan_text ~manifest ~dir in
+  let derived = counter "sched.schedules" in
+  Alcotest.(check bool) "the first scan derives specs" true (derived > before);
+  let first_slices = slices () in
+  let all_derived = counter "sched.schedules" in
+  let second = scan_text ~manifest ~dir in
+  Alcotest.(check int) "a second scan derives no spec" all_derived
+    (counter "sched.schedules");
+  Alcotest.(check (list string)) "both scans agree" first second;
+  Alcotest.(check bool) "the plan hands out the slices it derived" true
+    (List.for_all2
+       (List.for_all2 ( == ))
+       first_slices (slices ()));
+  Alcotest.(check int) "nor does asking for the slices again" all_derived
+    (counter "sched.schedules")
+
+let test_plan_shared_load_identical () =
+  let manifest, dir = plan_campaign () in
+  for shard = 0 to manifest.Manifest.shards - 1 do
+    let fresh =
+      ok_or_fail "of_json" (Manifest.of_json (Manifest.to_json manifest))
+    in
+    let expected =
+      checkpoint_text
+        (ok_or_fail "fresh load" (Checkpoint.load ~manifest:fresh ~dir shard))
+    in
+    (* Twice through the shared manifest: once deriving, once reading. *)
+    for _ = 1 to 2 do
+      Alcotest.(check string)
+        (Printf.sprintf "shard %d: shared plan = fresh plan" shard)
+        expected
+        (checkpoint_text
+           (ok_or_fail "shared load" (Checkpoint.load ~manifest ~dir shard)))
+    done
+  done;
+  (match Runner.scan ~manifest ~dir with
+  | [| Runner.Partial _; Runner.Complete _; Runner.Complete _ |] -> ()
+  | _ -> Alcotest.fail "expected a partial shard 0 and two complete shards");
+  (* Every (cell, application) problem of the plan, policy-shared ones
+     included, is the one its spec expands to. *)
+  List.iteri
+    (fun index (key : Ftes_exp.Synthetic.cell_key) ->
+      for shard = 0 to manifest.Manifest.shards - 1 do
+        List.iter
+          (fun (spec : Workload.app_spec) ->
+            let expected =
+              Workload.problem_of_spec ~params:manifest.Manifest.params
+                { Workload.ser = key.Ftes_exp.Synthetic.ser;
+                  hpd = key.Ftes_exp.Synthetic.hpd }
+                spec
+            in
+            Alcotest.(check string)
+              (Printf.sprintf "cell %d, app %d: plan problem" index
+                 spec.Workload.index)
+              (Ftes_model.Problem_io.to_string expected)
+              (Ftes_model.Problem_io.to_string
+                 (Manifest.problem manifest ~cell:index ~app:spec.Workload.index)))
+          (Manifest.specs_for_shard manifest shard)
+      done)
+    (Manifest.cells manifest)
+
+let test_plan_concurrent_scan () =
+  let _, dir = plan_campaign () in
+  let expected =
+    scan_text ~manifest:(ok_or_fail "load" (Manifest.load ~dir)) ~dir
+  in
+  let shared = ok_or_fail "load" (Manifest.load ~dir) in
+  let pool = Ftes_par.Pool.create ~domains:2 () in
+  List.iteri
+    (fun i got ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "scan %d equals a sequential scan" i)
+        expected got)
+    (Ftes_par.Pool.map ~pool
+       (fun () -> scan_text ~manifest:shared ~dir)
+       [ (); (); (); () ])
+
 (* --- campaign/* verifier rules --- *)
 
 let subject_problem =
@@ -493,6 +627,13 @@ let () =
             test_corrupt_checkpoint_rejected;
           Alcotest.test_case "out-of-range point" `Quick
             test_out_of_range_point_rejected ] );
+      ( "plan",
+        [ Alcotest.test_case "a second scan derives nothing" `Quick
+            test_plan_derived_once;
+          Alcotest.test_case "shared load = fresh load" `Quick
+            test_plan_shared_load_identical;
+          Alcotest.test_case "concurrent scans" `Quick
+            test_plan_concurrent_scan ] );
       ( "rules",
         [ Alcotest.test_case "pristine campaign passes" `Quick
             test_campaign_rules_pass;
