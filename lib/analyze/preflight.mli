@@ -23,7 +23,7 @@
     ({!node_required_reexecs}, {!architecture_check}): each test is
     one-sided, so consuming the report skips only assignments the
     unpruned search would have rejected anyway — results are
-    bit-identical (certified by the test-suite and the analyze bench).
+    bit-identical (certified by the test-suite).
 
     A report is emitted as a machine-checkable {!Certificate} and
     re-derived offline by the [analyze/*] rules of [Ftes_verify]. *)

@@ -9,7 +9,8 @@
     {!fingerprint} depends only on the results: a sequential reference
     run and a sharded campaign of the same manifest produce the same
     fingerprint byte for byte — the property the [campaign/*] verifier
-    rules, the qcheck suite and [bench/campaign] all enforce. *)
+    rules and the campaign tests (in-process and over worker
+    processes) enforce. *)
 
 type merged_cell = {
   key : Ftes_exp.Synthetic.cell_key;

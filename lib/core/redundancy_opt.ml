@@ -75,7 +75,7 @@ type cache = {
 }
 
 (* Cache statistics live on the Ftes_obs registry: one source of truth
-   for the bench harness (via [eval_stats]), metrics snapshots and the
+   for the daemon's telemetry (via [eval_stats]), metrics snapshots and the
    `obs/cache-consistency` verifier rule.  The [evals.*] family counts
    both the whole-evaluation and the probe memo tables. *)
 let evals_family = Ftes_par.Memo.family "evals"

@@ -8,8 +8,7 @@
     {!Ftes_core.Redundancy_opt.cache} (and through it the SFP node
     tables and candidate evaluations), so a warm daemon answers
     repeated design questions without recomputing; sharing never
-    changes any payload byte (the differential tests and the bench
-    fingerprint check enforce this).
+    changes any payload byte (the differential tests enforce this).
 
     A malformed or unknown-version line produces a structured
     [verdict = "error"] response and the daemon keeps serving; nothing

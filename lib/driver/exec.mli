@@ -16,7 +16,7 @@
     Determinism: given equal requests, [payload] is byte-identical
     across runs regardless of [cache] (memoization is contractually
     invisible, see {!Ftes_core.Redundancy_opt}) — the property the
-    serve tests and the bench fingerprint check enforce. *)
+    serve tests enforce. *)
 
 exception Rejected of string
 (** A request that is well-formed on the wire but unservable here:

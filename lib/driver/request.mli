@@ -112,5 +112,5 @@ val make :
   command ->
   [ `Example of string | `Problem of Ftes_model.Problem.t ] ->
   (t, string) result
-(** Programmatic constructor used by tests and the bench (same
+(** Programmatic constructor used by tests and perfbench (same
     validation as the wire path). *)

@@ -11,8 +11,7 @@
 
     The {e payload} is the deterministic part: byte-identical to the
     JSON report of the corresponding one-shot CLI invocation (the
-    property the differential tests and the bench fingerprint check
-    pin).  The {e telemetry} carries timing and cache statistics and
+    property the differential tests pin).  The {e telemetry} carries timing and cache statistics and
     is excluded from every fingerprint. *)
 
 (** Typed outcome of a request, the envelope's ["verdict"] field.

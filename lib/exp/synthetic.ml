@@ -12,8 +12,7 @@ type cell_run = {
   elapsed_s : float;
 }
 
-let run_cell ?pool ?params ?(config = Config.default) ?(analyze = false)
-    ~specs key =
+let run_cell ?pool ?params ?(config = Config.default) ~specs key =
   Ftes_obs.Span.with_ ~name:"exp/cell" @@ fun () ->
   let config = Config.with_hardening key.policy config in
   let cell = { Workload.ser = key.ser; hpd = key.hpd } in
@@ -22,16 +21,7 @@ let run_cell ?pool ?params ?(config = Config.default) ?(analyze = false)
     specs
     |> Ftes_par.Pool.map ?pool (fun spec ->
            let problem = Workload.problem_of_spec ?params cell spec in
-           (* Per-application pre-flight report: pruning is one-sided,
-              so the cell's costs are bit-identical either way. *)
-           let preflight =
-             if analyze then
-               Some
-                 (Ftes_analyze.Preflight.run ~kmax:config.Config.kmax
-                    ~slack:config.Config.slack problem)
-             else None
-           in
-           let solution = Design_strategy.run ?pool ?preflight ~config problem in
+           let solution = Design_strategy.run ?pool ~config problem in
            ( spec.Workload.index,
              Option.map
                (fun (s : Design_strategy.solution) ->

@@ -35,7 +35,6 @@ val run_cell :
   ?pool:Ftes_par.Pool.t ->
   ?params:Ftes_gen.Workload.params ->
   ?config:Ftes_core.Config.t ->
-  ?analyze:bool ->
   specs:Ftes_gen.Workload.app_spec list ->
   cell_key ->
   cell_run
@@ -43,13 +42,7 @@ val run_cell :
     hardening policy is overridden by the cell's.  With a multi-domain
     [pool] the (independent) applications are optimized concurrently;
     the per-application results and their order are bit-identical to a
-    sequential run.  [elapsed_s] is CPU time, summed over domains.
-
-    [analyze] (default [false]) runs an {!Ftes_analyze.Preflight}
-    report per application and feeds it to the strategy as its pruning
-    oracle; costs are bit-identical either way (the tests are one-sided
-    proofs), only the [analyze.pruned_*] counters and the wall time
-    change. *)
+    sequential run.  [elapsed_s] is CPU time, summed over domains. *)
 
 val acceptance : cell_run -> max_cost:float -> float
 (** Percentage (0-100) of applications accepted at the given maximum

@@ -17,8 +17,8 @@
       reads.
 
     With both off (the default) [with_ ~name f] is [f ()] after one
-    atomic load and a branch — the near-zero "null sink" path whose
-    cost `bench_obs` measures.  Sinks and aggregates only observe, so
+    atomic load and a branch — the near-zero "null sink" path, which
+    allocates nothing beyond [f]'s own (test_obs checks it).  Sinks and aggregates only observe, so
     enabling them cannot change any optimizer result. *)
 
 val with_ : name:string -> (unit -> 'a) -> 'a

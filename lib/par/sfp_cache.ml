@@ -114,10 +114,3 @@ type totals = { total_hits : int; total_misses : int }
 let totals () =
   { total_hits = Ftes_obs.Metrics.counter_value family.Memo.hits;
     total_misses = Ftes_obs.Metrics.counter_value family.Memo.misses }
-
-let reset_totals () = Memo.reset family
-
-let hit_rate { total_hits; total_misses } =
-  let lookups = total_hits + total_misses in
-  if lookups = 0 then 0.0
-  else float_of_int total_hits /. float_of_int lookups

@@ -88,13 +88,8 @@ val hits : t -> int
 val misses : t -> int
 
 (** Process-wide counters, aggregated over every cache instance, so the
-    benchmark can report one hit rate across the per-application
-    caches of a whole experiment cell. *)
+    daemon's telemetry can report one figure across the per-problem
+    caches of a whole session. *)
 type totals = { total_hits : int; total_misses : int }
 
 val totals : unit -> totals
-
-val reset_totals : unit -> unit
-
-val hit_rate : totals -> float
-(** Hits over lookups, [0.] when no lookup happened. *)

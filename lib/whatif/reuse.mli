@@ -2,7 +2,7 @@
 
     Counts what the cache migration kept versus dropped and how much of
     the recorded walk the warm pass replayed verbatim — the evidence the
-    [whatif/*] verifier rules and [bench/whatif.exe] audit.  The counts
+    [whatif/*] verifier rules audit.  The counts
     are observational only: the reuse {e mechanism} is the migrated
     cache, and correctness never depends on these numbers. *)
 

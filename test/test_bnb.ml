@@ -21,6 +21,7 @@ module Verify = Ftes_verify.Verify
 module Report = Ftes_verify.Report
 module Diagnostic = Ftes_verify.Diagnostic
 module Pool = Ftes_par.Pool
+module Workload = Ftes_gen.Workload
 module Csv = Ftes_util.Csv
 module Json = Ftes_util.Json
 
@@ -194,6 +195,89 @@ let prop_differential =
               else true)
             Helpers.bus_policies)
         (Helpers.slack_policies prng n))
+
+(* --- the solved-size ladder ---
+
+   Synthetic instances of growing task count x library size (seed 42,
+   the paper's nominal corner).  Every rung whose candidate space fits
+   the reference enumeration's budget must agree with [Exhaustive]; the
+   largest rung, about four orders of magnitude past that budget, must
+   be certified optimal by pruning alone. *)
+
+let ladder_problem ~n ~lib =
+  let params =
+    { Workload.default_params with Workload.n_library = lib; levels = 3 }
+  in
+  let spec = Workload.generate_spec ~params ~seed:42 ~index:0 ~n_processes:n () in
+  Workload.problem_of_spec ~params { Workload.ser = 1e-11; hpd = 0.25 } spec
+
+let exhaustive_budget = 250_000.0
+
+(* A tripwire, not a weaker claim: a certified run near it would mean
+   the pruning regressed. *)
+let ladder_limit = 100_000
+
+let prunes (c : Cert.counters) =
+  c.Cert.pruned_cost + c.Cert.pruned_arch + c.Cert.pruned_symmetry
+  + c.Cert.pruned_levels + c.Cert.pruned_mappings
+
+let solve_rung label problem =
+  let config = Config.make ~certify:true () in
+  match Bnb.solve ~limit:ladder_limit ~config problem with
+  | exception Bnb.Budget_exhausted n ->
+      Alcotest.failf "%s: exhausted the %d-candidate budget at %d" label
+        ladder_limit n
+  | outcome ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: audit ok (%s)" label (audit_errors outcome))
+        true (audit_ok outcome);
+      outcome
+
+(* The rungs small enough for the reference enumeration. *)
+let exhaustive_rungs =
+  lazy
+    (List.filter_map
+       (fun (n, lib) ->
+         let problem = ladder_problem ~n ~lib in
+         if Bnb.search_space problem <= exhaustive_budget then
+           Some (Printf.sprintf "n%d-lib%d" n lib, problem)
+         else None)
+       [ (4, 2); (6, 2); (6, 3); (8, 3) ])
+
+let test_ladder_matches_exhaustive () =
+  let config = Config.make ~certify:true () in
+  let rungs = Lazy.force exhaustive_rungs in
+  Alcotest.(check bool) "some rung fits the exhaustive budget" true
+    (rungs <> []);
+  List.iter
+    (fun (label, problem) ->
+      let ex = Exhaustive.run ~config problem in
+      let outcome = solve_rung label problem in
+      Alcotest.(check (float 0.0))
+        (label ^ ": cost") (cost_of ex)
+        (cost_of outcome.Bnb.best);
+      Alcotest.(check (float 0.0))
+        (label ^ ": schedule length") (sl_of ex)
+        (sl_of outcome.Bnb.best))
+    rungs
+
+let test_ladder_top_certified () =
+  let problem = ladder_problem ~n:12 ~lib:4 in
+  let size p =
+    Ftes_model.Problem.n_processes p * Ftes_model.Problem.n_library p
+  in
+  Alcotest.(check bool) "n12-lib4 is beyond the exhaustive budget" true
+    (Bnb.search_space problem > exhaustive_budget);
+  Alcotest.(check bool) "and at least twice (n x m) every exhaustive rung"
+    true
+    (List.for_all
+       (fun (_, p) -> size problem >= 2 * size p)
+       (Lazy.force exhaustive_rungs));
+  let outcome = solve_rung "n12-lib4" problem in
+  Alcotest.(check bool) "certified optimum found" true
+    (outcome.Bnb.best <> None);
+  Alcotest.(check bool) "pruning fired" true
+    (prunes outcome.Bnb.certificate.Cert.counters > 0)
 
 (* --- symmetry, parallelism, budget, gaps --- *)
 
@@ -441,7 +525,11 @@ let () =
           Alcotest.test_case "parallel = sequential" `Quick
             test_parallel_matches_sequential;
           Alcotest.test_case "infeasibility proof" `Quick
-            test_infeasible_proof ] );
+            test_infeasible_proof;
+          Alcotest.test_case "ladder = exhaustive" `Slow
+            test_ladder_matches_exhaustive;
+          Alcotest.test_case "ladder top certified" `Slow
+            test_ladder_top_certified ] );
       ( "gap",
         [ Alcotest.test_case "golden table" `Quick test_golden_gap;
           Alcotest.test_case "bnb beats greedy" `Quick test_bnb_beats_greedy;

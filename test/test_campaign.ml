@@ -229,6 +229,62 @@ let test_partial_checkpoint_resume () =
   Alcotest.(check bool) "merge equals sequential after the crash cycle" true
     (Merge.equal (merged_of ~manifest ~dir) (Merge.run_sequential ~manifest))
 
+(* --- real worker processes --- *)
+
+(* The built CLI, at its place in the build tree next to this test's
+   directory; test/dune declares it a dependency. *)
+let ftes_exe =
+  List.fold_left Filename.concat
+    (Filename.dirname Sys.executable_name)
+    [ Filename.parent_dir_name; "bin"; "ftes.exe" ]
+
+(* The CLI worker's deliberate mid-run kill: exit 130 inside [shard]
+   after its first cell. *)
+let with_planted_kill ~shard f =
+  Unix.putenv "FTES_CAMPAIGN_KILL_AFTER" "1";
+  Unix.putenv "FTES_CAMPAIGN_KILL_SHARD" (string_of_int shard);
+  Fun.protect ~finally:(fun () -> Unix.putenv "FTES_CAMPAIGN_KILL_AFTER" "") f
+
+(* A 4-shard campaign fanned out to [ftes campaign-worker] processes
+   merges equal to the in-process sequential run; after a planted kill,
+   resume skips exactly the shards already complete and merges equal
+   again. *)
+let test_worker_processes () =
+  let shards = 4 in
+  let manifest =
+    Manifest.make ~sers:[ 1e-11 ] ~hpds:[ 0.25 ]
+      ~policies:[ Config.Fixed_min; Config.Optimize ] ~apps:12 ~seed:42 ~shards
+      ()
+  in
+  let sequential = Merge.run_sequential ~manifest in
+  let campaign () =
+    let dir = mk_dir () in
+    Manifest.save ~dir manifest;
+    dir
+  in
+  let run dir = Runner.run_processes ~jobs:2 ~exe:ftes_exe ~manifest ~dir () in
+  let dir = campaign () in
+  let summary = run dir in
+  Alcotest.(check int) "sharded run: no failed shard" 0
+    (List.length summary.Runner.failed);
+  Alcotest.(check bool) "sharded merge = sequential" true
+    (Merge.equal (merged_of ~manifest ~dir) sequential);
+  let dir = campaign () in
+  let killed = with_planted_kill ~shard:1 (fun () -> run dir) in
+  Alcotest.(check bool) "the planted kill of shard 1 happened" true
+    (List.mem_assoc 1 killed.Runner.failed);
+  let resumed = run dir in
+  Alcotest.(check int) "resume: no failed shard" 0
+    (List.length resumed.Runner.failed);
+  Alcotest.(check int) "resume skips exactly the complete shards"
+    killed.Runner.executed resumed.Runner.skipped;
+  Alcotest.(check bool) "resume re-runs fewer shards than the campaign has"
+    true
+    (resumed.Runner.executed < shards);
+  Alcotest.(check string) "resumed merge = sequential"
+    (Merge.fingerprint sequential)
+    (Merge.fingerprint (merged_of ~manifest ~dir))
+
 (* --- corrupted checkpoints are rejected, not crashed on --- *)
 
 let read_doc path =
@@ -621,7 +677,9 @@ let () =
       ( "resume",
         [ q prop_resume_after_damage;
           Alcotest.test_case "partial checkpoint salvage" `Quick
-            test_partial_checkpoint_resume ] );
+            test_partial_checkpoint_resume;
+          Alcotest.test_case "worker processes, kill and resume" `Slow
+            test_worker_processes ] );
       ( "corruption",
         [ Alcotest.test_case "structured rejection" `Quick
             test_corrupt_checkpoint_rejected;

@@ -134,6 +134,25 @@ let test_span_disabled_is_transparent () =
     (Span.with_ ~name:"x" (fun () -> 7));
   Alcotest.(check int) "no stack entries" 0 (Span.stack_depth ())
 
+(* The disabled path is [if not enabled then f ()]: a span costs no
+   allocation on top of the wrapped function's own, so leaving the
+   instrumentation in the hot paths is free when tracing is off. *)
+let test_span_disabled_allocates_nothing () =
+  Span.disable ();
+  let work () = Sys.opaque_identity (ref 0) in
+  let minor_words_of f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    Gc.minor_words () -. before
+  in
+  let bare = minor_words_of work in
+  let spanned = minor_words_of (fun () -> Span.with_ ~name:"noop" work) in
+  Alcotest.(check bool) "the wrapped function allocates" true (bare > 0.0);
+  Alcotest.(check (float 0.0)) "no minor words beyond the function's own"
+    bare spanned
+
 let test_span_exception_safe () =
   let sink = Sink.memory () in
   with_spans ~sink (fun () ->
@@ -385,6 +404,8 @@ let () =
         [ q prop_span_nesting;
           Alcotest.test_case "disabled is transparent" `Quick
             test_span_disabled_is_transparent;
+          Alcotest.test_case "disabled allocates nothing" `Quick
+            test_span_disabled_allocates_nothing;
           Alcotest.test_case "exception safe" `Quick test_span_exception_safe;
           Alcotest.test_case "aggregates" `Quick test_span_aggregates ] );
       ( "trace",

@@ -16,6 +16,7 @@ module Config = Ftes_core.Config
 module Scheduler = Ftes_sched.Scheduler
 module Bus = Ftes_sched.Bus
 module Pool = Ftes_par.Pool
+module Workload = Ftes_gen.Workload
 module Problem_io = Ftes_model.Problem_io
 module Objective = Ftes_pareto.Objective
 module Lifecycle = Ftes_driver.Lifecycle
@@ -205,6 +206,90 @@ let test_order_under_pool () =
         (Response.fingerprint (one_shot req))
         (Response.fingerprint resp))
     (List.combine requests responses)
+
+(* --- a mixed stream through one warm registry --- *)
+
+(* Request [i] of the mixed stream: analyze / optimize / pareto / exact
+   over the built-in examples and the synthetic and tiny instances
+   below, rotating strategy, slack and bus policy with [i]. *)
+let mixed_problem ~n index =
+  let params =
+    { Workload.default_params with Workload.n_library = 2; levels = 3 }
+  in
+  let spec = Workload.generate_spec ~params ~seed:42 ~index ~n_processes:n () in
+  Workload.problem_of_spec ~params { Workload.ser = 1e-10; hpd = 0.5 } spec
+
+let mixed_synthetic = lazy (Array.init 4 (mixed_problem ~n:6))
+
+(* Small enough for the exact optimizer. *)
+let mixed_tiny = lazy (Array.init 2 (mixed_problem ~n:4))
+
+let request_of_index i =
+  let synthetic = Lazy.force mixed_synthetic in
+  let tiny = Lazy.force mixed_tiny in
+  let pick a = a.(i mod Array.length a) in
+  let slack =
+    pick [| Scheduler.Shared; Scheduler.Conservative; Scheduler.Dedicated |]
+  in
+  let bus = pick [| Bus.Fcfs; Bus.Tdma { slot_ms = 2.0 } |] in
+  let strategy = pick [| "opt"; "min"; "max" |] in
+  let target k =
+    match k mod 4 with
+    | 0 -> `Example "fig1"
+    | 1 -> `Example "fig3"
+    | 2 -> `Example "cc"
+    | _ -> `Problem synthetic.(k mod Array.length synthetic)
+  in
+  let command, problem =
+    match i mod 10 with
+    | 0 | 1 | 2 -> (Request.Analyze, target (i / 3))
+    | 3 | 4 | 5 | 6 -> (Request.Optimize, target (i / 2))
+    | 7 -> (pareto_all, if i mod 20 = 7 then `Example "fig1" else `Example "cc")
+    | 8 ->
+        ( Request.Exact { limit = None },
+          if i mod 20 = 8 then `Example "fig1" else `Example "fig3" )
+    | _ -> (Request.Exact { limit = None }, `Problem (pick tiny))
+  in
+  ok_exn
+    (Request.make ~id:(Printf.sprintf "req-%03d" i) ~strategy ~slack ~bus
+       command problem)
+
+let rec batches n lines =
+  if lines = [] then []
+  else
+    let batch = List.filteri (fun i _ -> i < n) lines in
+    batch :: batches n (List.filteri (fun i _ -> i >= n) lines)
+
+(* 24 requests sent in batches of 16 through one cache registry on a
+   sequential pool, so the only thing shared between requests is the
+   warm cache: every daemon response must match the one-shot run of
+   its request, and none may fail. *)
+let test_mixed_stream_one_registry () =
+  let requests = List.init 24 request_of_index in
+  let caches = Daemon.create_caches () in
+  let _, rev_responses =
+    List.fold_left
+      (fun (seq, acc) batch ->
+        let responses =
+          Daemon.run_lines ~pool:Pool.sequential ~caches ~first_seq:seq batch
+        in
+        (seq + List.length responses, List.rev_append responses acc))
+      (0, [])
+      (batches 16 (List.map Request.to_string requests))
+  in
+  let responses = List.rev rev_responses in
+  Alcotest.(check int) "1:1" (List.length requests) (List.length responses);
+  List.iter2
+    (fun req resp ->
+      let id = req.Request.id in
+      Alcotest.(check bool) (id ^ ": not failed") true
+        (resp.Response.verdict <> Response.Failed);
+      Alcotest.(check string) (id ^ ": fingerprint")
+        (Response.fingerprint (one_shot req))
+        (Response.fingerprint resp))
+    requests responses;
+  Alcotest.(check bool) "the registry was reused" true
+    (Daemon.cache_hits caches > 0)
 
 (* --- garbage in, structured error out --- *)
 
@@ -596,6 +681,8 @@ let () =
       ( "stream",
         [ Alcotest.test_case "1:1, ordered, concurrent pool" `Quick
             test_order_under_pool;
+          Alcotest.test_case "mixed stream through one registry" `Slow
+            test_mixed_stream_one_registry;
           Alcotest.test_case "malformed lines get structured errors" `Quick
             test_malformed_lines_survive ] );
       ( "verdicts",

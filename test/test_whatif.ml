@@ -28,6 +28,15 @@ let ok_exn = function
 
 let hex = Printf.sprintf "%h"
 
+(* The cruise controller's base walk, pre-flight attached, shared by
+   every delta class's warm rerun: a rerun leaves its base intact. *)
+let cc_base =
+  lazy
+    (let cc = Ftes_cc.Cruise_control.problem () in
+     let config = Config.default in
+     let preflight = Preflight.run ~kmax:config.Config.kmax cc in
+     (cc, Design_strategy.run_recorded ~preflight ~config cc))
+
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
 (* --- bit-exact signatures ---
@@ -82,9 +91,16 @@ let reuse_sane name (r : Reuse.t) =
     (r.Reuse.steps_replayed <= r.Reuse.steps_total)
 
 (* The property: rerun from a recorded base = cold run on the perturbed
-   problem, bit for bit (solution, trail, explored). *)
-let check_bit_identity name config problem delta =
-  let base = Design_strategy.run_recorded ~config problem in
+   problem, bit for bit (solution, trail, explored).  [base], when
+   given, is the base walk recorded beforehand; when it carries a
+   pre-flight report, the cold run derives a fresh one on the perturbed
+   problem. *)
+let check_bit_identity ?base name config problem delta =
+  let base =
+    match base with
+    | Some base -> base
+    | None -> Design_strategy.run_recorded ~config problem
+  in
   match Design_strategy.rerun ~from:base delta with
   | Error e -> Alcotest.failf "%s: generated delta rejected: %s" name e
   | Ok (warm, reuse) ->
@@ -94,7 +110,14 @@ let check_bit_identity name config problem delta =
         | Some k -> Config.with_kmax k config
         | None -> config
       in
-      let cold = Design_strategy.run_recorded ~config:config' perturbed in
+      let preflight =
+        Option.map
+          (fun _ -> Preflight.run ~kmax:config'.Config.kmax perturbed)
+          base.Design_strategy.rec_preflight
+      in
+      let cold =
+        Design_strategy.run_recorded ?preflight ~config:config' perturbed
+      in
       Alcotest.(check string)
         (name ^ ": solution bits")
         (solution_sig cold.Design_strategy.rec_solution)
@@ -113,7 +136,8 @@ let check_bit_identity name config problem delta =
 
 (* One alcotest case per delta class: every slack mode (including the
    randomized per-process and checkpointed ones) crossed with every bus
-   policy, fresh deltas per cell. *)
+   policy, fresh deltas per cell — then the cruise controller, whose
+   base walk carries its pre-flight report. *)
 let test_class cls () =
   let prng = Prng.create (0xC0FFEE + Hashtbl.hash cls) in
   let problem = Helpers.small_problem ~n:5 ~lib:2 ~levels:2 (Hashtbl.hash cls) in
@@ -129,7 +153,10 @@ let test_class cls () =
           let name = Printf.sprintf "%s/slack%d/%s" cls si bus_name in
           check_bit_identity name config problem delta)
         Helpers.named_bus_policies)
-    (Helpers.slack_policies prng n)
+    (Helpers.slack_policies prng n);
+  let cc, base = Lazy.force cc_base in
+  check_bit_identity ~base (cls ^ "/cc") Config.default cc
+    (Helpers.delta_of_class prng cc cls)
 
 (* Chained deltas: the recorded state returned by a rerun is itself a
    valid warm-start base (deltas compose). *)
