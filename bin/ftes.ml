@@ -103,22 +103,17 @@ module Delta = Ftes_whatif.Delta
 module Reuse = Ftes_whatif.Reuse
 
 let delta_of_flags delta_json delta_file =
-  let parse what s =
-    match Ftes_util.Json.of_string s with
-    | Error e -> Error (Printf.sprintf "%s: %s" what e)
-    | Ok json -> (
-        match Delta.of_json json with
-        | Error e -> Error (Printf.sprintf "%s: %s" what e)
-        | Ok delta -> Ok delta)
-  in
   match (delta_json, delta_file) with
   | None, None -> Error "give a delta: --delta JSON or --delta-file PATH"
   | Some _, Some _ -> Error "give either --delta or --delta-file, not both"
-  | Some s, None -> parse "--delta" s
-  | None, Some path -> (
-      match In_channel.with_open_text path In_channel.input_all with
-      | exception Sys_error e -> Error e
-      | contents -> parse ("--delta-file " ^ path) contents)
+  | Some s, None ->
+      Result.map_error
+        (fun e -> "--delta: " ^ e)
+        (Result.bind (Ftes_util.Json.of_string s) Delta.of_json)
+  | None, Some path ->
+      Result.map_error
+        (fun e -> "--delta-file " ^ e)
+        (Ftes_util.Versioned_json.load Delta.of_json path)
 
 let reuse_text (r : Reuse.t) =
   Printf.sprintf
@@ -695,11 +690,6 @@ let analysis_text source strategy problem (pf : Preflight.t) =
         ws);
   Buffer.contents b
 
-let load_frontier problem path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | exception Sys_error e -> Error e
-  | contents -> Ftes_pareto.Frontier_io.of_string ~problem contents
-
 let run_audit problem config format ~source ~strategy ~cert_path
     ~frontier_path =
   match Certificate_io.load cert_path with
@@ -716,8 +706,12 @@ let run_audit problem config format ~source ~strategy ~cert_path
         match frontier_path with
         | None -> Ok subject
         | Some path -> (
-            match load_frontier problem path with
-            | Error e -> Error (Printf.sprintf "--frontier %s: %s" path e)
+            match
+              Ftes_util.Versioned_json.load
+                (Ftes_pareto.Frontier_io.of_json ~problem)
+                path
+            with
+            | Error e -> Error ("--frontier " ^ e)
             | Ok archive -> Ok (Subject.with_archive subject archive))
       in
       match subject with
@@ -1170,16 +1164,7 @@ let dir_term =
        & opt (some string) None
        & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Campaign directory.")
 
-let read_json_file path =
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  match Json.of_string text with
-  | Ok json -> Ok json
-  | Error e -> Error (Printf.sprintf "%s: %s" path e)
+let read_json_file = Ftes_util.Versioned_json.load Result.ok
 
 let policy_of_cli = function
   | "opt" | "OPT" -> Ok Config.Optimize

@@ -3,14 +3,7 @@ open Json
 
 let schema_version = 1
 
-(* "no solution on that side" costs are [infinity] in memory; JSON has
-   no infinities, so they travel as null. *)
-let opt_number = Ftes_util.Versioned_json.opt_number
-
-let int_array a =
-  List (Array.to_list (Array.map (fun i -> Number (float_of_int i)) a))
-
-let prefix_json prefix = ("prefix", int_array prefix)
+let prefix_json prefix = ("prefix", ints prefix)
 
 let prune_to_json (p : Bnb_certificate.prune) =
   match p with
@@ -26,7 +19,7 @@ let prune_to_json (p : Bnb_certificate.prune) =
         [ ("kind", String "arch-unreliable");
           prefix_json prefix;
           ("subtree", Bool subtree);
-          ("proc", Number (float_of_int proc)) ]
+          ("proc", int proc) ]
   | Bnb_certificate.Arch_infeasible
       { prefix; subtree; verdict = Bnb_certificate.Deadline lb } ->
       Object
@@ -38,134 +31,84 @@ let prune_to_json (p : Bnb_certificate.prune) =
       Object
         [ ("kind", String "symmetry");
           prefix_json prefix;
-          ("skipped", Number (float_of_int skipped));
-          ("canonical", Number (float_of_int canonical)) ]
+          ("skipped", int skipped);
+          ("canonical", int canonical) ]
 
 let incumbent_to_json (i : Bnb_certificate.incumbent) =
   Object
-    [ ("members", int_array i.Bnb_certificate.members);
-      ("levels", int_array i.Bnb_certificate.levels);
-      ("reexecs", int_array i.Bnb_certificate.reexecs);
-      ("mapping", int_array i.Bnb_certificate.mapping);
+    [ ("members", ints i.Bnb_certificate.members);
+      ("levels", ints i.Bnb_certificate.levels);
+      ("reexecs", ints i.Bnb_certificate.reexecs);
+      ("mapping", ints i.Bnb_certificate.mapping);
       ("cost", Number i.Bnb_certificate.cost);
       ("schedule_length_ms", Number i.Bnb_certificate.schedule_length_ms) ]
 
+let counters_to_json (k : Bnb_certificate.counters) =
+  Object
+    [ ("expanded", int k.Bnb_certificate.expanded);
+      ("closed", int k.Bnb_certificate.closed);
+      ("evaluated", int k.Bnb_certificate.evaluated);
+      ("pruned_cost", int k.Bnb_certificate.pruned_cost);
+      ("pruned_arch", int k.Bnb_certificate.pruned_arch);
+      ("pruned_symmetry", int k.Bnb_certificate.pruned_symmetry);
+      ("pruned_levels", int k.Bnb_certificate.pruned_levels);
+      ("pruned_mappings", int k.Bnb_certificate.pruned_mappings) ]
+
 let to_json (c : Bnb_certificate.t) =
-  let s = c.Bnb_certificate.summary in
-  let k = c.Bnb_certificate.counters in
   Object
     [ Ftes_util.Versioned_json.field schema_version;
-      ( "problem",
-        Object
-          [ ("name", String s.Certificate.name);
-            ("n_processes", Number (float_of_int s.Certificate.n_processes));
-            ("n_library", Number (float_of_int s.Certificate.n_library));
-            ("deadline_ms", Number s.Certificate.deadline_ms);
-            ("period_ms", Number s.Certificate.period_ms);
-            ("gamma", Number s.Certificate.gamma);
-            ("mu_ms", Number s.Certificate.mu_ms) ] );
+      ("problem", Certificate_io.summary_to_json c.Bnb_certificate.summary);
       ( "premises",
         Object
-          [ ("kmax", Number (float_of_int c.Bnb_certificate.kmax));
+          [ ("kmax", int c.Bnb_certificate.kmax);
             ("search_space", Number c.Bnb_certificate.search_space);
             ( "represented_subsets",
               Number c.Bnb_certificate.represented_subsets ) ] );
       ( "costs",
         Object
-          [ ("heuristic", opt_number c.Bnb_certificate.heuristic_cost);
-            ("optimal", opt_number c.Bnb_certificate.optimal_cost) ] );
+          [ ("heuristic", number_or_null c.Bnb_certificate.heuristic_cost);
+            ("optimal", number_or_null c.Bnb_certificate.optimal_cost) ] );
       ( "incumbent",
         match c.Bnb_certificate.incumbent with
         | Some i -> incumbent_to_json i
         | None -> Null );
-      ( "counters",
-        Object
-          [ ("expanded", Number (float_of_int k.Bnb_certificate.expanded));
-            ("closed", Number (float_of_int k.Bnb_certificate.closed));
-            ("evaluated", Number (float_of_int k.Bnb_certificate.evaluated));
-            ( "pruned_cost",
-              Number (float_of_int k.Bnb_certificate.pruned_cost) );
-            ( "pruned_arch",
-              Number (float_of_int k.Bnb_certificate.pruned_arch) );
-            ( "pruned_symmetry",
-              Number (float_of_int k.Bnb_certificate.pruned_symmetry) );
-            ( "pruned_levels",
-              Number (float_of_int k.Bnb_certificate.pruned_levels) );
-            ( "pruned_mappings",
-              Number (float_of_int k.Bnb_certificate.pruned_mappings) ) ] );
+      ("counters", counters_to_json c.Bnb_certificate.counters);
       ( "prunes",
         List (List.map prune_to_json c.Bnb_certificate.prunes) ) ]
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let opt_float = Ftes_util.Versioned_json.opt_float
-
-let int_array_of json =
-  let* items = to_list json in
-  let* ints = map_result to_int items in
-  Ok (Array.of_list ints)
-
-let summary_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* n_processes = Result.bind (member "n_processes" json) to_int in
-  let* n_library = Result.bind (member "n_library" json) to_int in
-  let* deadline_ms = Result.bind (member "deadline_ms" json) to_float in
-  let* period_ms = Result.bind (member "period_ms" json) to_float in
-  let* gamma = Result.bind (member "gamma" json) to_float in
-  let* mu_ms = Result.bind (member "mu_ms" json) to_float in
-  Ok
-    { Certificate.name;
-      n_processes;
-      n_library;
-      deadline_ms;
-      period_ms;
-      gamma;
-      mu_ms }
-
 let prune_of_json json =
-  let* kind = Result.bind (member "kind" json) to_string_value in
-  let* prefix = Result.bind (member "prefix" json) int_array_of in
+  let* kind = field "kind" to_string_value json in
+  let* prefix = field "prefix" int_array json in
   match kind with
   | "cost-bound" ->
-      let* lower_bound = Result.bind (member "lower_bound" json) to_float in
-      let* incumbent_cost =
-        Result.bind (member "incumbent_cost" json) to_float
-      in
+      let* lower_bound = field "lower_bound" to_float json in
+      let* incumbent_cost = field "incumbent_cost" to_float json in
       Ok (Bnb_certificate.Cost_bound { prefix; lower_bound; incumbent_cost })
   | "arch-unreliable" ->
-      let* subtree = Result.bind (member "subtree" json) to_bool in
-      let* proc = Result.bind (member "proc" json) to_int in
+      let* subtree = field "subtree" to_bool json in
+      let* proc = field "proc" to_int json in
       Ok
         (Bnb_certificate.Arch_infeasible
            { prefix; subtree; verdict = Bnb_certificate.Unreliable proc })
   | "arch-deadline" ->
-      let* subtree = Result.bind (member "subtree" json) to_bool in
-      let* lb =
-        Result.bind (member "length_lower_bound_ms" json) to_float
-      in
+      let* subtree = field "subtree" to_bool json in
+      let* lb = field "length_lower_bound_ms" to_float json in
       Ok
         (Bnb_certificate.Arch_infeasible
            { prefix; subtree; verdict = Bnb_certificate.Deadline lb })
   | "symmetry" ->
-      let* skipped = Result.bind (member "skipped" json) to_int in
-      let* canonical = Result.bind (member "canonical" json) to_int in
+      let* skipped = field "skipped" to_int json in
+      let* canonical = field "canonical" to_int json in
       Ok (Bnb_certificate.Symmetry { prefix; skipped; canonical })
   | other -> Error (Printf.sprintf "prune: unknown kind %S" other)
 
 let incumbent_of_json json =
-  let* members = Result.bind (member "members" json) int_array_of in
-  let* levels = Result.bind (member "levels" json) int_array_of in
-  let* reexecs = Result.bind (member "reexecs" json) int_array_of in
-  let* mapping = Result.bind (member "mapping" json) int_array_of in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* schedule_length_ms =
-    Result.bind (member "schedule_length_ms" json) to_float
-  in
+  let* members = field "members" int_array json in
+  let* levels = field "levels" int_array json in
+  let* reexecs = field "reexecs" int_array json in
+  let* mapping = field "mapping" int_array json in
+  let* cost = field "cost" to_float json in
+  let* schedule_length_ms = field "schedule_length_ms" to_float json in
   Ok
     { Bnb_certificate.members;
       levels;
@@ -174,71 +117,57 @@ let incumbent_of_json json =
       cost;
       schedule_length_ms }
 
-let default_warn msg = Printf.eprintf "bnb_certificate_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"optimality certificate"
-      ~accept_v0:false ~on_warning ~current:schema_version json
-  in
-  let* summary = Result.bind (member "problem" json) summary_of_json in
-  let* premises = member "premises" json in
-  let* kmax = Result.bind (member "kmax" premises) to_int in
-  let* search_space = Result.bind (member "search_space" premises) to_float in
-  let* represented_subsets =
-    Result.bind (member "represented_subsets" premises) to_float
-  in
-  let* costs = member "costs" json in
-  let* heuristic_cost = Result.bind (member "heuristic" costs) opt_float in
-  let* optimal_cost = Result.bind (member "optimal" costs) opt_float in
-  let* incumbent =
-    match member "incumbent" json with
-    | Ok Null -> Ok None
-    | Ok j ->
-        let* i = incumbent_of_json j in
-        Ok (Some i)
-    | Error e -> Error e
-  in
-  let* counters = member "counters" json in
-  let field name = Result.bind (member name counters) to_int in
-  let* expanded = field "expanded" in
-  let* closed = field "closed" in
-  let* evaluated = field "evaluated" in
-  let* pruned_cost = field "pruned_cost" in
-  let* pruned_arch = field "pruned_arch" in
-  let* pruned_symmetry = field "pruned_symmetry" in
-  let* pruned_levels = field "pruned_levels" in
-  let* pruned_mappings = field "pruned_mappings" in
-  let* prune_items = Result.bind (member "prunes" json) to_list in
-  let* prunes = map_result prune_of_json prune_items in
-  Ok
-    { Bnb_certificate.summary;
-      kmax;
-      search_space;
-      represented_subsets;
-      heuristic_cost;
-      optimal_cost;
-      incumbent;
-      counters =
-        { Bnb_certificate.expanded;
-          closed;
-          evaluated;
-          pruned_cost;
-          pruned_arch;
-          pruned_symmetry;
-          pruned_levels;
-          pruned_mappings };
-      prunes }
+let of_json ?on_warning json =
+  Ftes_util.Versioned_json.decode ~what:"optimality certificate"
+    ~accept_v0:false ?on_warning ~current:schema_version
+    (fun json ->
+      let* summary = field "problem" Certificate_io.summary_of_json json in
+      let* premises = member "premises" json in
+      let* kmax = field "kmax" to_int premises in
+      let* search_space = field "search_space" to_float premises in
+      let* represented_subsets =
+        field "represented_subsets" to_float premises
+      in
+      let* costs = member "costs" json in
+      let* heuristic_cost = field "heuristic" to_float_or_inf costs in
+      let* optimal_cost = field "optimal" to_float_or_inf costs in
+      let* incumbent = field "incumbent" (nullable incumbent_of_json) json in
+      let* counters = member "counters" json in
+      let count name = field name to_int counters in
+      let* expanded = count "expanded" in
+      let* closed = count "closed" in
+      let* evaluated = count "evaluated" in
+      let* pruned_cost = count "pruned_cost" in
+      let* pruned_arch = count "pruned_arch" in
+      let* pruned_symmetry = count "pruned_symmetry" in
+      let* pruned_levels = count "pruned_levels" in
+      let* pruned_mappings = count "pruned_mappings" in
+      let* prunes = field "prunes" (list_of prune_of_json) json in
+      Ok
+        { Bnb_certificate.summary;
+          kmax;
+          search_space;
+          represented_subsets;
+          heuristic_cost;
+          optimal_cost;
+          incumbent;
+          counters =
+            { Bnb_certificate.expanded;
+              closed;
+              evaluated;
+              pruned_cost;
+              pruned_arch;
+              pruned_symmetry;
+              pruned_levels;
+              pruned_mappings };
+          prunes })
+    json
 
 let to_string c = Json.to_string (to_json c)
 
 let of_string ?on_warning s =
   Result.bind (Json.of_string s) (of_json ?on_warning)
 
-let save path c =
-  Ftes_util.Atomic_file.write_string path (to_string c ^ "\n")
+let save path c = Ftes_util.Versioned_json.save path (to_json c)
 
-let load ?on_warning path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> of_string ?on_warning contents
-  | exception Sys_error e -> Error e
+let load ?on_warning path = Ftes_util.Versioned_json.load (of_json ?on_warning) path

@@ -17,18 +17,16 @@
 
     Unbounded costs ([infinity], meaning "no solution on that side")
     are encoded as JSON [null]; an infeasible run has a [null]
-    incumbent.
-
-    {2 Versioning}
-
-    Mirrors {!Certificate_io} / [Ftes_model.Problem_io]: writers stamp
-    {!schema_version} (currently 1); readers accept version 1, treat a
-    document without the field as the deprecated v0 format (reported
-    through [on_warning]) and reject any other version. *)
+    incumbent.  The ["problem"] object is {!Certificate_io}'s summary;
+    versioning follows {!Ftes_util.Versioned_json} with
+    [accept_v0 = false]. *)
 
 val schema_version : int
 
 val to_json : Bnb_certificate.t -> Ftes_util.Json.t
+
+val counters_to_json : Bnb_certificate.counters -> Ftes_util.Json.t
+(** The ["counters"] object — also the [exact] report's. *)
 
 val of_json :
   ?on_warning:(string -> unit) ->
@@ -49,4 +47,5 @@ val load :
   ?on_warning:(string -> unit) ->
   string ->
   (Bnb_certificate.t, string) result
-(** Read and parse a file; I/O errors are reported as [Error]. *)
+(** Read and parse a file; I/O and decode errors are reported as
+    [Error] naming the file. *)

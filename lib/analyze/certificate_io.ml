@@ -3,70 +3,58 @@ open Json
 
 let schema_version = 1
 
-(* "no admissible assignment" bounds are [infinity] in memory; JSON has
-   no infinities, so they travel as null. *)
-let opt_number = Ftes_util.Versioned_json.opt_number
-
 let witness_to_json (w : Preflight.witness) =
   match w with
   | Preflight.Task_wcet { proc; min_wcet_ms } ->
       Object
         [ ("kind", String "task-wcet");
-          ("proc", Number (float_of_int proc));
+          ("proc", int proc);
           ("min_wcet_ms", Number min_wcet_ms) ]
   | Preflight.Task_slack { proc; min_length_ms } ->
       Object
         [ ("kind", String "task-slack");
-          ("proc", Number (float_of_int proc));
+          ("proc", int proc);
           ("min_length_ms", Number min_length_ms) ]
   | Preflight.Task_unreliable { proc } ->
       Object
         [ ("kind", String "task-unreliable");
-          ("proc", Number (float_of_int proc)) ]
+          ("proc", int proc) ]
   | Preflight.Critical_path { length_ms; path } ->
       Object
         [ ("kind", String "critical-path");
           ("length_ms", Number length_ms);
-          ("path", List (List.map (fun p -> Number (float_of_int p)) path)) ]
+          ("path", ints (Array.of_list path)) ]
   | Preflight.Total_work { work_ms; capacity_ms } ->
       Object
         [ ("kind", String "total-work");
           ("work_ms", Number work_ms);
           ("capacity_ms", Number capacity_ms) ]
 
+let summary_to_json (s : Certificate.summary) =
+  Object
+    [ ("name", String s.Certificate.name);
+      ("n_processes", int s.Certificate.n_processes);
+      ("n_library", int s.Certificate.n_library);
+      ("deadline_ms", Number s.Certificate.deadline_ms);
+      ("period_ms", Number s.Certificate.period_ms);
+      ("gamma", Number s.Certificate.gamma);
+      ("mu_ms", Number s.Certificate.mu_ms) ]
+
 let to_json (c : Certificate.t) =
-  let s = c.Certificate.summary in
   let task proc =
     Object
       [ ("min_wcet_ms", Number c.Certificate.min_wcets.(proc));
-        ("min_length_ms", opt_number c.Certificate.task_min_length.(proc));
-        ("cheapest_cost", opt_number c.Certificate.task_cheapest.(proc));
+        ("min_length_ms", number_or_null c.Certificate.task_min_length.(proc));
+        ("cheapest_cost", number_or_null c.Certificate.task_cheapest.(proc));
         ( "kneed",
-          List
-            (Array.to_list
-               (Array.map
-                  (fun row ->
-                    List
-                      (Array.to_list
-                         (Array.map
-                            (fun k -> Number (float_of_int k))
-                            row)))
-                  c.Certificate.kneed.(proc))) ) ]
+          List (Array.to_list (Array.map ints c.Certificate.kneed.(proc))) ) ]
   in
   Object
     [ Ftes_util.Versioned_json.field schema_version;
-      ( "problem",
-        Object
-          [ ("name", String s.Certificate.name);
-            ("n_processes", Number (float_of_int s.Certificate.n_processes));
-            ("n_library", Number (float_of_int s.Certificate.n_library));
-            ("deadline_ms", Number s.Certificate.deadline_ms);
-            ("period_ms", Number s.Certificate.period_ms);
-            ("gamma", Number s.Certificate.gamma);
-            ("mu_ms", Number s.Certificate.mu_ms) ] );
+      ("problem", summary_to_json c.Certificate.summary);
       ( "premises",
         Object
-          [ ("kmax", Number (float_of_int c.Certificate.kmax));
+          [ ("kmax", int c.Certificate.kmax);
             ("reexec", Bool c.Certificate.reexec);
             ("threshold", Number c.Certificate.threshold);
             ("budget", Number c.Certificate.budget) ] );
@@ -74,69 +62,51 @@ let to_json (c : Certificate.t) =
         Object
           [ ("critical_path_ms", Number c.Certificate.critical_path_ms);
             ( "critical_path",
-              List
-                (List.map
-                   (fun p -> Number (float_of_int p))
-                   c.Certificate.critical_path) );
+              ints (Array.of_list c.Certificate.critical_path) );
             ("total_work_ms", Number c.Certificate.total_work_ms);
             ("capacity_ms", Number c.Certificate.capacity_ms);
-            ("cost_lower_bound", opt_number c.Certificate.cost_lower_bound);
+            ("cost_lower_bound", number_or_null c.Certificate.cost_lower_bound);
             ( "sfp_cost_lower_bound",
-              opt_number c.Certificate.sfp_cost_lower_bound ) ] );
+              number_or_null c.Certificate.sfp_cost_lower_bound ) ] );
       ( "tasks",
         List (List.init (Array.length c.Certificate.min_wcets) task) );
       ("feasible", Bool c.Certificate.feasible);
       ( "witnesses",
         List (List.map witness_to_json c.Certificate.witnesses) ) ]
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let opt_float = Ftes_util.Versioned_json.opt_float
-
-let int_list json =
-  let* items = to_list json in
-  map_result to_int items
-
 let witness_of_json json =
-  let* kind = Result.bind (member "kind" json) to_string_value in
-  let proc () = Result.bind (member "proc" json) to_int in
+  let* kind = field "kind" to_string_value json in
+  let proc () = field "proc" to_int json in
   match kind with
   | "task-wcet" ->
       let* proc = proc () in
-      let* min_wcet_ms = Result.bind (member "min_wcet_ms" json) to_float in
+      let* min_wcet_ms = field "min_wcet_ms" to_float json in
       Ok (Preflight.Task_wcet { proc; min_wcet_ms })
   | "task-slack" ->
       let* proc = proc () in
-      let* min_length_ms =
-        Result.bind (member "min_length_ms" json) to_float
-      in
+      let* min_length_ms = field "min_length_ms" to_float json in
       Ok (Preflight.Task_slack { proc; min_length_ms })
   | "task-unreliable" ->
       let* proc = proc () in
       Ok (Preflight.Task_unreliable { proc })
   | "critical-path" ->
-      let* length_ms = Result.bind (member "length_ms" json) to_float in
-      let* path = Result.bind (member "path" json) int_list in
+      let* length_ms = field "length_ms" to_float json in
+      let* path = field "path" (list_of to_int) json in
       Ok (Preflight.Critical_path { length_ms; path })
   | "total-work" ->
-      let* work_ms = Result.bind (member "work_ms" json) to_float in
-      let* capacity_ms = Result.bind (member "capacity_ms" json) to_float in
+      let* work_ms = field "work_ms" to_float json in
+      let* capacity_ms = field "capacity_ms" to_float json in
       Ok (Preflight.Total_work { work_ms; capacity_ms })
   | other -> Error (Printf.sprintf "witness: unknown kind %S" other)
 
 let summary_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* n_processes = Result.bind (member "n_processes" json) to_int in
-  let* n_library = Result.bind (member "n_library" json) to_int in
-  let* deadline_ms = Result.bind (member "deadline_ms" json) to_float in
-  let* period_ms = Result.bind (member "period_ms" json) to_float in
-  let* gamma = Result.bind (member "gamma" json) to_float in
-  let* mu_ms = Result.bind (member "mu_ms" json) to_float in
+  let* name = field "name" to_string_value json in
+  let* n_processes = field "n_processes" to_int json in
+  let* n_library = field "n_library" to_int json in
+  let* deadline_ms = field "deadline_ms" to_float json in
+  let* period_ms = field "period_ms" to_float json in
+  let* gamma = field "gamma" to_float json in
+  let* mu_ms = field "mu_ms" to_float json in
   Ok
     { Certificate.name;
       n_processes;
@@ -147,81 +117,67 @@ let summary_of_json json =
       mu_ms }
 
 let task_of_json json =
-  let* min_wcet_ms = Result.bind (member "min_wcet_ms" json) to_float in
-  let* min_length_ms = Result.bind (member "min_length_ms" json) opt_float in
-  let* cheapest = Result.bind (member "cheapest_cost" json) opt_float in
-  let* kneed_rows = Result.bind (member "kneed" json) to_list in
-  let* kneed = map_result int_list kneed_rows in
-  let kneed = Array.of_list (List.map Array.of_list kneed) in
-  Ok (min_wcet_ms, min_length_ms, cheapest, kneed)
+  let* min_wcet_ms = field "min_wcet_ms" to_float json in
+  let* min_length_ms = field "min_length_ms" to_float_or_inf json in
+  let* cheapest = field "cheapest_cost" to_float_or_inf json in
+  let* kneed = field "kneed" (list_of int_array) json in
+  Ok (min_wcet_ms, min_length_ms, cheapest, Array.of_list kneed)
 
-let default_warn msg = Printf.eprintf "certificate_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"certificate" ~accept_v0:false
-      ~on_warning ~current:schema_version json
-  in
-  let* summary = Result.bind (member "problem" json) summary_of_json in
-  let* premises = member "premises" json in
-  let* kmax = Result.bind (member "kmax" premises) to_int in
-  let* reexec = Result.bind (member "reexec" premises) to_bool in
-  let* threshold = Result.bind (member "threshold" premises) to_float in
-  let* budget = Result.bind (member "budget" premises) to_float in
-  let* bounds = member "bounds" json in
-  let* critical_path_ms =
-    Result.bind (member "critical_path_ms" bounds) to_float
-  in
-  let* critical_path =
-    Result.bind (member "critical_path" bounds) int_list
-  in
-  let* total_work_ms = Result.bind (member "total_work_ms" bounds) to_float in
-  let* capacity_ms = Result.bind (member "capacity_ms" bounds) to_float in
-  let* cost_lower_bound =
-    Result.bind (member "cost_lower_bound" bounds) opt_float
-  in
-  let* sfp_cost_lower_bound =
-    Result.bind (member "sfp_cost_lower_bound" bounds) opt_float
-  in
-  let* task_items = Result.bind (member "tasks" json) to_list in
-  let* tasks = map_result task_of_json task_items in
-  let tasks = Array.of_list tasks in
-  let* feasible = Result.bind (member "feasible" json) to_bool in
-  let* witness_items = Result.bind (member "witnesses" json) to_list in
-  let* witnesses = map_result witness_of_json witness_items in
-  if Array.length tasks <> summary.Certificate.n_processes then
-    Error
-      (Printf.sprintf "tasks: %d entries for %d processes"
-         (Array.length tasks) summary.Certificate.n_processes)
-  else
-    Ok
-      { Certificate.summary;
-        kmax;
-        reexec;
-        threshold;
-        budget;
-        min_wcets = Array.map (fun (w, _, _, _) -> w) tasks;
-        kneed = Array.map (fun (_, _, _, k) -> k) tasks;
-        task_min_length = Array.map (fun (_, l, _, _) -> l) tasks;
-        task_cheapest = Array.map (fun (_, _, c, _) -> c) tasks;
-        critical_path_ms;
-        critical_path;
-        total_work_ms;
-        capacity_ms;
-        cost_lower_bound;
-        sfp_cost_lower_bound;
-        feasible;
-        witnesses }
+let of_json ?on_warning json =
+  Ftes_util.Versioned_json.decode ~what:"certificate" ~accept_v0:false
+    ?on_warning ~current:schema_version
+    (fun json ->
+      let* summary = field "problem" summary_of_json json in
+      let* premises = member "premises" json in
+      let* kmax = field "kmax" to_int premises in
+      let* reexec = field "reexec" to_bool premises in
+      let* threshold = field "threshold" to_float premises in
+      let* budget = field "budget" to_float premises in
+      let* bounds = member "bounds" json in
+      let* critical_path_ms = field "critical_path_ms" to_float bounds in
+      let* critical_path = field "critical_path" (list_of to_int) bounds in
+      let* total_work_ms = field "total_work_ms" to_float bounds in
+      let* capacity_ms = field "capacity_ms" to_float bounds in
+      let* cost_lower_bound =
+        field "cost_lower_bound" to_float_or_inf bounds
+      in
+      let* sfp_cost_lower_bound =
+        field "sfp_cost_lower_bound" to_float_or_inf bounds
+      in
+      let* tasks = field "tasks" (list_of task_of_json) json in
+      let tasks = Array.of_list tasks in
+      let* feasible = field "feasible" to_bool json in
+      let* witnesses = field "witnesses" (list_of witness_of_json) json in
+      if Array.length tasks <> summary.Certificate.n_processes then
+        Error
+          (Printf.sprintf "tasks: %d entries for %d processes"
+             (Array.length tasks) summary.Certificate.n_processes)
+      else
+        Ok
+          { Certificate.summary;
+            kmax;
+            reexec;
+            threshold;
+            budget;
+            min_wcets = Array.map (fun (w, _, _, _) -> w) tasks;
+            kneed = Array.map (fun (_, _, _, k) -> k) tasks;
+            task_min_length = Array.map (fun (_, l, _, _) -> l) tasks;
+            task_cheapest = Array.map (fun (_, _, c, _) -> c) tasks;
+            critical_path_ms;
+            critical_path;
+            total_work_ms;
+            capacity_ms;
+            cost_lower_bound;
+            sfp_cost_lower_bound;
+            feasible;
+            witnesses })
+    json
 
 let to_string c = Json.to_string (to_json c)
 
 let of_string ?on_warning s =
   Result.bind (Json.of_string s) (of_json ?on_warning)
 
-let save path c =
-  Ftes_util.Atomic_file.write_string path (to_string c ^ "\n")
+let save path c = Ftes_util.Versioned_json.save path (to_json c)
 
-let load ?on_warning path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> of_string ?on_warning contents
-  | exception Sys_error e -> Error e
+let load ?on_warning path = Ftes_util.Versioned_json.load (of_json ?on_warning) path

@@ -18,18 +18,18 @@
     v}
 
     Unbounded values ([infinity], meaning "no admissible assignment")
-    are encoded as JSON [null].
-
-    {2 Versioning}
-
-    Mirrors {!Ftes_model.Problem_io}: writers stamp {!schema_version}
-    (currently 1); readers accept version 1, treat a document without
-    the field as the deprecated v0 format (same payload, deprecation
-    reported through [on_warning]) and reject any other version. *)
+    are encoded as JSON [null].  Versioning follows
+    {!Ftes_util.Versioned_json} with [accept_v0 = false]. *)
 
 val schema_version : int
 
 val to_json : Certificate.t -> Ftes_util.Json.t
+
+val summary_to_json : Certificate.summary -> Ftes_util.Json.t
+(** The ["problem"] object, shared with {!Bnb_certificate_io}. *)
+
+val summary_of_json :
+  Ftes_util.Json.t -> (Certificate.summary, string) result
 
 val of_json :
   ?on_warning:(string -> unit) ->
@@ -46,4 +46,5 @@ val save : string -> Certificate.t -> unit
 
 val load :
   ?on_warning:(string -> unit) -> string -> (Certificate.t, string) result
-(** Read and parse a file; I/O errors are reported as [Error]. *)
+(** Read and parse a file; I/O and decode errors are reported as
+    [Error] naming the file. *)

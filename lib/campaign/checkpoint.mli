@@ -48,6 +48,10 @@ val create : manifest:Manifest.t -> shard:int -> t
 
 val to_json : t -> Ftes_util.Json.t
 
+val costs_to_json : float option array -> Ftes_util.Json.t
+(** Per-application costs as a JSON list, [None] (infeasible) as
+    [null] — also the spelling of {!Merge}'s merged cost arrays. *)
+
 val of_json : manifest:Manifest.t -> Ftes_util.Json.t -> (t, string) result
 
 val save : dir:string -> t -> unit

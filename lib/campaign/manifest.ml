@@ -70,8 +70,8 @@ let pair_json (a, b) = List [ Number a; Number b ]
 
 let params_to_json (p : Workload.params) =
   Object
-    [ ("n_library", Number (float_of_int p.n_library));
-      ("levels", Number (float_of_int p.levels));
+    [ ("n_library", int p.n_library);
+      ("levels", int p.levels);
       ("base_wcet_range", pair_json p.base_wcet_range);
       ("cost_range", pair_json p.cost_range);
       ("speed_range", pair_json p.speed_range);
@@ -84,11 +84,11 @@ let params_to_json (p : Workload.params) =
 let document ~params ~apps ~seed ~shards ~sers ~hpds ~policies ~eps =
   Object
     [ Ftes_util.Versioned_json.field schema_version;
-      ("apps", Number (float_of_int apps));
-      ("seed", Number (float_of_int seed));
-      ("shards", Number (float_of_int shards));
-      ("sers", List (List.map (fun v -> Number v) sers));
-      ("hpds", List (List.map (fun v -> Number v) hpds));
+      ("apps", int apps);
+      ("seed", int seed);
+      ("shards", int shards);
+      ("sers", floats (Array.of_list sers));
+      ("hpds", floats (Array.of_list hpds));
       ( "policies",
         List (List.map (fun p -> String (Config.policy_name p)) policies) );
       ("eps", Number eps);
@@ -202,34 +202,25 @@ let policy_of_name = function
   | "MAX" -> Ok Config.Fixed_max
   | name -> Error (Printf.sprintf "unknown hardening policy %S" name)
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
 let pair_of_json json =
-  let* items = to_list json in
-  match items with
-  | [ a; b ] ->
+  match json with
+  | List [ a; b ] ->
       let* a = to_float a in
       let* b = to_float b in
       Ok (a, b)
   | _ -> Error "expected a [lo, hi] pair"
 
 let params_of_json json =
-  let field name f = Result.bind (member name json) f in
-  let* n_library = field "n_library" to_int in
-  let* levels = field "levels" to_int in
-  let* base_wcet_range = field "base_wcet_range" pair_of_json in
-  let* cost_range = field "cost_range" pair_of_json in
-  let* speed_range = field "speed_range" pair_of_json in
-  let* mu_fraction_range = field "mu_fraction_range" pair_of_json in
-  let* gamma_range = field "gamma_range" pair_of_json in
-  let* deadline_factor_range = field "deadline_factor_range" pair_of_json in
-  let* reduction_factor = field "reduction_factor" to_float in
-  let* clock_hz = field "clock_hz" to_float in
+  let* n_library = field "n_library" to_int json in
+  let* levels = field "levels" to_int json in
+  let* base_wcet_range = field "base_wcet_range" pair_of_json json in
+  let* cost_range = field "cost_range" pair_of_json json in
+  let* speed_range = field "speed_range" pair_of_json json in
+  let* mu_fraction_range = field "mu_fraction_range" pair_of_json json in
+  let* gamma_range = field "gamma_range" pair_of_json json in
+  let* deadline_factor_range = field "deadline_factor_range" pair_of_json json in
+  let* reduction_factor = field "reduction_factor" to_float json in
+  let* clock_hz = field "clock_hz" to_float json in
   Ok
     {
       Workload.n_library;
@@ -245,45 +236,28 @@ let params_of_json json =
     }
 
 let of_json json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"campaign manifest" ~accept_v0:false
-      ~current:schema_version json
-  in
-  let* apps = Result.bind (member "apps" json) to_int in
-  let* seed = Result.bind (member "seed" json) to_int in
-  let* shards = Result.bind (member "shards" json) to_int in
-  let floats name =
-    let* items = Result.bind (member name json) to_list in
-    map_result to_float items
-  in
-  let* sers = floats "sers" in
-  let* hpds = floats "hpds" in
-  let* names = Result.bind (member "policies" json) to_list in
-  let* names = map_result to_string_value names in
-  let* policies = map_result policy_of_name names in
-  let* eps = Result.bind (member "eps" json) to_float in
-  let* params = Result.bind (member "params" json) params_of_json in
-  match make ~params ~sers ~hpds ~policies ~eps ~apps ~seed ~shards () with
-  | t -> Ok t
-  | exception Invalid_argument msg -> Error msg
+  Ftes_util.Versioned_json.decode ~what:"campaign manifest" ~accept_v0:false
+    ~current:schema_version
+    (fun json ->
+      let* apps = field "apps" to_int json in
+      let* seed = field "seed" to_int json in
+      let* shards = field "shards" to_int json in
+      let* sers = field "sers" (list_of to_float) json in
+      let* hpds = field "hpds" (list_of to_float) json in
+      let* policies =
+        field "policies"
+          (list_of (fun j -> Result.bind (to_string_value j) policy_of_name))
+          json
+      in
+      let* eps = field "eps" to_float json in
+      let* params = field "params" params_of_json json in
+      match make ~params ~sers ~hpds ~policies ~eps ~apps ~seed ~shards () with
+      | t -> Ok t
+      | exception Invalid_argument msg -> Error msg)
+    json
 
 let path ~dir = Filename.concat dir filename
 
-let save ~dir t =
-  Ftes_util.Atomic_file.write_string (path ~dir)
-    (Json.to_string (to_json t) ^ "\n")
+let save ~dir t = Ftes_util.Versioned_json.save (path ~dir) (to_json t)
 
-let load ~dir =
-  let file = path ~dir in
-  if not (Sys.file_exists file) then
-    Error (Printf.sprintf "%s: no campaign manifest" file)
-  else
-    let ic = open_in_bin file in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    match Result.bind (Json.of_string text) of_json with
-    | Ok t -> Ok t
-    | Error e -> Error (Printf.sprintf "%s: %s" file e)
+let load ~dir = Ftes_util.Versioned_json.load of_json (path ~dir)

@@ -104,10 +104,7 @@ let cell_to_json c =
     [ ("ser", Number c.key.Synthetic.ser);
       ("hpd", Number c.key.Synthetic.hpd);
       ("policy", String (Config.policy_name c.key.Synthetic.policy));
-      ( "costs",
-        List
-          (Array.to_list
-             (Array.map (function Some v -> Number v | None -> Null) c.costs)) );
+      ("costs", Checkpoint.costs_to_json c.costs);
       ("frontier", Frontier_io.to_json c.frontier) ]
 
 let to_json t =
@@ -128,5 +125,4 @@ let equal a b =
        a.cells b.cells
 
 let save ~dir t =
-  Ftes_util.Atomic_file.write_string (Filename.concat dir filename)
-    (Json.to_string (to_json t) ^ "\n")
+  Ftes_util.Versioned_json.save (Filename.concat dir filename) (to_json t)

@@ -97,7 +97,7 @@ let best_effort_id line =
   match Json.of_string line with
   | Error _ -> ""
   | Ok json -> (
-      match Result.bind (Json.member "id" json) Json.to_string_value with
+      match Json.field "id" Json.to_string_value json with
       | Ok id -> id
       | Error _ -> "")
 

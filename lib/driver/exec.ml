@@ -46,7 +46,7 @@ let report_schema_version = 1
 
 let report_json ~source ~strategy fields =
   Json.Object
-    (("schema_version", Json.Number (float_of_int report_schema_version))
+    (Ftes_util.Versioned_json.field report_schema_version
      :: ("subject", Json.String source)
      :: ("strategy", Json.String strategy)
      :: fields)
@@ -206,16 +206,12 @@ let verdict = function
 
 (* --- payload builders --- *)
 
-let ints_json a =
-  Json.List
-    (Array.to_list (Array.map (fun v -> Json.Number (float_of_int v)) a))
-
 let design_json (d : Ftes_model.Design.t) =
   Json.Object
-    [ ("members", ints_json d.Ftes_model.Design.members);
-      ("levels", ints_json d.Ftes_model.Design.levels);
-      ("reexecs", ints_json d.Ftes_model.Design.reexecs);
-      ("mapping", ints_json d.Ftes_model.Design.mapping) ]
+    [ ("members", Json.ints d.Ftes_model.Design.members);
+      ("levels", Json.ints d.Ftes_model.Design.levels);
+      ("reexecs", Json.ints d.Ftes_model.Design.reexecs);
+      ("mapping", Json.ints d.Ftes_model.Design.mapping) ]
 
 let solution_fields (s : Design_strategy.solution) =
   let r = s.Design_strategy.result in
@@ -228,20 +224,6 @@ let solution_fields (s : Design_strategy.solution) =
       Json.Number v.Ftes_sfp.Sfp.reliability_per_hour );
     ("goal", Json.Number v.Ftes_sfp.Sfp.goal);
     ("design", design_json r.Redundancy_opt.design) ]
-
-let exact_counters_json (c : Bnb_certificate.counters) =
-  let int name v = (name, Json.Number (float_of_int v)) in
-  Json.Object
-    [ int "expanded" c.Bnb_certificate.expanded;
-      int "closed" c.Bnb_certificate.closed;
-      int "evaluated" c.Bnb_certificate.evaluated;
-      int "pruned_cost" c.Bnb_certificate.pruned_cost;
-      int "pruned_arch" c.Bnb_certificate.pruned_arch;
-      int "pruned_symmetry" c.Bnb_certificate.pruned_symmetry;
-      int "pruned_levels" c.Bnb_certificate.pruned_levels;
-      int "pruned_mappings" c.Bnb_certificate.pruned_mappings ]
-
-let exact_cost_json v = if Float.is_finite v then Json.Number v else Json.Null
 
 let payload (req : Request.t) outcome =
   let source = req.Request.source in
@@ -257,7 +239,7 @@ let payload (req : Request.t) outcome =
       report_json ~source ~strategy
         (( "feasible", Json.Bool true )
          :: ( "explored",
-              Json.Number (float_of_int s.Design_strategy.explored) )
+              Json.int s.Design_strategy.explored )
          :: solution_fields s
         @
         match s.Design_strategy.certificate with
@@ -268,14 +250,14 @@ let payload (req : Request.t) outcome =
       report_json ~source ~strategy
         [ ( "feasible",
             Json.Bool (cert.Bnb_certificate.incumbent <> None) );
-          ("optimal_cost", exact_cost_json cert.Bnb_certificate.optimal_cost);
+          ("optimal_cost", Json.number_or_null cert.Bnb_certificate.optimal_cost);
           ( "heuristic_cost",
-            exact_cost_json cert.Bnb_certificate.heuristic_cost );
+            Json.number_or_null cert.Bnb_certificate.heuristic_cost );
           ( "gap",
             match Bnb_certificate.gap cert with
             | Some g -> Json.Number g
             | None -> Json.Null );
-          ("counters", exact_counters_json cert.Bnb_certificate.counters);
+          ("counters", Bnb_certificate_io.counters_to_json cert.Bnb_certificate.counters);
           ("certificate", Bnb_certificate_io.to_json cert);
           ("report", Report.to_json report) ]
   | Frontiered { frontier; reference; report } ->
@@ -295,7 +277,7 @@ let payload (req : Request.t) outcome =
         [ ( "feasible",
             Json.Bool (frontier.Design_strategy.best <> None) );
           ( "explored",
-            Json.Number (float_of_int frontier.Design_strategy.explored) );
+            Json.int frontier.Design_strategy.explored );
           ("best", best);
           ( "frontier",
             Frontier_io.to_json ~reference frontier.Design_strategy.archive );

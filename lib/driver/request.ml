@@ -91,20 +91,11 @@ let bus_of_json = function
            other)
   | Json.Object _ as json ->
       let* tdma = Json.member "tdma" json in
-      let* slot_ms = Result.bind (Json.member "slot_ms" tdma) Json.to_float in
+      let* slot_ms = Json.field "slot_ms" Json.to_float tdma in
       if Float.is_finite slot_ms && slot_ms > 0.0 then
         Ok (Bus.Tdma { slot_ms })
       else Error "bus: tdma slot_ms must be finite and positive"
   | _ -> Error "bus: expected a string or an object"
-
-(* --- optional-field helpers --- *)
-
-let optional key json decode =
-  match Json.member key json with
-  | Error _ -> Ok None
-  | Ok v ->
-      let* v = decode v in
-      Ok (Some v)
 
 (* --- parsing --- *)
 
@@ -113,23 +104,23 @@ let command_of_json name json =
   | "analyze" -> Ok Analyze
   | "optimize" -> Ok Optimize
   | "exact" ->
-      let* limit = optional "limit" json Json.to_int in
+      let* limit = Json.field_opt "limit" Json.to_int json in
       (match limit with
       | Some n when n < 1 -> Error "limit must be positive"
       | _ -> Ok (Exact { limit }))
   | "pareto" ->
-      let* eps = optional "eps" json Json.to_float in
+      let* eps = Json.field_opt "eps" Json.to_float json in
       let eps = Option.value ~default:0.0 eps in
       if not (Float.is_finite eps) || eps < 0.0 then
         Error "eps must be finite and non-negative"
       else
         let* objectives =
-          optional "objectives" json (fun v ->
-              let* s = Json.to_string_value v in
-              Objective.parse_list s)
+          Json.field_opt "objectives"
+            (fun v -> Result.bind (Json.to_string_value v) Objective.parse_list)
+            json
         in
         let objectives = Option.value ~default:Objective.all objectives in
-        let* ref_cost = optional "ref_cost" json Json.to_float in
+        let* ref_cost = Json.field_opt "ref_cost" Json.to_float json in
         Ok (Pareto { eps; objectives; ref_cost })
   | other ->
       Error
@@ -155,26 +146,23 @@ let warn_unknown ?on_warning json =
         fields
   | _ -> ()
 
-let of_json ?on_warning ?resolve_base json =
-  let* () =
-    Versioned_json.check ~what:"request" ~accept_v0:true ?on_warning
-      ~current:schema_version json
-  in
+let body ?on_warning ?resolve_base json =
   warn_unknown ?on_warning json;
-  let* id = Result.bind (Json.member "id" json) Json.to_string_value in
+  let* id = Json.field "id" Json.to_string_value json in
   if id = "" then Error "id must be a non-empty string"
   else
-    let* name = Result.bind (Json.member "command" json) Json.to_string_value in
+    let* name = Json.field "command" Json.to_string_value json in
     let* command = command_of_json name json in
-    let* strategy = optional "strategy" json Json.to_string_value in
+    let* strategy = Json.field_opt "strategy" Json.to_string_value json in
     let strategy = Option.value ~default:"opt" strategy in
     let* config = config_of_strategy strategy in
     let* slack =
-      optional "slack" json (fun v ->
-          Result.bind (Json.to_string_value v) slack_of_name)
+      Json.field_opt "slack"
+        (fun v -> Result.bind (Json.to_string_value v) slack_of_name)
+        json
     in
-    let* bus = optional "bus" json bus_of_json in
-    let* kmax = optional "kmax" json Json.to_int in
+    let* bus = Json.field_opt "bus" bus_of_json json in
+    let* kmax = Json.field_opt "kmax" Json.to_int json in
     let* config =
       match kmax with
       | Some k when k < 0 -> Error "kmax must be non-negative"
@@ -188,11 +176,13 @@ let of_json ?on_warning ?resolve_base json =
          | None -> Fun.id)
       |> match bus with Some b -> Config.with_bus b | None -> Fun.id
     in
-    let* delta = optional "delta" json Ftes_whatif.Delta.of_json in
+    let* delta = Json.field_opt "delta" Ftes_whatif.Delta.of_json json in
     let* base_id =
-      optional "base_id" json (fun v ->
+      Json.field_opt "base_id"
+        (fun v ->
           let* id = Json.to_string_value v in
           if id = "" then Error "base_id must be a non-empty string" else Ok id)
+        json
     in
     let* whatif =
       match (delta, base_id) with
@@ -232,6 +222,10 @@ let of_json ?on_warning ?resolve_base json =
     in
     Ok { id; command; strategy; config; problem; origin; source; whatif }
 
+let of_json ?on_warning ?resolve_base json =
+  Versioned_json.decode ~what:"request" ~accept_v0:true ?on_warning
+    ~current:schema_version (body ?on_warning ?resolve_base) json
+
 let of_string ?on_warning ?resolve_base line =
   let* json = Json.of_string line in
   of_json ?on_warning ?resolve_base json
@@ -242,7 +236,7 @@ let command_fields = function
   | Analyze | Optimize -> []
   | Exact { limit } -> (
       match limit with
-      | Some n -> [ ("limit", Json.Number (float_of_int n)) ]
+      | Some n -> [ ("limit", Json.int n) ]
       | None -> [])
   | Pareto { eps; objectives; ref_cost } ->
       [ ("eps", Json.Number eps);
@@ -266,7 +260,7 @@ let to_json t =
     in
     let kmax =
       if t.config.Config.kmax = Config.default.Config.kmax then []
-      else [ ("kmax", Json.Number (float_of_int t.config.Config.kmax)) ]
+      else [ ("kmax", Json.int t.config.Config.kmax) ]
     in
     slack @ bus @ kmax
   in

@@ -49,24 +49,17 @@ type t = {
   telemetry : telemetry option;
 }
 
-let int_field name v = (name, Json.Number (float_of_int v))
+let counts_json hits misses =
+  Json.Object [ ("hits", Json.int hits); ("misses", Json.int misses) ]
 
 let telemetry_json t =
   Json.Object
-    ([ int_field "queue_wait_ns" t.queue_wait_ns;
-      int_field "wall_ns" t.wall_ns;
-      ( "sfp_cache",
-        Json.Object
-          [ int_field "hits" t.sfp_hits; int_field "misses" t.sfp_misses ] );
-      ( "evals",
-        Json.Object
-          [ int_field "hits" t.eval_hits; int_field "misses" t.eval_misses ]
-      );
-      ( "registry",
-        Json.Object
-          [ int_field "hits" t.registry_hits;
-            int_field "misses" t.registry_misses ] );
-      int_field "cache_problems" t.cache_problems ]
+    ([ ("queue_wait_ns", Json.int t.queue_wait_ns);
+       ("wall_ns", Json.int t.wall_ns);
+       ("sfp_cache", counts_json t.sfp_hits t.sfp_misses);
+       ("evals", counts_json t.eval_hits t.eval_misses);
+       ("registry", counts_json t.registry_hits t.registry_misses);
+       ("cache_problems", Json.int t.cache_problems) ]
     @
     match t.reuse with
     | Some reuse -> [ ("whatif", Ftes_whatif.Reuse.to_json reuse) ]
@@ -76,7 +69,7 @@ let to_json t =
   Json.Object
     ([ Versioned_json.field schema_version;
        ("id", Json.String t.id);
-       int_field "seq" t.seq;
+       ("seq", Json.int t.seq);
        ("verdict", Json.String (verdict_name t.verdict));
        ("payload", t.payload) ]
     @ (match t.error with
@@ -89,35 +82,22 @@ let to_json t =
 
 let to_line t = Json.to_string ~minify:true (to_json t)
 
-let optional key json decode =
-  match Json.member key json with
-  | Error _ -> Ok None
-  | Ok v ->
-      let* v = decode v in
-      Ok (Some v)
+let counts_of_json json =
+  let* hits = Json.field "hits" Json.to_int json in
+  let* misses = Json.field "misses" Json.to_int json in
+  Ok (hits, misses)
 
 let telemetry_of_json json =
-  let int key = Result.bind (Json.member key json) Json.to_int in
-  let pair key json =
-    let* v = Json.member key json in
-    let* hits = Result.bind (Json.member "hits" v) Json.to_int in
-    let* misses = Result.bind (Json.member "misses" v) Json.to_int in
-    Ok (hits, misses)
-  in
-  let* queue_wait_ns = int "queue_wait_ns" in
-  let* wall_ns = int "wall_ns" in
-  let* sfp_hits, sfp_misses = pair "sfp_cache" json in
-  let* eval_hits, eval_misses = pair "evals" json in
+  let* queue_wait_ns = Json.field "queue_wait_ns" Json.to_int json in
+  let* wall_ns = Json.field "wall_ns" Json.to_int json in
+  let* sfp_hits, sfp_misses = Json.field "sfp_cache" counts_of_json json in
+  let* eval_hits, eval_misses = Json.field "evals" counts_of_json json in
   (* "registry" arrived with the what-if engine; pre-whatif envelopes
      simply lack it, so absence parses as zero rather than an error. *)
-  let* registry_hits, registry_misses =
-    match pair "registry" json with
-    | Ok counts -> Ok counts
-    | Error _ when Result.is_error (Json.member "registry" json) -> Ok (0, 0)
-    | Error _ as e -> e
-  in
-  let* cache_problems = int "cache_problems" in
-  let* reuse = optional "whatif" json Ftes_whatif.Reuse.of_json in
+  let* registry = Json.field_opt "registry" counts_of_json json in
+  let registry_hits, registry_misses = Option.value registry ~default:(0, 0) in
+  let* cache_problems = Json.field "cache_problems" Json.to_int json in
+  let* reuse = Json.field_opt "whatif" Ftes_whatif.Reuse.of_json json in
   Ok
     { queue_wait_ns;
       wall_ns;
@@ -131,21 +111,21 @@ let telemetry_of_json json =
       reuse }
 
 let of_json ?on_warning json =
-  let* () =
-    Versioned_json.check ~what:"response" ~accept_v0:true ?on_warning
-      ~current:schema_version json
-  in
-  let* id = Result.bind (Json.member "id" json) Json.to_string_value in
-  let* seq = Result.bind (Json.member "seq" json) Json.to_int in
-  let* verdict =
-    Result.bind
-      (Result.bind (Json.member "verdict" json) Json.to_string_value)
-      verdict_of_name
-  in
-  let* payload = Json.member "payload" json in
-  let* error = optional "error" json Json.to_string_value in
-  let* telemetry = optional "telemetry" json telemetry_of_json in
-  Ok { id; seq; verdict; payload; error; telemetry }
+  Versioned_json.decode ~what:"response" ~accept_v0:true ?on_warning
+    ~current:schema_version
+    (fun json ->
+      let* id = Json.field "id" Json.to_string_value json in
+      let* seq = Json.field "seq" Json.to_int json in
+      let* verdict =
+        Json.field "verdict"
+          (fun v -> Result.bind (Json.to_string_value v) verdict_of_name)
+          json
+      in
+      let* payload = Json.member "payload" json in
+      let* error = Json.field_opt "error" Json.to_string_value json in
+      let* telemetry = Json.field_opt "telemetry" telemetry_of_json json in
+      Ok { id; seq; verdict; payload; error; telemetry })
+    json
 
 let of_string ?on_warning line =
   let* json = Json.of_string line in

@@ -8,30 +8,27 @@ open Json
    file instead of surfacing as a confusing constructor error. *)
 let schema_version = 1
 
+let edge_to_json (e : Task_graph.edge) =
+  Object
+    [ ("src", int e.src);
+      ("dst", int e.dst);
+      ("transmission_ms", Number e.transmission_ms) ]
+
+let version_to_json (v : Platform.hversion) =
+  Object
+    [ ("level", int v.level);
+      ("cost", Number v.cost);
+      ("wcet_ms", floats v.wcet_ms);
+      ("pfail", floats v.pfail) ]
+
+let node_type_to_json (nt : Platform.node_type) =
+  Object
+    [ ("name", String nt.node_name);
+      ("versions", List (Array.to_list (Array.map version_to_json nt.versions)))
+    ]
+
 let to_json (problem : Problem.t) =
   let app = problem.Problem.app in
-  let graph = app.Application.graph in
-  let edges =
-    List.map
-      (fun (e : Task_graph.edge) ->
-        Object
-          [ ("src", Number (float_of_int e.src));
-            ("dst", Number (float_of_int e.dst));
-            ("transmission_ms", Number e.transmission_ms) ])
-      (Task_graph.edges graph)
-  in
-  let version (v : Platform.hversion) =
-    Object
-      [ ("level", Number (float_of_int v.level));
-        ("cost", Number v.cost);
-        ("wcet_ms", List (Array.to_list (Array.map (fun x -> Number x) v.wcet_ms)));
-        ("pfail", List (Array.to_list (Array.map (fun x -> Number x) v.pfail))) ]
-  in
-  let node (nt : Platform.node_type) =
-    Object
-      [ ("name", String nt.node_name);
-        ("versions", List (Array.to_list (Array.map version nt.versions))) ]
-  in
   Object
     [ Ftes_util.Versioned_json.field schema_version;
       ( "application",
@@ -45,77 +42,59 @@ let to_json (problem : Problem.t) =
               List
                 (Array.to_list
                    (Array.map (fun s -> String s) app.Application.process_names)) );
-            ("edges", List edges) ] );
-      ("library", List (List.map node (Array.to_list problem.Problem.library))) ]
-
-let guard label f =
-  (* Checked constructors raise Invalid_argument; surface those as
-     labelled errors instead. *)
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
+            ( "edges",
+              List
+                (List.map edge_to_json
+                   (Task_graph.edges app.Application.graph)) ) ] );
+      ( "library",
+        List (List.map node_type_to_json (Array.to_list problem.Problem.library))
+      ) ]
 
 let edge_of_json json =
-  let* src = Result.bind (member "src" json) to_int in
-  let* dst = Result.bind (member "dst" json) to_int in
-  let* transmission_ms = Result.bind (member "transmission_ms" json) to_float in
+  let* src = field "src" to_int json in
+  let* dst = field "dst" to_int json in
+  let* transmission_ms = field "transmission_ms" to_float json in
   Ok { Task_graph.src; dst; transmission_ms }
 
 let version_of_json json =
-  let* level = Result.bind (member "level" json) to_int in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* wcet_ms = Result.bind (member "wcet_ms" json) float_array in
-  let* pfail = Result.bind (member "pfail" json) float_array in
-  guard "h-version" (fun () -> Platform.hversion ~level ~cost ~wcet_ms ~pfail)
+  let* level = field "level" to_int json in
+  let* cost = field "cost" to_float json in
+  let* wcet_ms = field "wcet_ms" float_array json in
+  let* pfail = field "pfail" float_array json in
+  checked "h-version" (fun () -> Platform.hversion ~level ~cost ~wcet_ms ~pfail)
 
-let node_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* versions = Result.bind (member "versions" json) to_list in
-  let* versions = map_result version_of_json versions in
-  guard ("node " ^ name) (fun () ->
+let node_type_of_json json =
+  let* name = field "name" to_string_value json in
+  let* versions = field "versions" (list_of version_of_json) json in
+  checked ("node " ^ name) (fun () ->
       Platform.node_type ~name ~versions:(Array.of_list versions))
 
 let application_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* deadline_ms = Result.bind (member "deadline_ms" json) to_float in
-  let* period_ms = Result.bind (member "period_ms" json) to_float in
-  let* gamma = Result.bind (member "gamma" json) to_float in
-  let* recovery_overhead_ms =
-    Result.bind (member "recovery_overhead_ms" json) to_float
-  in
-  let* processes = Result.bind (member "processes" json) to_list in
-  let* process_names = map_result to_string_value processes in
-  let* edge_items = Result.bind (member "edges" json) to_list in
-  let* edges = map_result edge_of_json edge_items in
+  let* name = field "name" to_string_value json in
+  let* deadline_ms = field "deadline_ms" to_float json in
+  let* period_ms = field "period_ms" to_float json in
+  let* gamma = field "gamma" to_float json in
+  let* recovery_overhead_ms = field "recovery_overhead_ms" to_float json in
+  let* process_names = field "processes" (list_of to_string_value) json in
+  let* edges = field "edges" (list_of edge_of_json) json in
   let* graph =
-    guard "graph" (fun () ->
+    checked "graph" (fun () ->
         Task_graph.make ~n:(List.length process_names) edges)
   in
-  guard "application" (fun () ->
+  checked "application" (fun () ->
       Application.make ~name
         ~process_names:(Array.of_list process_names)
         ~period_ms ~graph ~deadline_ms ~gamma ~recovery_overhead_ms ())
 
-let default_warn msg = Printf.eprintf "problem_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"document" ~accept_v0:true
-      ~on_warning ~current:schema_version json
-  in
-  let* app_json = member "application" json in
-  let* app = application_of_json app_json in
-  let* library_items = Result.bind (member "library" json) to_list in
-  let* library = map_result node_of_json library_items in
-  guard "problem" (fun () ->
-      Problem.make ~app ~library:(Array.of_list library))
+let of_json ?on_warning json =
+  Ftes_util.Versioned_json.decode ~what:"problem" ~accept_v0:true ?on_warning
+    ~current:schema_version
+    (fun json ->
+      let* app = field "application" application_of_json json in
+      let* library = field "library" (list_of node_type_of_json) json in
+      checked "problem" (fun () ->
+          Problem.make ~app ~library:(Array.of_list library)))
+    json
 
 let to_string problem = Json.to_string (to_json problem)
 
@@ -123,15 +102,6 @@ let of_string ?on_warning text =
   let* json = Json.of_string text in
   of_json ?on_warning json
 
-let save path problem =
-  Ftes_util.Atomic_file.write_string path (to_string problem ^ "\n")
+let save path problem = Ftes_util.Versioned_json.save path (to_json problem)
 
-let load ?on_warning path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | text -> of_string ?on_warning text
-  | exception Sys_error msg -> Error msg
+let load ?on_warning path = Ftes_util.Versioned_json.load (of_json ?on_warning) path

@@ -23,21 +23,24 @@
 
     Loading re-validates everything through the checked constructors, so
     a malformed file is reported as an [Error] rather than producing an
-    inconsistent instance.
-
-    {2 Versioning}
-
-    Writers stamp {!schema_version} (currently 1).  Readers accept
-    version 1, and treat a document {e without} the field as the
-    deprecated pre-versioning v0 format — same payload — reporting a
-    deprecation through [on_warning] (default: a line on stderr).  Any
-    other version is rejected with a diagnostic naming both the found
-    and the supported versions. *)
+    inconsistent instance.  Versioning follows
+    {!Ftes_util.Versioned_json} with [accept_v0 = true]. *)
 
 val schema_version : int
 (** The version this build writes. *)
 
 val to_json : Problem.t -> Ftes_util.Json.t
+
+val node_type_to_json : Platform.node_type -> Ftes_util.Json.t
+(** One library entry: [{"name", "versions": [{"level", "cost",
+    "wcet_ms", "pfail"}, ...]}] — also the payload of a what-if
+    [node-add] delta, so a node copied out of a problem file pastes
+    straight into one. *)
+
+val node_type_of_json :
+  Ftes_util.Json.t -> (Platform.node_type, string) result
+(** Inverse of {!node_type_to_json}, through the checked
+    {!Platform.hversion} and {!Platform.node_type}. *)
 
 val of_json :
   ?on_warning:(string -> unit) -> Ftes_util.Json.t -> (Problem.t, string) result
@@ -52,4 +55,5 @@ val save : string -> Problem.t -> unit
 
 val load :
   ?on_warning:(string -> unit) -> string -> (Problem.t, string) result
-(** Read and parse a file; I/O errors are reported as [Error]. *)
+(** Read and parse a file; I/O and decode errors are reported as
+    [Error] naming the file. *)

@@ -51,7 +51,7 @@ let metrics_to_text (s : Metrics.snapshot) =
 
 let metrics_to_json (s : Metrics.snapshot) =
   let counters =
-    List.map (fun (n, v) -> (n, Json.Number (float_of_int v))) s.Metrics.counters
+    List.map (fun (n, v) -> (n, Json.int v)) s.Metrics.counters
   in
   let gauges = List.map (fun (n, v) -> (n, Json.Number v)) s.Metrics.gauges in
   let histograms =
@@ -59,14 +59,9 @@ let metrics_to_json (s : Metrics.snapshot) =
       (fun (n, h) ->
         ( n,
           Json.Object
-            [ ("count", Json.Number (float_of_int (Metrics.hist_count h)));
-              ("sum", Json.Number (float_of_int (Metrics.hist_sum h)));
-              ( "buckets",
-                Json.List
-                  (Array.to_list
-                     (Array.map
-                        (fun c -> Json.Number (float_of_int c))
-                        h.Metrics.buckets)) ) ] ))
+            [ ("count", Json.int (Metrics.hist_count h));
+              ("sum", Json.int (Metrics.hist_sum h));
+              ("buckets", Json.ints h.Metrics.buckets) ] ))
       s.Metrics.histograms
   in
   Json.Object

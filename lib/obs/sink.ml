@@ -30,28 +30,23 @@ let is_null = function Null -> true | Jsonl _ | Memory _ -> false
 let event_to_json e =
   Json.Object
     [ ("name", Json.String e.name);
-      ("domain", Json.Number (float_of_int e.domain));
-      ("depth", Json.Number (float_of_int e.depth));
+      ("domain", Json.int e.domain);
+      ("depth", Json.int e.depth);
       ( "parent",
         match e.parent with Some p -> Json.String p | None -> Json.Null );
-      ("start_ns", Json.Number (float_of_int e.start_ns));
-      ("dur_ns", Json.Number (float_of_int e.dur_ns));
+      ("start_ns", Json.int e.start_ns);
+      ("dur_ns", Json.int e.dur_ns);
       ("alloc_b", Json.Number e.alloc_b) ]
 
 let event_of_json json =
-  let ( let* ) = Result.bind in
-  let* name = Result.bind (Json.member "name" json) Json.to_string_value in
-  let* domain = Result.bind (Json.member "domain" json) Json.to_int in
-  let* depth = Result.bind (Json.member "depth" json) Json.to_int in
-  let* parent =
-    match Json.member "parent" json with
-    | Ok Json.Null -> Ok None
-    | Ok j -> Result.map Option.some (Json.to_string_value j)
-    | Error e -> Error e
-  in
-  let* start_ns = Result.bind (Json.member "start_ns" json) Json.to_int in
-  let* dur_ns = Result.bind (Json.member "dur_ns" json) Json.to_int in
-  let* alloc_b = Result.bind (Json.member "alloc_b" json) Json.to_float in
+  let open Json in
+  let* name = field "name" to_string_value json in
+  let* domain = field "domain" to_int json in
+  let* depth = field "depth" to_int json in
+  let* parent = field "parent" (nullable to_string_value) json in
+  let* start_ns = field "start_ns" to_int json in
+  let* dur_ns = field "dur_ns" to_int json in
+  let* alloc_b = field "alloc_b" to_float json in
   Ok { name; domain; depth; parent; start_ns; dur_ns; alloc_b }
 
 let locked mutex f =

@@ -30,11 +30,6 @@ let float_of_field label text =
   | Some v when Float.is_finite v -> Ok v
   | _ -> Error (Printf.sprintf "%s: bad number %S" label text)
 
-let guard label f =
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-
 let point_row (p : Archive.point) =
   [ float_field p.Archive.cost;
     float_field p.Archive.slack;
@@ -58,7 +53,7 @@ let point_of_fields ~problem ~row cost slack margin members levels reexecs
   let* reexecs = ints_of_field (label "reexecs") reexecs in
   let* mapping = ints_of_field (label "mapping") mapping in
   let* design =
-    guard
+    checked
       (Printf.sprintf "row %d, design" row)
       (fun () -> Design.make problem ~members ~levels ~reexecs ~mapping)
   in
@@ -88,21 +83,18 @@ let of_csv ?spec ~problem rows =
                    (List.length csv_header) (List.length bad))
         in
         let* pts = build [] 1 body in
-        guard "frontier" (fun () -> Archive.of_points ?spec pts)
+        checked "frontier" (fun () -> Archive.of_points ?spec pts)
       end
-
-let ints_json arr =
-  List (Array.to_list (Array.map (fun v -> Number (float_of_int v)) arr))
 
 let point_to_json (p : Archive.point) =
   Object
     [ ("cost", Number p.Archive.cost);
       ("slack_ms", Number p.Archive.slack);
       ("margin_log10", Number p.Archive.margin);
-      ("members", ints_json p.Archive.design.Design.members);
-      ("levels", ints_json p.Archive.design.Design.levels);
-      ("reexecs", ints_json p.Archive.design.Design.reexecs);
-      ("mapping", ints_json p.Archive.design.Design.mapping) ]
+      ("members", ints p.Archive.design.Design.members);
+      ("levels", ints p.Archive.design.Design.levels);
+      ("reexecs", ints p.Archive.design.Design.reexecs);
+      ("mapping", ints p.Archive.design.Design.mapping) ]
 
 let to_json ?reference archive =
   let spec = Archive.spec_of archive in
@@ -127,58 +119,43 @@ let to_json ?reference archive =
               (fun o -> String (Objective.name o))
               spec.Archive.objectives) );
        ("eps", Number spec.Archive.eps);
-       ("size", Number (float_of_int (List.length pts))) ]
+       ("size", int (List.length pts)) ]
     @ progress
     @ [ ("points", List (List.map point_to_json pts)) ])
 
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let int_array_of_json json =
-  let* items = to_list json in
-  let* ints = map_result to_int items in
-  Ok (Array.of_list ints)
-
 let point_of_json ~problem ~row json =
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* slack = Result.bind (member "slack_ms" json) to_float in
-  let* margin = Result.bind (member "margin_log10" json) to_float in
-  let* members = Result.bind (member "members" json) int_array_of_json in
-  let* levels = Result.bind (member "levels" json) int_array_of_json in
-  let* reexecs = Result.bind (member "reexecs" json) int_array_of_json in
-  let* mapping = Result.bind (member "mapping" json) int_array_of_json in
+  let* cost = field "cost" to_float json in
+  let* slack = field "slack_ms" to_float json in
+  let* margin = field "margin_log10" to_float json in
+  let* members = field "members" int_array json in
+  let* levels = field "levels" int_array json in
+  let* reexecs = field "reexecs" int_array json in
+  let* mapping = field "mapping" int_array json in
   let* design =
-    guard
+    checked
       (Printf.sprintf "point %d, design" row)
       (fun () -> Design.make problem ~members ~levels ~reexecs ~mapping)
   in
   Ok { Archive.design; cost; slack; margin }
 
-let default_warn msg = Printf.eprintf "frontier_io: warning: %s\n%!" msg
-
-let of_json ?(on_warning = default_warn) ~problem json =
-  let* () =
-    Ftes_util.Versioned_json.check ~what:"document" ~accept_v0:true
-      ~on_warning ~current:schema_version json
-  in
-  let* names = Result.bind (member "objectives" json) to_list in
-  let* names = map_result to_string_value names in
-  let* objectives = map_result Objective.of_name names in
-  let* eps = Result.bind (member "eps" json) to_float in
-  let* spec = guard "spec" (fun () -> Archive.spec ~objectives ~eps ()) in
-  let* items = Result.bind (member "points" json) to_list in
-  let rec build acc row = function
-    | [] -> Ok (List.rev acc)
-    | item :: rest ->
-        let* p = point_of_json ~problem ~row item in
-        build (p :: acc) (row + 1) rest
-  in
-  let* pts = build [] 1 items in
-  guard "frontier" (fun () -> Archive.of_points ~spec pts)
+let of_json ?on_warning ~problem json =
+  Ftes_util.Versioned_json.decode ~what:"frontier" ~accept_v0:true ?on_warning
+    ~current:schema_version
+    (fun json ->
+      let* objectives =
+        field "objectives"
+          (list_of (fun j -> Result.bind (to_string_value j) Objective.of_name))
+          json
+      in
+      let* eps = field "eps" to_float json in
+      let* spec = checked "spec" (fun () -> Archive.spec ~objectives ~eps ()) in
+      let* pts =
+        field "points"
+          (list_ofi (fun i -> point_of_json ~problem ~row:(i + 1)))
+          json
+      in
+      checked "frontier" (fun () -> Archive.of_points ~spec pts))
+    json
 
 let to_string ?reference archive = Json.to_string (to_json ?reference archive)
 

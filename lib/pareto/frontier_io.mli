@@ -1,8 +1,5 @@
-(** Frontier exchange formats (CSV and JSON), following the
-    {!Ftes_model.Problem_io} conventions: JSON documents carry an
-    explicit ["schema_version"] (currently 1); a versionless document
-    is read as the deprecated v0 with a warning; an unknown version is
-    rejected.
+(** Frontier exchange formats (CSV and JSON).  The JSON document is
+    versioned by {!Ftes_util.Versioned_json} with [accept_v0 = true].
 
     Both readers take the {!Ftes_model.Problem.t} the frontier was
     computed for and re-validate every design against it through the

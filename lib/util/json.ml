@@ -166,7 +166,11 @@ let of_string input =
     eat ();
     let text = String.sub input start (!pos - start) in
     match float_of_string_opt text with
-    | Some x -> x
+    | Some x when Float.is_finite x -> x
+    | Some _ ->
+        (* 1e999 would read as infinity, which has no JSON spelling:
+           infinity travels as null (see {!number_or_null}). *)
+        raise (Parse_error (start, "number out of range " ^ text))
     | None -> error ("invalid number " ^ text)
   in
   let rec parse_value () =
@@ -265,8 +269,14 @@ let to_float = function
   | Number x -> Ok x
   | other -> Error ("expected a number, got " ^ type_name other)
 
+(* [float_of_int max_int] rounds up to 2^62 = [-. float_of_int min_int],
+   so the upper bound is strict; inside the range [int_of_float] is
+   exact, outside it returns garbage. *)
 let to_int = function
-  | Number x when Float.is_integer x -> Ok (int_of_float x)
+  | Number x when Float.is_integer x ->
+      if x >= float_of_int min_int && x < -.float_of_int min_int then
+        Ok (int_of_float x)
+      else Error (Printf.sprintf "integer %g is out of range" x)
   | Number _ -> Error "expected an integer"
   | other -> Error ("expected an integer, got " ^ type_name other)
 
@@ -284,12 +294,63 @@ let to_string_value = function
 
 let ( let* ) = Result.bind
 
-let float_array t =
-  let* items = to_list t in
-  let rec gather acc = function
-    | [] -> Ok (Array.of_list (List.rev acc))
-    | x :: rest ->
-        let* v = to_float x in
-        gather (v :: acc) rest
+(* --- decoding vocabulary --- *)
+
+let field key decode json =
+  match member key json with Ok v -> decode v | Error _ as e -> e
+
+let field_opt key decode json =
+  match member key json with
+  | Error _ -> Ok None
+  | Ok v -> Result.map Option.some (decode v)
+
+let nullable decode = function
+  | Null -> Ok None
+  | json -> Result.map Option.some (decode json)
+
+let list_ofi decode json =
+  let* items = to_list json in
+  let rec build acc i = function
+    | [] -> Ok (List.rev acc)
+    | item :: rest ->
+        let* v = decode i item in
+        build (v :: acc) (i + 1) rest
   in
-  gather [] items
+  build [] 0 items
+
+let list_of decode json = list_ofi (fun _ item -> decode item) json
+
+(* Decoded straight into the array: these carry every design and
+   WCET/pfail table, so they skip the intermediate list. *)
+let array_of decode dummy json =
+  let* items = to_list json in
+  let a = Array.make (List.length items) dummy in
+  let rec fill i = function
+    | [] -> Ok a
+    | item :: rest ->
+        let* v = decode item in
+        a.(i) <- v;
+        fill (i + 1) rest
+  in
+  fill 0 items
+
+let float_array json = array_of to_float 0.0 json
+
+let int_array json = array_of to_int 0 json
+
+let checked label f =
+  match f () with
+  | v -> Ok v
+  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
+
+let to_float_or_inf = function Null -> Ok infinity | json -> to_float json
+
+(* --- encoding --- *)
+
+let int v = Number (float_of_int v)
+
+let ints a = List (Array.to_list (Array.map int a))
+
+let floats a = List (Array.to_list (Array.map (fun x -> Number x) a))
+
+let number_or_null x = if Float.is_finite x then Number x else Null

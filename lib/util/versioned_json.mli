@@ -1,6 +1,7 @@
-(** Shared [schema_version] conventions of every versioned JSON
-    document the system writes (problems, certificates, frontiers,
-    request/response envelopes).
+(** The one load/save path of every versioned JSON document the system
+    writes (problems, frontiers, certificates, campaign manifests,
+    checkpoints and merges, request/response envelopes); DESIGN.md
+    "Versioned documents" lists each format and its [accept_v0].
 
     Convention, mirrored from [Problem_io]:
 
@@ -14,32 +15,30 @@
       v0 reject it like any other unknown version;
     - any other version is rejected with an error naming both the found
       and the supported versions, so a newer writer surfaces as a clear
-      message instead of a confusing constructor error downstream.
-
-    The module also owns the infinity↔null float convention: bounds
-    that are [infinity] in memory ("no admissible assignment") have no
-    JSON spelling, so they travel as [null]. *)
+      message instead of a confusing constructor error downstream. *)
 
 val field : int -> string * Json.t
 (** [field v] is the [("schema_version", v)] pair writers prepend. *)
 
-val check :
+val decode :
   ?what:string ->
   ?accept_v0:bool ->
   ?on_warning:(string -> unit) ->
   current:int ->
+  (Json.t -> ('a, string) result) ->
   Json.t ->
-  (unit, string) result
-(** [check ~what ~current json] validates the document's
-    ["schema_version"] against [current] under the convention above.
-    [what] names the document family in messages (default
-    ["document"]); [accept_v0] (default [true]) admits an explicit
-    [0]; [on_warning] (default: print to stderr prefixed with [what])
-    receives the v0 deprecation warning. *)
+  ('a, string) result
+(** [decode ~what ~current body json] validates the document's
+    ["schema_version"] against [current] under the convention above,
+    then decodes it with [body].  [what] names the document family in
+    messages (default ["document"]); [accept_v0] (default [true])
+    admits an explicit [0]; [on_warning] (default: print to stderr
+    prefixed with [what]) receives the v0 deprecation warning. *)
 
-val opt_number : float -> Json.t
-(** [Number x] for finite [x], [Null] for [infinity] (and any other
-    non-finite value). *)
+val load : (Json.t -> ('a, string) result) -> string -> ('a, string) result
+(** [load decode path] reads and parses the file [path] and decodes it.
+    Every error names the file; none raises. *)
 
-val opt_float : Json.t -> (float, string) result
-(** Inverse of {!opt_number}: [Null] reads back as [infinity]. *)
+val save : string -> Json.t -> unit
+(** [save path json] writes the rendered document plus a trailing
+    newline through {!Atomic_file.write}. *)

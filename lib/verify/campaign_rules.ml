@@ -24,8 +24,6 @@ let campaign_exn subject =
   | Some c -> c
   | None -> invalid_arg "verifier: campaign rule run without campaign docs"
 
-let get path json accessor = Result.bind (member path json) accessor
-
 let manifest_fingerprint manifest = Ftes_util.Fingerprint.of_json manifest
 
 (* The planner's formula; must match [Ftes_campaign.Manifest.shard_range]. *)
@@ -35,10 +33,10 @@ let plan_range ~apps ~shards i = (i * apps / shards, (i + 1) * apps / shards)
    enough to extract them; rules beyond campaign/manifest-schema stay
    silent otherwise (that rule already reports the defect). *)
 let plan_of_manifest manifest =
-  let* apps = get "apps" manifest to_int in
-  let* shards = get "shards" manifest to_int in
+  let* apps = field "apps" to_int manifest in
+  let* shards = field "shards" to_int manifest in
   let axis name =
-    let* items = get name manifest to_list in
+    let* items = field name to_list manifest in
     Ok (List.length items)
   in
   let* n_sers = axis "sers" in
@@ -54,31 +52,31 @@ let check_manifest subject =
   let m = c.Subject.manifest in
   let err fmt = Printf.ksprintf (fun d -> [ D.error ~rule "%s" d ]) fmt in
   let version =
-    match get "schema_version" m to_int with
+    match field "schema_version" to_int m with
     | Ok 1 -> []
     | Ok v -> err "manifest: unsupported schema_version %d (supported: 1)" v
     | Error e -> err "manifest: %s" e
   in
   let int_field name low =
-    match get name m to_int with
+    match field name to_int m with
     | Ok v when v >= low -> []
     | Ok v -> err "manifest: %s = %d (must be >= %d)" name v low
     | Error e -> err "manifest: %s" e
   in
   let axis name =
-    match get name m to_list with
+    match field name to_list m with
     | Ok [] -> err "manifest: empty %s axis" name
     | Ok _ -> []
     | Error e -> err "manifest: %s" e
   in
   let shards_bound =
-    match (get "apps" m to_int, get "shards" m to_int) with
+    match (field "apps" to_int m, field "shards" to_int m) with
     | Ok apps, Ok shards when shards > apps ->
         err "manifest: %d shards for %d applications" shards apps
     | _ -> []
   in
   let eps =
-    match get "eps" m to_float with
+    match field "eps" to_float m with
     | Ok e when Float.is_finite e && e >= 0.0 -> []
     | Ok e -> err "manifest: eps = %g (must be finite and >= 0)" e
     | Error e -> err "manifest: %s" e
@@ -109,9 +107,9 @@ let check_partition subject =
         List.concat_map
           (fun (label, doc) ->
             match
-              let* shard = get "shard" doc to_int in
-              let* lo = get "lo" doc to_int in
-              let* hi = get "hi" doc to_int in
+              let* shard = field "shard" to_int doc in
+              let* lo = field "lo" to_int doc in
+              let* hi = field "hi" to_int doc in
               Ok (shard, lo, hi)
             with
             | Error e -> [ D.error ~rule "%s: %s" label e ]
@@ -167,7 +165,7 @@ let check_fingerprints subject =
   let expected = manifest_fingerprint c.Subject.manifest in
   let check_doc label doc =
     let version =
-      match get "schema_version" doc to_int with
+      match field "schema_version" to_int doc with
       | Ok 1 -> []
       | Ok v ->
           [ D.error ~rule "%s: unsupported schema_version %d (supported: 1)"
@@ -175,7 +173,7 @@ let check_fingerprints subject =
       | Error e -> [ D.error ~rule "%s: %s" label e ]
     in
     let fp =
-      match get "manifest_fingerprint" doc to_string_value with
+      match field "manifest_fingerprint" to_string_value doc with
       | Ok fp when fp = expected -> []
       | Ok fp ->
           [ D.error ~rule
@@ -194,7 +192,7 @@ let shard_docs_in_order c ~shards =
   let by_shard = Array.make shards None in
   List.iter
     (fun (label, doc) ->
-      match get "shard" doc to_int with
+      match field "shard" to_int doc with
       | Ok shard when shard >= 0 && shard < shards ->
           if by_shard.(shard) = None then by_shard.(shard) <- Some (label, doc)
       | _ -> ())
@@ -208,7 +206,7 @@ let shard_docs_in_order c ~shards =
   in
   collect [] (shards - 1)
 
-let cells_of doc = Result.bind (member "cells" doc) to_list
+let cells_of doc = field "cells" to_list doc
 
 (* campaign/merge-costs: per cell, the merged cost array is exactly the
    shard cost arrays concatenated in shard order, [apps] entries in
@@ -233,14 +231,14 @@ let check_merge_costs subject =
                   (List.mapi
                      (fun index mcell ->
                        let key_of doc =
-                         let* ser = get "ser" doc to_float in
-                         let* hpd = get "hpd" doc to_float in
-                         let* policy = get "policy" doc to_string_value in
+                         let* ser = field "ser" to_float doc in
+                         let* hpd = field "hpd" to_float doc in
+                         let* policy = field "policy" to_string_value doc in
                          Ok (ser, hpd, policy)
                        in
                        match
                          let* mkey = key_of mcell in
-                         let* mcosts = get "costs" mcell to_list in
+                         let* mcosts = field "costs" to_list mcell in
                          Ok (mkey, mcosts)
                        with
                        | Error e ->
@@ -262,7 +260,7 @@ let check_merge_costs subject =
                                          match
                                            let* key = key_of cell in
                                            let* costs =
-                                             get "costs" cell to_list
+                                             field "costs" to_list cell
                                            in
                                            Ok (key, costs)
                                          with
@@ -322,19 +320,10 @@ let check_merge_costs subject =
 type pt = { vec : float * float * float; arrays : int list list }
 
 let pt_of_json json =
-  let* cost = get "cost" json to_float in
-  let* slack = get "slack_ms" json to_float in
-  let* margin = get "margin_log10" json to_float in
-  let ints name =
-    let* items = get name json to_list in
-    let rec build acc = function
-      | [] -> Ok (List.rev acc)
-      | item :: rest ->
-          let* v = to_int item in
-          build (v :: acc) rest
-    in
-    build [] items
-  in
+  let* cost = field "cost" to_float json in
+  let* slack = field "slack_ms" to_float json in
+  let* margin = field "margin_log10" to_float json in
+  let ints name = field name (list_of to_int) json in
   let* members = ints "members" in
   let* levels = ints "levels" in
   let* reexecs = ints "reexecs" in
@@ -363,16 +352,12 @@ let check_merge_frontier subject =
                (fun index mcell ->
                  let merged_pts =
                    let* frontier = member "frontier" mcell in
-                   let* items = get "points" frontier to_list in
-                   let rec build acc row = function
-                     | [] -> Ok (List.rev acc)
-                     | item :: rest -> (
-                         match pt_of_json item with
-                         | Ok p -> build (p :: acc) (row + 1) rest
-                         | Error e ->
-                             Error (Printf.sprintf "point %d: %s" row e))
-                   in
-                   build [] 1 items
+                   field "points"
+                     (list_ofi (fun i item ->
+                          Result.map_error
+                            (Printf.sprintf "point %d: %s" (i + 1))
+                            (pt_of_json item)))
+                     frontier
                  in
                  let shard_pts =
                    List.fold_left
@@ -382,15 +367,12 @@ let check_merge_frontier subject =
                        match List.nth_opt cells index with
                        | None -> Error (label ^ ": missing cell")
                        | Some cell ->
-                           let* items = get "points" cell to_list in
-                           let rec build acc = function
-                             | [] -> Ok acc
-                             | item :: rest -> (
-                                 match pt_of_json item with
-                                 | Ok p -> build (p :: acc) rest
-                                 | Error e -> Error (label ^ ": " ^ e))
+                           let* pts =
+                             Result.map_error
+                               (fun e -> label ^ ": " ^ e)
+                               (field "points" (list_of pt_of_json) cell)
                            in
-                           build acc items)
+                           Ok (List.rev_append pts acc))
                      (Ok []) ordered
                  in
                  match (merged_pts, shard_pts) with

@@ -34,14 +34,14 @@ let location_to_json (loc : Diagnostic.location) =
   match loc with
   | Diagnostic.Global -> Json.Object [ ("kind", kind) ]
   | Diagnostic.Process p ->
-      Json.Object [ ("kind", kind); ("process", Json.Number (float_of_int p)) ]
+      Json.Object [ ("kind", kind); ("process", Json.int p) ]
   | Diagnostic.Member m ->
-      Json.Object [ ("kind", kind); ("member", Json.Number (float_of_int m)) ]
+      Json.Object [ ("kind", kind); ("member", Json.int m) ]
   | Diagnostic.Edge { src; dst } | Diagnostic.Message { src; dst } ->
       Json.Object
         [ ("kind", kind);
-          ("src", Json.Number (float_of_int src));
-          ("dst", Json.Number (float_of_int dst)) ]
+          ("src", Json.int src);
+          ("dst", Json.int dst) ]
 
 let diagnostic_to_json (d : Diagnostic.t) =
   Json.Object
@@ -53,9 +53,9 @@ let diagnostic_to_json (d : Diagnostic.t) =
 let to_json t =
   Json.Object
     [ ("ok", Json.Bool (ok t));
-      ("errors", Json.Number (float_of_int (count t Diagnostic.Error)));
-      ("warnings", Json.Number (float_of_int (count t Diagnostic.Warn)));
-      ("infos", Json.Number (float_of_int (count t Diagnostic.Info)));
+      ("errors", Json.int (count t Diagnostic.Error));
+      ("warnings", Json.int (count t Diagnostic.Warn));
+      ("infos", Json.int (count t Diagnostic.Info));
       ("rules_run", Json.List (List.map (fun id -> Json.String id) t.rules_run));
       ( "rules_skipped",
         Json.List (List.map (fun id -> Json.String id) t.rules_skipped) );

@@ -18,13 +18,8 @@ let responses_exn subject =
   | Some rs -> rs
   | None -> invalid_arg "verifier: serve rule run without a response stream"
 
-let str key json =
-  Result.bind (Json.member key json) Json.to_string_value
-
-let int key json = Result.bind (Json.member key json) Json.to_int
-
 let label i json =
-  match str "id" json with
+  match Json.field "id" Json.to_string_value json with
   | Ok id when id <> "" -> Printf.sprintf "response %d (id %S)" i id
   | _ -> Printf.sprintf "response %d" i
 
@@ -39,7 +34,7 @@ let check_envelope subject =
        (fun i json ->
          let who = label i json in
          let version =
-           match int "schema_version" json with
+           match Json.field "schema_version" Json.to_int json with
            | Ok v when v = envelope_version -> []
            | Ok v ->
                [ D.error ~rule "%s: envelope schema_version %d, expected %d"
@@ -47,26 +42,26 @@ let check_envelope subject =
            | Error e -> [ D.error ~rule "%s: %s" who e ]
          in
          let id =
-           match str "id" json with
+           match Json.field "id" Json.to_string_value json with
            | Ok "" -> [ D.error ~rule "%s: empty id" who ]
            | Ok _ -> []
            | Error e -> [ D.error ~rule "%s: %s" who e ]
          in
          let seq =
-           match int "seq" json with
+           match Json.field "seq" Json.to_int json with
            | Ok s when s >= 0 -> []
            | Ok s -> [ D.error ~rule "%s: negative seq %d" who s ]
            | Error e -> [ D.error ~rule "%s: %s" who e ]
          in
          let verdict =
-           match str "verdict" json with
+           match Json.field "verdict" Json.to_string_value json with
            | Ok v when List.mem v verdicts -> []
            | Ok v -> [ D.error ~rule "%s: unknown verdict %S" who v ]
            | Error e -> [ D.error ~rule "%s: %s" who e ]
          in
-         let is_error = str "verdict" json = Ok "error" in
+         let is_error = Json.field "verdict" Json.to_string_value json = Ok "error" in
          let error_field =
-           match (str "error" json, is_error) with
+           match (Json.field "error" Json.to_string_value json, is_error) with
            | Ok "", true -> [ D.error ~rule "%s: empty error message" who ]
            | Ok _, true -> []
            | Ok _, false ->
@@ -106,7 +101,7 @@ let check_envelope subject =
 let check_order subject =
   let rule = "serve/order" in
   let seqs =
-    List.mapi (fun i json -> (i, json, int "seq" json)) (responses_exn subject)
+    List.mapi (fun i json -> (i, json, Json.field "seq" Json.to_int json)) (responses_exn subject)
   in
   let rec walk = function
     | (_, _, Ok a) :: ((j, json, Ok b) :: _ as rest) ->
@@ -128,9 +123,12 @@ let check_verdict subject =
     (List.mapi
        (fun i json ->
          let who = label i json in
-         match (str "verdict" json, Json.member "payload" json) with
+         match
+           ( Json.field "verdict" Json.to_string_value json,
+             Json.member "payload" json )
+         with
          | Ok verdict, Ok payload -> (
-             match Result.bind (Json.member "feasible" payload) Json.to_bool with
+             match Json.field "feasible" Json.to_bool payload with
              | Error _ -> []
              | Ok feasible -> (
                  match verdict with
@@ -167,8 +165,7 @@ let check_telemetry subject =
       ("registry", "hits", `Optional); ("registry", "misses", `Optional) ]
   in
   let read_nested outer inner tel =
-    Result.bind (Json.member outer tel) (fun v ->
-        Result.bind (Json.member inner v) Json.to_int)
+    Json.field outer (Json.field inner Json.to_int) tel
   in
   let prev = Hashtbl.create 8 in
   List.concat
@@ -181,7 +178,7 @@ let check_telemetry subject =
              let flat =
                List.concat_map
                  (fun (key, monotone) ->
-                   match int key tel with
+                   match Json.field key Json.to_int tel with
                    | Error e -> [ D.error ~rule "%s: %s" who e ]
                    | Ok v ->
                        (if v < 0 then

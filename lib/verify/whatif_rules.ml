@@ -15,10 +15,8 @@ let responses_exn subject =
   | Some rs -> rs
   | None -> invalid_arg "verifier: whatif rule run without a response stream"
 
-let str key json = Result.bind (Json.member key json) Json.to_string_value
-
 let label i json =
-  match str "id" json with
+  match Json.field "id" Json.to_string_value json with
   | Ok id when id <> "" -> Printf.sprintf "response %d (id %S)" i id
   | _ -> Printf.sprintf "response %d" i
 
@@ -102,7 +100,7 @@ let check_verdict subject =
          | None -> []
          | Some _ ->
              let verdict =
-               match str "verdict" json with
+               match Json.field "verdict" Json.to_string_value json with
                | Ok ("feasible" | "no-solution") -> []
                | Ok v ->
                    [ D.error ~rule
@@ -112,11 +110,12 @@ let check_verdict subject =
                | Error e -> [ D.error ~rule "%s: %s" who e ]
              in
              let explored =
-               match (str "verdict" json, Json.member "payload" json) with
+               match
+                 ( Json.field "verdict" Json.to_string_value json,
+                   Json.member "payload" json )
+               with
                | Ok "feasible", Ok payload -> (
-                   match
-                     Result.bind (Json.member "explored" payload) Json.to_int
-                   with
+                   match Json.field "explored" Json.to_int payload with
                    | Ok n when n >= 1 -> []
                    | Ok n ->
                        [ D.error ~rule

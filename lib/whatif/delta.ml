@@ -37,11 +37,6 @@ let class_names =
     "wcet-scale"; "ser-scale"; "hversion-cost-set"; "hversion-wcet-set";
     "hversion-pfail-set"; "node-add"; "node-remove"; "kmax-set" ]
 
-let guard label f =
-  match f () with
-  | v -> Ok v
-  | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-
 let positive_factor label factor =
   if Float.is_finite factor && factor > 0. then Ok ()
   else Error (Printf.sprintf "%s: factor must be positive and finite" label)
@@ -57,7 +52,7 @@ let with_app problem ?deadline_ms ?period_ms ?gamma label =
   in
   let period_ms = Option.value period_ms ~default:app.Application.period_ms in
   let gamma = Option.value gamma ~default:app.Application.gamma in
-  guard label (fun () ->
+  checked label (fun () ->
       let app =
         Application.make ~name:app.Application.name
           ~process_names:app.Application.process_names ~period_ms
@@ -67,7 +62,7 @@ let with_app problem ?deadline_ms ?period_ms ?gamma label =
       Problem.make ~app ~library:problem.Problem.library)
 
 let with_library problem library label =
-  guard label (fun () -> Problem.make ~app:problem.Problem.app ~library)
+  checked label (fun () -> Problem.make ~app:problem.Problem.app ~library)
 
 (* Replace library node [j] by [f (node j)].  Untouched node types are
    passed through physically so their tables stay the exact bits a cold
@@ -91,7 +86,7 @@ let edit_version (nt : Platform.node_type) ~level f label =
   if level < 1 || level > Platform.levels nt then
     Error (Printf.sprintf "%s: level %d out of range" label level)
   else
-    guard label (fun () ->
+    checked label (fun () ->
         let versions =
           Array.map
             (fun (v : Platform.hversion) -> if v.level = level then f v else v)
@@ -123,7 +118,7 @@ let apply problem delta =
       let* () = positive_factor "wcet-scale" factor in
       edit_node problem node
         (fun nt ->
-          guard "wcet-scale" (fun () ->
+          checked "wcet-scale" (fun () ->
               let versions =
                 Array.map
                   (fun (v : Platform.hversion) ->
@@ -138,7 +133,7 @@ let apply problem delta =
       let* () = positive_factor "ser-scale" factor in
       edit_node problem node
         (fun nt ->
-          guard "ser-scale" (fun () ->
+          checked "ser-scale" (fun () ->
               let versions =
                 Array.map
                   (fun (v : Platform.hversion) ->
@@ -273,24 +268,8 @@ let cannot_weaken problem delta =
       && pfail >= Problem.pfail problem ~node ~level ~proc
   | Node_add _ | Node_remove _ | Kmax_set _ -> false
 
-(* Wire codec.  The node-type payload mirrors Problem_io's library
-   schema ({"name", "versions": [{"level","cost","wcet_ms","pfail"}]}),
-   so a node copied out of an exported problem file pastes straight into
-   a node-add delta. *)
-
-let int_field name v = (name, Number (float_of_int v))
-
-let version_to_json (v : Platform.hversion) =
-  Object
-    [ int_field "level" v.level;
-      ("cost", Number v.cost);
-      ("wcet_ms", List (Array.to_list (Array.map (fun x -> Number x) v.wcet_ms)));
-      ("pfail", List (Array.to_list (Array.map (fun x -> Number x) v.pfail))) ]
-
-let node_to_json (nt : Platform.node_type) =
-  Object
-    [ ("name", String nt.node_name);
-      ("versions", List (Array.to_list (Array.map version_to_json nt.versions))) ]
+(* Wire codec.  A node-add delta carries Problem_io's library entry, so
+   a node copied out of an exported problem file pastes straight in. *)
 
 let to_json delta =
   let tag fields = Object (("class", String (class_name delta)) :: fields) in
@@ -300,64 +279,40 @@ let to_json delta =
   | Period_set p -> tag [ ("period_ms", Number p) ]
   | Period_scale f -> tag [ ("factor", Number f) ]
   | Gamma_set g -> tag [ ("gamma", Number g) ]
-  | Wcet_scale { node; factor } -> tag [ int_field "node" node; ("factor", Number factor) ]
-  | Ser_scale { node; factor } -> tag [ int_field "node" node; ("factor", Number factor) ]
+  | Wcet_scale { node; factor } -> tag [ ("node", int node); ("factor", Number factor) ]
+  | Ser_scale { node; factor } -> tag [ ("node", int node); ("factor", Number factor) ]
   | Hversion_cost_set { node; level; cost } ->
-      tag [ int_field "node" node; int_field "level" level; ("cost", Number cost) ]
+      tag [ ("node", int node); ("level", int level); ("cost", Number cost) ]
   | Hversion_wcet_set { node; level; proc; wcet_ms } ->
       tag
-        [ int_field "node" node; int_field "level" level; int_field "proc" proc;
+        [ ("node", int node); ("level", int level); ("proc", int proc);
           ("wcet_ms", Number wcet_ms) ]
   | Hversion_pfail_set { node; level; proc; pfail } ->
       tag
-        [ int_field "node" node; int_field "level" level; int_field "proc" proc;
+        [ ("node", int node); ("level", int level); ("proc", int proc);
           ("pfail", Number pfail) ]
-  | Node_add nt -> tag [ ("node_type", node_to_json nt) ]
-  | Node_remove j -> tag [ int_field "node" j ]
-  | Kmax_set k -> tag [ int_field "kmax" k ]
-
-let rec map_result f = function
-  | [] -> Ok []
-  | x :: rest ->
-      let* y = f x in
-      let* ys = map_result f rest in
-      Ok (y :: ys)
-
-let version_of_json json =
-  let* level = Result.bind (member "level" json) to_int in
-  let* cost = Result.bind (member "cost" json) to_float in
-  let* wcet_ms = Result.bind (member "wcet_ms" json) float_array in
-  let* pfail = Result.bind (member "pfail" json) float_array in
-  guard "node-add h-version" (fun () ->
-      Platform.hversion ~level ~cost ~wcet_ms ~pfail)
-
-let node_of_json json =
-  let* name = Result.bind (member "name" json) to_string_value in
-  let* versions = Result.bind (member "versions" json) to_list in
-  let* versions = map_result version_of_json versions in
-  guard "node-add node type" (fun () ->
-      Platform.node_type ~name ~versions:(Array.of_list versions))
+  | Node_add nt -> tag [ ("node_type", Problem_io.node_type_to_json nt) ]
+  | Node_remove j -> tag [ ("node", int j) ]
+  | Kmax_set k -> tag [ ("kmax", int k) ]
 
 let of_json json =
-  let* cls = Result.bind (member "class" json) to_string_value in
+  let* cls = field "class" to_string_value json in
   (* Eager range validation: malformed wire deltas are rejected here,
      before any problem is in scope; bounds against a concrete instance
      (node/level/proc existence) remain [apply]'s job. *)
-  let float_of name = Result.bind (member name json) to_float in
-  let int_of name = Result.bind (member name json) to_int in
-  let positive name v =
+  let float_of name = field name to_float json in
+  let positive_of name =
+    let* v = float_of name in
     if Float.is_finite v && v > 0. then Ok v
     else
       Error
         (Printf.sprintf "%s: %s must be positive and finite (got %g)" cls name
            v)
   in
-  let positive_of name = Result.bind (float_of name) (positive name) in
   let index_of ?(min = 0) name =
-    Result.bind (int_of name) (fun v ->
-        if v >= min then Ok v
-        else
-          Error (Printf.sprintf "%s: %s must be >= %d (got %d)" cls name min v))
+    let* v = field name to_int json in
+    if v >= min then Ok v
+    else Error (Printf.sprintf "%s: %s must be >= %d (got %d)" cls name min v)
   in
   match cls with
   | "deadline-set" ->
@@ -407,7 +362,11 @@ let of_json json =
           (Printf.sprintf
              "hversion-pfail-set: pfail must lie in [0, 1) (got %g)" pfail)
   | "node-add" ->
-      let* nt = Result.bind (member "node_type" json) node_of_json in
+      let* nt =
+        Result.map_error
+          (fun e -> "node-add: " ^ e)
+          (field "node_type" Problem_io.node_type_of_json json)
+      in
       Ok (Node_add nt)
   | "node-remove" ->
       let* j = index_of "node" in

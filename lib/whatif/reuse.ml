@@ -15,10 +15,7 @@ type t = {
   witnesses_rechecked : int;
 }
 
-let pair kept dropped =
-  Object
-    [ ("kept", Number (float_of_int kept));
-      ("dropped", Number (float_of_int dropped)) ]
+let pair kept dropped = Object [ ("kept", int kept); ("dropped", int dropped) ]
 
 let to_json t =
   Object
@@ -28,29 +25,26 @@ let to_json t =
       ("probes", pair t.probes_kept t.probes_dropped);
       ( "steps",
         Object
-          [ ("replayed", Number (float_of_int t.steps_replayed));
-            ("total", Number (float_of_int t.steps_total)) ] );
+          [ ("replayed", int t.steps_replayed); ("total", int t.steps_total) ]
+      );
       ("preflight_reused", Bool t.preflight_reused);
-      ("witnesses_rechecked", Number (float_of_int t.witnesses_rechecked)) ]
+      ("witnesses_rechecked", int t.witnesses_rechecked) ]
+
+let pair_of_json json =
+  let* kept = field "kept" to_int json in
+  let* dropped = field "dropped" to_int json in
+  Ok (kept, dropped)
 
 let of_json json =
-  let* delta_class = Result.bind (member "class" json) to_string_value in
-  let pair_of name =
-    let* obj = member name json in
-    let* kept = Result.bind (member "kept" obj) to_int in
-    let* dropped = Result.bind (member "dropped" obj) to_int in
-    Ok (kept, dropped)
-  in
-  let* sfp_kept, sfp_dropped = pair_of "sfp" in
-  let* evals_kept, evals_dropped = pair_of "evals" in
-  let* probes_kept, probes_dropped = pair_of "probes" in
+  let* delta_class = field "class" to_string_value json in
+  let* sfp_kept, sfp_dropped = field "sfp" pair_of_json json in
+  let* evals_kept, evals_dropped = field "evals" pair_of_json json in
+  let* probes_kept, probes_dropped = field "probes" pair_of_json json in
   let* steps = member "steps" json in
-  let* steps_replayed = Result.bind (member "replayed" steps) to_int in
-  let* steps_total = Result.bind (member "total" steps) to_int in
-  let* preflight_reused = Result.bind (member "preflight_reused" json) to_bool in
-  let* witnesses_rechecked =
-    Result.bind (member "witnesses_rechecked" json) to_int
-  in
+  let* steps_replayed = field "replayed" to_int steps in
+  let* steps_total = field "total" to_int steps in
+  let* preflight_reused = field "preflight_reused" to_bool json in
+  let* witnesses_rechecked = field "witnesses_rechecked" to_int json in
   Ok
     { delta_class; sfp_kept; sfp_dropped; evals_kept; evals_dropped;
       probes_kept; probes_dropped; steps_replayed; steps_total;

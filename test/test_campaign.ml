@@ -17,11 +17,33 @@ module Verify = Ftes_verify.Verify
 module Report = Ftes_verify.Report
 module Subject = Ftes_verify.Subject
 
+(* Campaign directories made by the running test; [cleaning] removes
+   them when the test ends, also when it fails. *)
+let created = ref []
+
 let mk_dir () =
   let path = Filename.temp_file "ftes-campaign" "" in
   Sys.remove path;
   Unix.mkdir path 0o700;
+  created := path :: !created;
   path
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let cleaning (name, speed, f) =
+  ( name,
+    speed,
+    fun () ->
+      Fun.protect f ~finally:(fun () ->
+          List.iter
+            (fun dir -> if Sys.file_exists dir then remove_tree dir)
+            !created;
+          created := []) )
 
 let mini ?(policies = [ Config.Fixed_min ]) ?(hpds = [ 0.25 ]) ?(apps = 6)
     ~shards () =
@@ -665,6 +687,7 @@ let test_live_counters_certify () =
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "ftes_campaign"
+  @@ List.map (fun (group, cases) -> (group, List.map cleaning cases))
     [ ( "manifest",
         [ Alcotest.test_case "round-trip" `Quick test_manifest_roundtrip;
           Alcotest.test_case "validation" `Quick test_manifest_validation;

@@ -233,12 +233,15 @@ let request_of_index i =
   in
   let bus = pick [| Bus.Fcfs; Bus.Tdma { slot_ms = 2.0 } |] in
   let strategy = pick [| "opt"; "min"; "max" |] in
+  (* Every fourth [k] is synthetic; [k / 4] counts those picks and [i]
+     staggers analyze against optimize, so that 24 requests reach all
+     four synthetic instances. *)
   let target k =
     match k mod 4 with
     | 0 -> `Example "fig1"
     | 1 -> `Example "fig3"
     | 2 -> `Example "cc"
-    | _ -> `Problem synthetic.(k mod Array.length synthetic)
+    | _ -> `Problem synthetic.(((k / 4) + i) mod Array.length synthetic)
   in
   let command, problem =
     match i mod 10 with
@@ -304,6 +307,9 @@ let test_malformed_lines_survive () =
        \"example\": \"fig9\"}";
       "{\"schema_version\": 1, \"command\": \"analyze\", \"example\": \
        \"fig1\"}";
+      (* Numbers past the int range and past the float range. *)
+      {|{"schema_version": 1, "id": "huge-kmax", "command": "optimize", "example": "cc", "kmax": 1e300}|};
+      {|{"schema_version": 1, "id": "inf-ref", "command": "pareto", "example": "cc", "ref_cost": 1e999}|};
       Request.to_string
         (ok_exn (Request.make ~id:"good" Request.Analyze (`Example "fig1"))) ]
   in
@@ -336,7 +342,9 @@ let test_malformed_lines_survive () =
     (good.Response.verdict = Response.Feasible);
   (* Echoed ids are best-effort even on parse failures. *)
   Alcotest.(check string) "id echoed from bad command"
-    "bad-cmd" (List.nth responses 2).Response.id
+    "bad-cmd" (List.nth responses 2).Response.id;
+  Alcotest.(check string) "id echoed from out-of-range kmax"
+    "huge-kmax" (List.nth responses 5).Response.id
 
 (* --- verdict and exit semantics --- *)
 
@@ -437,6 +445,34 @@ let test_warm_cache_fingerprints () =
   Alcotest.(check int) "one problem bucket" 1 (Daemon.cache_problems caches);
   Alcotest.(check bool) "registry hits observed" true
     (Daemon.cache_hits caches >= 2)
+
+(* Two problems that differ only in their deadline must not share a
+   registry bucket: the eval and probe memos are keyed on the design
+   alone.  Sent one after the other through one registry, each payload
+   must equal the one a fresh registry answers. *)
+let test_registry_separates_problems () =
+  let tight =
+    ok_exn
+      (Ftes_whatif.Delta.apply
+         (Ftes_cc.Cruise_control.problem ())
+         (Ftes_whatif.Delta.Deadline_scale 0.9))
+  in
+  let requests =
+    [ ok_exn (Request.make ~id:"cc" Request.Optimize (`Example "cc"));
+      ok_exn (Request.make ~id:"cc-tight" Request.Optimize (`Problem tight)) ]
+  in
+  let caches = Daemon.create_caches () in
+  List.iter
+    (fun req ->
+      let shared = daemon_once ~pool:Pool.sequential ~caches req in
+      let fresh =
+        daemon_once ~pool:Pool.sequential ~caches:(Daemon.create_caches ()) req
+      in
+      Alcotest.(check string)
+        (req.Request.id ^ ": payload through the shared registry")
+        (Json.to_string ~minify:true fresh.Response.payload)
+        (Json.to_string ~minify:true shared.Response.payload))
+    requests
 
 (* --- the serve/* rules fire on corrupted streams --- *)
 
@@ -702,6 +738,8 @@ let () =
       ( "caches",
         [ Alcotest.test_case "warm cache is invisible to payload bytes" `Quick
             test_warm_cache_fingerprints;
+          Alcotest.test_case "one bucket per problem" `Quick
+            test_registry_separates_problems;
           Alcotest.test_case "base_id warm start through the registry" `Quick
             test_whatif_daemon_warm;
           Alcotest.test_case "what-if rejections are structured" `Quick

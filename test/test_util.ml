@@ -468,6 +468,31 @@ let test_json_accessors () =
   Alcotest.(check bool) "non-integer" true
     (Result.is_error (Json.to_int (Json.Number 1.5)))
 
+(* Integers travel as floats: one outside OCaml's [int] range is an
+   error, never a wrapped value (1e300 used to read as 0), while a
+   nanosecond timestamp beyond 2^53 still decodes. *)
+let test_json_int_range () =
+  let to_int text = Result.bind (Json.of_string text) Json.to_int in
+  Alcotest.(check bool) "1e300 rejected" true (Result.is_error (to_int "1e300"));
+  Alcotest.(check bool) "-1e300 rejected" true
+    (Result.is_error (to_int "-1e300"));
+  Alcotest.(check bool) "2^62 rejected" true
+    (Result.is_error (to_int "4611686018427387904"));
+  Alcotest.(check bool) "-2^62 accepted" true (to_int "-4611686018427387904" = Ok min_int);
+  Alcotest.(check bool) "2^60 accepted" true
+    (to_int "1152921504606846976" = Ok (1 lsl 60));
+  Alcotest.(check bool) "-0 is 0" true (to_int "-0" = Ok 0)
+
+(* A number that overflows to infinity has no JSON spelling (infinity
+   travels as null): the parser rejects it with an offset. *)
+let test_json_non_finite () =
+  List.iter
+    (fun input ->
+      match Json.of_string input with
+      | Ok _ -> Alcotest.failf "%S should not parse" input
+      | Error msg -> Helpers.check_contains input msg "offset 4")
+    [ "[1, 21e999]"; "[1, -1e999]" ]
+
 (* --- Csv --- *)
 
 let test_csv_escape () =
@@ -582,7 +607,9 @@ let () =
           Alcotest.test_case "minify" `Quick test_json_minify;
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
           Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
-          Alcotest.test_case "accessors" `Quick test_json_accessors ] );
+          Alcotest.test_case "accessors" `Quick test_json_accessors;
+          Alcotest.test_case "int range" `Quick test_json_int_range;
+          Alcotest.test_case "non-finite numbers" `Quick test_json_non_finite ] );
       ( "csv",
         [ Alcotest.test_case "escaping" `Quick test_csv_escape;
           Alcotest.test_case "document" `Quick test_csv_document;
