@@ -1,21 +1,28 @@
 (* ftes — command-line driver for the fault-tolerant embedded-system
    design optimizer.
 
-     ftes optimize   run MIN/MAX/OPT on a built-in problem
-     ftes pareto     cost/slack/margin Pareto frontier of feasible designs
-     ftes whatif     warm re-optimization of a perturbed problem
-     ftes serve      resident design-service daemon over JSONL
-     ftes generate   generate a synthetic application
-     ftes simulate   fault-injection campaign on an optimized design
-     ftes experiment reproduce a figure/table of the paper
-     ftes profile    per-phase time/allocation breakdown of a run
-     ftes lint       static verification of a problem and its optimized
-                     design/schedule
+     ftes optimize        run MIN/MAX/OPT on a problem
+     ftes analyze         pre-flight feasibility analysis, certified bounds
+     ftes exact           prove the optimal design by branch-and-bound
+     ftes pareto          cost/slack/margin Pareto frontier of feasible designs
+     ftes whatif          warm re-optimization of a perturbed problem
+     ftes lint            static verification of a problem and its
+                          optimized design/schedule
+     ftes serve           resident design-service daemon over JSONL
+     ftes generate        generate a synthetic application
+     ftes simulate        fault-injection campaign on an optimized design
+     ftes worst-case      exact worst case by fault-scenario replay
+     ftes checkpoint      checkpoint counts on top of an optimized design
+     ftes experiment      reproduce a figure/table of the paper
+     ftes profile         per-phase time/allocation breakdown of a run
+     ftes export          write a built-in problem as JSON
+     ftes campaign        sharded, resumable exploration campaigns
+     ftes campaign-worker (internal) one campaign shard
 
    Every subcommand accepts --trace FILE (JSONL span trace),
-   --metrics FILE (CSV metrics snapshot) and --seed; the shared
-   plumbing lives in Cli_driver, and the execute/certify/report path
-   itself in Ftes_driver (shared with the daemon). *)
+   --metrics FILE (CSV metrics snapshot) and --seed.  The one-shot
+   commands answer through [answer]: one request on the Ftes_driver.Exec
+   path the daemon also serves, rendered as its JSON payload or as text. *)
 
 open Cmdliner
 
@@ -24,13 +31,67 @@ module Design = Ftes_model.Design
 module Design_strategy = Ftes_core.Design_strategy
 module Redundancy_opt = Ftes_core.Redundancy_opt
 module Workload = Ftes_gen.Workload
-module Driver = Cli_driver
+module Json = Ftes_util.Json
+module Versioned_json = Ftes_util.Versioned_json
+module Lifecycle = Ftes_driver.Lifecycle
 module Request = Ftes_driver.Request
 module Response = Ftes_driver.Response
 module Exec = Ftes_driver.Exec
 module Daemon = Ftes_driver.Daemon
+module Verify = Ftes_verify.Verify
+module Report = Ftes_verify.Report
+module Subject = Ftes_verify.Subject
 
-let fail = Driver.fail
+let fail fmt = Printf.ksprintf (fun s -> Error (`Msg s)) fmt
+
+let ( let* ) = Result.bind
+
+(* --- shared terms --- *)
+
+let obs_term =
+  let seed =
+    let doc = "Root random seed." in
+    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
+  in
+  let trace =
+    let doc =
+      "Write a JSONL span trace of the run to $(docv) (one JSON object \
+       per completed span).  Tracing only observes: results are \
+       bit-identical with and without it."
+    in
+    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"PATH" ~doc)
+  in
+  let metrics =
+    let doc =
+      "Write a CSV snapshot of the metrics registry (counters, gauges, \
+       latency histograms) to $(docv) when the command finishes."
+    in
+    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"PATH" ~doc)
+  in
+  Term.(
+    const (fun seed trace metrics -> { Lifecycle.seed; trace; metrics })
+    $ seed $ trace $ metrics)
+
+type target = { file : string option; example : string; strategy : string }
+
+let target_term =
+  let file =
+    let doc =
+      "Load the problem from a JSON file instead of a built-in example."
+    in
+    Arg.(value & opt (some string) None & info [ "file"; "f" ] ~docv:"PATH" ~doc)
+  in
+  let example =
+    let doc = "Built-in problem: $(b,fig1), $(b,fig3) or $(b,cc)." in
+    Arg.(value & opt string "fig1" & info [ "example"; "e" ] ~docv:"NAME" ~doc)
+  in
+  let strategy =
+    let doc = "Design strategy: $(b,opt), $(b,min) or $(b,max)." in
+    Arg.(value & opt string "opt" & info [ "strategy"; "s" ] ~docv:"NAME" ~doc)
+  in
+  Term.(
+    const (fun file example strategy -> { file; example; strategy })
+    $ file $ example $ strategy)
 
 let format_term =
   Arg.(value
@@ -38,60 +99,330 @@ let format_term =
        & info [ "format" ] ~docv:"FMT"
        ~doc:"Report format: $(b,text) or $(b,json).")
 
-(* Finish one shared-path execution: surface the outcome's verdict as
-   the CLI's typed exit status (status 3 for proven-infeasible and
-   lint failures — requested, not exited, so --trace/--metrics still
-   flush). *)
-let request_outcome_exit outcome =
-  match Response.exit_of_verdict (Exec.verdict outcome) with
-  | Driver.Success -> ()
-  | code -> Driver.request_exit code
+(* --- the one-shot request path --- *)
+
+(* Every command body runs inside [session]: the observability session
+   around it (its files are flushed also on failure, which is why no
+   command calls [Stdlib.exit]), and a file the command could not read
+   or write reported as a usage error naming the path (status 124)
+   instead of a crash. *)
+let session ?aggregate_spans obs f =
+  match Lifecycle.with_observability ?aggregate_spans obs f with
+  | result -> result
+  | exception (Sys_error msg | Fun.Finally_raised (Sys_error msg)) ->
+      fail "%s" msg
+
+let with_problem ?aggregate_spans obs target f =
+  session ?aggregate_spans obs (fun () ->
+      let problem =
+        match target.file with
+        | Some path -> Ftes_model.Problem_io.load path
+        | None -> Request.problem_of_example target.example
+      in
+      match (problem, Request.config_of_strategy target.strategy) with
+      | Error e, _ | _, Error e -> fail "%s" e
+      | Ok problem, Ok config -> f problem config)
+
+(* The CLI's subject spelling: the file path or example:NAME. *)
+let source_of target =
+  match target.file with
+  | Some path -> path
+  | None -> "example:" ^ target.example
+
+let request_of ?whatif target command problem config =
+  { Request.id = "cli"; command; strategy = target.strategy; config;
+    problem; source = source_of target; whatif;
+    origin =
+      (match target.file with
+      | Some _ -> `Inline
+      | None -> `Example target.example) }
+
+let wrote_to oc path = Printf.fprintf oc "wrote %s\n%!" path
+
+(* Write the files a command exports beside its report (the --cert
+   certificate of analyze and exact, the --csv/--json frontier of
+   pareto) and return their paths. *)
+let exports ~cert ~csv ~frontier = function
+  | Exec.Analyzed { certificate; _ } ->
+      Option.iter
+        (fun path -> Ftes_analyze.Certificate_io.save path certificate)
+        cert;
+      Option.to_list cert
+  | Exec.Proved { outcome; _ } ->
+      Option.iter
+        (fun path ->
+          Ftes_analyze.Bnb_certificate_io.save path
+            outcome.Ftes_bnb.Bnb.certificate)
+        cert;
+      Option.to_list cert
+  | Exec.Frontiered { frontier = f; reference; _ } ->
+      let archive = f.Design_strategy.archive in
+      Option.iter
+        (fun path ->
+          Ftes_util.Csv.write_file path (Ftes_pareto.Frontier_io.to_csv archive))
+        csv;
+      Option.iter
+        (fun path ->
+          Versioned_json.save path
+            (Ftes_pareto.Frontier_io.to_json ~reference archive))
+        frontier;
+      Option.to_list csv @ Option.to_list frontier
+  | Exec.Optimized _ -> []
+
+(* --- text renderings: pure functions of (request, outcome) --- *)
+
+let failed_report report = if Report.ok report then "" else Report.to_text report
+
+let bound_string v =
+  if Float.is_finite v then Printf.sprintf "%.2f" v
+  else "unbounded (no admissible assignment)"
+
+let analysis_text (req : Request.t) (pf : Ftes_analyze.Preflight.t) =
+  let module P = Ftes_analyze.Preflight in
+  let b = Buffer.create 512 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let problem = req.Request.problem in
+  let name p =
+    Ftes_model.Application.process_name problem.Ftes_model.Problem.app p
+  in
+  add "analyze %s (strategy %s)\n" req.Request.source req.Request.strategy;
+  add "premises: deadline %.2f ms, kmax %d, %s slack accounting\n"
+    pf.P.deadline_ms pf.P.kmax
+    (if pf.P.reexec then "re-execution" else "non-re-execution");
+  add "critical path   %.2f ms (%s)\n" pf.P.critical_path_ms
+    (String.concat " -> " (List.map name pf.P.critical_path));
+  add "total work      %.2f ms of %.2f ms library capacity\n"
+    pf.P.total_work_ms pf.P.capacity_ms;
+  add "cost lower bound %s (reliability-only: %s)\n"
+    (bound_string pf.P.cost_lower_bound)
+    (bound_string pf.P.sfp_cost_lower_bound);
+  (match pf.P.witnesses with
+  | [] -> add "verdict: feasible — no necessary condition is violated\n"
+  | ws ->
+      add "verdict: provably infeasible (%d witness%s)\n" (List.length ws)
+        (if List.length ws = 1 then "" else "es");
+      List.iter (fun w -> add "  - %s\n" (P.witness_to_string problem w)) ws);
+  Buffer.contents b
+
+let optimize_text ~gantt (req : Request.t) = function
+  | None ->
+      Printf.sprintf "%s: no schedulable & reliable design found\n"
+        (Config.policy_name req.Request.config.Config.hardening)
+  | Some (s : Design_strategy.solution) ->
+      let problem = req.Request.problem in
+      let r = s.Design_strategy.result in
+      let design = r.Redundancy_opt.design in
+      Format.asprintf "%a@." Ftes_model.Problem.pp problem
+      ^ Printf.sprintf "%s solution (explored %d architectures):\n"
+          (Config.policy_name req.Request.config.Config.hardening)
+          s.Design_strategy.explored
+      ^ Format.asprintf "%a@." (fun ppf () -> Design.pp ppf problem design) ()
+      ^ Printf.sprintf "schedule length %.2f ms; reliability %.11f (goal %.6f)\n"
+          r.Redundancy_opt.schedule_length
+          s.Design_strategy.verdict.Ftes_sfp.Sfp.reliability_per_hour
+          s.Design_strategy.verdict.Ftes_sfp.Sfp.goal
+      ^
+      if gantt then
+        Ftes_sched.Schedule.to_gantt problem design s.Design_strategy.schedule
+      else ""
+
+let reuse_text (r : Ftes_whatif.Reuse.t) =
+  let module R = Ftes_whatif.Reuse in
+  Printf.sprintf
+    "warm start (%s): replayed %d/%d steps; kept %d/%d SFP tables, %d/%d \
+     evaluations, %d/%d probes%s\n"
+    r.R.delta_class r.R.steps_replayed r.R.steps_total r.R.sfp_kept
+    (r.R.sfp_kept + r.R.sfp_dropped)
+    r.R.evals_kept
+    (r.R.evals_kept + r.R.evals_dropped)
+    r.R.probes_kept
+    (r.R.probes_kept + r.R.probes_dropped)
+    (if r.R.preflight_reused then
+       Printf.sprintf "; pre-flight reused (%d witnesses re-checked)"
+         r.R.witnesses_rechecked
+     else "")
+
+let whatif_text (req : Request.t) (w : Request.whatif) reuse solution =
+  Printf.sprintf "whatif %s (strategy %s, delta %s)\n" req.Request.source
+    req.Request.strategy
+    (Json.to_string ~minify:true (Ftes_whatif.Delta.to_json w.Request.delta))
+  ^ Option.fold ~none:"" ~some:reuse_text reuse
+  ^
+  match solution with
+  | None -> "no schedulable & reliable design under the delta\n"
+  | Some (s : Design_strategy.solution) ->
+      let r = s.Design_strategy.result in
+      Printf.sprintf
+        "perturbed optimum (explored %d architectures): cost %.2f, schedule \
+         length %.2f ms, slack %.2f ms, margin %.2f decades\n"
+        s.Design_strategy.explored r.Redundancy_opt.cost
+        r.Redundancy_opt.schedule_length r.Redundancy_opt.slack
+        r.Redundancy_opt.margin
+
+let exact_text (req : Request.t) (cert : Ftes_analyze.Bnb_certificate.t) =
+  let module C = Ftes_analyze.Bnb_certificate in
+  let b = Buffer.create 512 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  let cost v =
+    if Float.is_finite v then Printf.sprintf "%.2f" v else "unbounded"
+  in
+  add "exact %s (strategy %s)\n" req.Request.source req.Request.strategy;
+  let c = cert.C.counters in
+  add "search space    %.0f candidates, %d fully evaluated\n"
+    cert.C.search_space c.C.evaluated;
+  add
+    "pruned          %d cost / %d infeasible / %d symmetry subtrees, %d \
+     level vectors, %d mappings\n"
+    c.C.pruned_cost c.C.pruned_arch c.C.pruned_symmetry c.C.pruned_levels
+    c.C.pruned_mappings;
+  add "heuristic cost  %s\n" (cost cert.C.heuristic_cost);
+  add "optimal cost    %s (proven)\n" (cost cert.C.optimal_cost);
+  (match C.gap cert with
+  | Some gap -> add "optimality gap  %.2f%% of the optimum\n" (100.0 *. gap)
+  | None -> ());
+  (match cert.C.incumbent with
+  | Some i ->
+      add "schedule        %.2f ms worst case\n" i.C.schedule_length_ms;
+      add "verdict: optimal design proven (certificate carries %d prune \
+           premises)\n"
+        (List.length cert.C.prunes)
+  | None ->
+      add "verdict: provably infeasible — the certified search closed the \
+           whole design space without a feasible candidate\n");
+  Buffer.contents b
+
+let pareto_text (req : Request.t) (frontier : Design_strategy.frontier)
+    (reference : Ftes_pareto.Archive.reference) =
+  let module A = Ftes_pareto.Archive in
+  let archive = frontier.Design_strategy.archive in
+  let spec = A.spec_of archive in
+  let pts = A.points archive in
+  let stats = A.stats archive in
+  let b = Buffer.create 1024 in
+  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
+  add "pareto %s (strategy %s)\n" req.Request.source req.Request.strategy;
+  add "frontier: %d points over {%s} at eps %g (%d architectures explored)\n"
+    (List.length pts)
+    (Ftes_pareto.Objective.names spec.A.objectives)
+    spec.A.eps frontier.Design_strategy.explored;
+  (match frontier.Design_strategy.best with
+  | Some s ->
+      let r = s.Design_strategy.result in
+      add
+        "cheapest: cost %.2f, schedule length %.2f ms, slack %.2f ms, margin \
+         %.2f decades\n"
+        r.Redundancy_opt.cost r.Redundancy_opt.schedule_length
+        r.Redundancy_opt.slack r.Redundancy_opt.margin
+  | None -> add "no feasible design found\n");
+  add "archive: %d boxes (%d inserted, %d dominated, %d evicted)\n"
+    stats.A.boxes stats.A.inserted stats.A.dominated stats.A.evicted;
+  add "hypervolume vs (cost %.2f, slack %.2f ms, margin %.2f): %.6g\n"
+    reference.A.ref_cost reference.A.ref_slack reference.A.ref_margin
+    (A.hypervolume archive ~reference);
+  if pts <> [] then
+    Buffer.add_string b
+      (Ftes_util.Ascii_chart.scatter
+         ~title:"frontier: architecture cost vs worst-case slack"
+         ~x_label:"cost" ~y_label:"slack_ms"
+         (List.map (fun (p : A.point) -> (p.A.cost, p.A.slack)) pts));
+  Buffer.contents b
+
+(* The text report of one outcome: the counterpart of [Exec.payload]. *)
+let text_of ~gantt (req : Request.t) = function
+  | Exec.Analyzed { preflight; _ } -> analysis_text req preflight
+  | Exec.Optimized { solution; reuse; _ } ->
+      let certificate =
+        Option.bind solution (fun (s : Design_strategy.solution) ->
+            s.Design_strategy.certificate)
+      in
+      (match req.Request.whatif with
+      | None -> optimize_text ~gantt req solution
+      | Some w -> whatif_text req w reuse solution)
+      ^ Option.fold ~none:"" ~some:failed_report certificate
+  | Exec.Proved { outcome; report } ->
+      exact_text req outcome.Ftes_bnb.Bnb.certificate ^ failed_report report
+  | Exec.Frontiered { frontier; reference; report } ->
+      pareto_text req frontier reference ^ failed_report report
+
+(* The default rendering: the JSON payload the daemon also serves, or
+   the text report, with the status the outcome's verdict maps to. *)
+let render ~gantt format req outcome =
+  ( (match format with
+    | `Json -> Json.to_string (Exec.payload req outcome) ^ "\n"
+    | `Text -> text_of ~gantt req outcome),
+    Response.exit_of_verdict (Exec.verdict outcome) )
+
+(* Answer one request: resolve the problem and build the request, run
+   it on the shared Exec path, write the command's files, print the
+   rendering and request the exit status.  Text and JSON run the same
+   computation; only the printing differs. *)
+let answer ?cert ?csv ?frontier ?(wrote = wrote_to stderr)
+    ?(render = render ~gantt:false) obs target format spec =
+  with_problem obs target (fun problem config ->
+      match spec with
+      | Error e -> fail "%s" e
+      | Ok (command, whatif) -> (
+          let req = request_of ?whatif target command problem config in
+          match Exec.run req with
+          | exception Exec.Rejected msg -> fail "%s" msg
+          | exception Ftes_bnb.Bnb.Budget_exhausted n ->
+              fail
+                "candidate budget exhausted after %d full evaluations (raise \
+                 --limit); no optimality claim is made"
+                n
+          | outcome ->
+              let written = exports ~cert ~csv ~frontier outcome in
+              let text, code = render format req outcome in
+              print_string text;
+              flush stdout;
+              List.iter wrote written;
+              Lifecycle.request_exit code;
+              Ok ()))
+
+(* Offline audit of the certificate at [cert_path]: [attach] loads it
+   (with any other exported artifact) onto the problem's subject, and
+   the verifier re-derives every claim against the problem. *)
+let audit obs target format ~cert_path attach =
+  with_problem obs target (fun problem config ->
+      let subject =
+        { (Subject.of_problem problem) with
+          Subject.slack = config.Config.slack;
+          bus = config.Config.bus }
+      in
+      let load result =
+        Result.map_error (Printf.sprintf "--audit %s: %s" cert_path) result
+      in
+      match attach ~load problem subject with
+      | Error e -> fail "%s" e
+      | Ok subject ->
+          let source = source_of target in
+          let report = Verify.run subject in
+          (match format with
+          | `Json ->
+              print_endline
+                (Json.to_string
+                   (Exec.report_json ~source ~strategy:target.strategy
+                      [ ("certificate", Json.String cert_path);
+                        ("report", Report.to_json report) ]))
+          | `Text ->
+              Printf.printf "audit %s against %s (strategy %s)\n" cert_path
+                source target.strategy;
+              print_string (Report.to_text report));
+          if not (Report.ok report) then
+            Lifecycle.request_exit Lifecycle.Lint_failure;
+          Ok ())
 
 (* optimize *)
 
 let run_optimize obs target format gantt =
-  match format with
-  | `Json ->
-      (* The shared Ftes_driver.Exec path: the payload printed here is
-         byte-identical to the daemon's for the same request. *)
-      Driver.with_problem obs target (fun problem config ->
-          let req = Driver.request_of target Request.Optimize problem config in
-          let outcome = Exec.run req in
-          print_endline (Ftes_util.Json.to_string (Exec.payload req outcome));
-          request_outcome_exit outcome;
-          Ok ())
-  | `Text ->
-      Driver.with_solution obs target
-        ~on_none:(fun _problem config ->
-          Printf.printf "%s: no schedulable & reliable design found\n"
-            (Config.policy_name config.Config.hardening);
-          Ok ())
-        (fun problem config s ->
-          Format.printf "%a@." Ftes_model.Problem.pp problem;
-          let design = Driver.solution_design s in
-          Printf.printf "%s solution (explored %d architectures):\n"
-            (Config.policy_name config.Config.hardening)
-            s.Design_strategy.explored;
-          Format.printf "%a@." (fun ppf () -> Design.pp ppf problem design) ();
-          Printf.printf
-            "schedule length %.2f ms; reliability %.11f (goal %.6f)\n"
-            s.Design_strategy.result.Redundancy_opt.schedule_length
-            s.Design_strategy.verdict.Ftes_sfp.Sfp.reliability_per_hour
-            s.Design_strategy.verdict.Ftes_sfp.Sfp.goal;
-          if gantt then
-            print_string
-              (Ftes_sched.Schedule.to_gantt problem design
-                 s.Design_strategy.schedule);
-          Ok ())
+  answer ~render:(render ~gantt) obs target format (Ok (Request.Optimize, None))
 
 let optimize_cmd =
   let gantt =
     Arg.(value & flag & info [ "gantt" ] ~doc:"Print the static schedule.")
   in
   let term =
-    Term.(
-      const run_optimize $ Driver.obs_term $ Driver.target_term $ format_term
-      $ gantt)
+    Term.(const run_optimize $ obs_term $ target_term $ format_term $ gantt)
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a built-in problem with MIN/MAX/OPT")
@@ -99,86 +430,29 @@ let optimize_cmd =
 
 (* whatif *)
 
-module Delta = Ftes_whatif.Delta
-module Reuse = Ftes_whatif.Reuse
-
 let delta_of_flags delta_json delta_file =
+  let module Delta = Ftes_whatif.Delta in
   match (delta_json, delta_file) with
   | None, None -> Error "give a delta: --delta JSON or --delta-file PATH"
   | Some _, Some _ -> Error "give either --delta or --delta-file, not both"
   | Some s, None ->
       Result.map_error
         (fun e -> "--delta: " ^ e)
-        (Result.bind (Ftes_util.Json.of_string s) Delta.of_json)
+        (Result.bind (Json.of_string s) Delta.of_json)
   | None, Some path ->
       Result.map_error
         (fun e -> "--delta-file " ^ e)
-        (Ftes_util.Versioned_json.load Delta.of_json path)
+        (Versioned_json.load Delta.of_json path)
 
-let reuse_text (r : Reuse.t) =
-  Printf.sprintf
-    "warm start (%s): replayed %d/%d steps; kept %d/%d SFP tables, %d/%d \
-     evaluations, %d/%d probes%s\n"
-    r.Reuse.delta_class r.Reuse.steps_replayed r.Reuse.steps_total
-    r.Reuse.sfp_kept
-    (r.Reuse.sfp_kept + r.Reuse.sfp_dropped)
-    r.Reuse.evals_kept
-    (r.Reuse.evals_kept + r.Reuse.evals_dropped)
-    r.Reuse.probes_kept
-    (r.Reuse.probes_kept + r.Reuse.probes_dropped)
-    (if r.Reuse.preflight_reused then
-       Printf.sprintf "; pre-flight reused (%d witnesses re-checked)"
-         r.Reuse.witnesses_rechecked
-     else "")
-
+(* One-shot what-if: cold base walk plus warm rerun in a single
+   request — the flow the daemon serves for a base_id-less delta
+   request, and the JSON payload is byte-identical to an optimize of
+   the perturbed problem. *)
 let run_whatif obs target format delta_json delta_file =
-  Driver.with_problem obs target (fun problem config ->
-      match delta_of_flags delta_json delta_file with
-      | Error e -> fail "%s" e
-      | Ok delta -> (
-          (* One-shot what-if on the shared Exec path: cold base walk
-             plus warm rerun in a single request — the same flow the
-             daemon serves for a base_id-less delta request, and the
-             payload printed here is byte-identical to an optimize of
-             the perturbed problem. *)
-          let whatif = { Request.base_id = None; delta } in
-          let req =
-            Driver.request_of ~whatif target Request.Optimize problem config
-          in
-          match Exec.run req with
-          | exception Exec.Rejected msg -> fail "%s" msg
-          | outcome ->
-              let solution, reuse =
-                match outcome with
-                | Exec.Optimized { solution; reuse; _ } -> (solution, reuse)
-                | _ -> assert false
-              in
-              (match format with
-              | `Json ->
-                  print_endline
-                    (Ftes_util.Json.to_string (Exec.payload req outcome))
-              | `Text ->
-                  Printf.printf "whatif %s (strategy %s, delta %s)\n"
-                    (Driver.target_source target) target.Driver.strategy
-                    (Ftes_util.Json.to_string ~minify:true
-                       (Delta.to_json delta));
-                  Option.iter (fun r -> print_string (reuse_text r)) reuse;
-                  (match solution with
-                  | None ->
-                      print_string
-                        "no schedulable & reliable design under the delta\n"
-                  | Some s ->
-                      Printf.printf
-                        "perturbed optimum (explored %d architectures): cost \
-                         %.2f, schedule length %.2f ms, slack %.2f ms, \
-                         margin %.2f decades\n"
-                        s.Design_strategy.explored
-                        s.Design_strategy.result.Redundancy_opt.cost
-                        s.Design_strategy.result.Redundancy_opt.schedule_length
-                        s.Design_strategy.result.Redundancy_opt.slack
-                        s.Design_strategy.result.Redundancy_opt.margin));
-              request_outcome_exit outcome;
-              Ok ()))
+  answer obs target format
+    (Result.map
+       (fun delta -> (Request.Optimize, Some { Request.base_id = None; delta }))
+       (delta_of_flags delta_json delta_file))
 
 let whatif_cmd =
   let delta_json =
@@ -192,8 +466,8 @@ let whatif_cmd =
   in
   let term =
     Term.(
-      const run_whatif $ Driver.obs_term $ Driver.target_term $ format_term
-      $ delta_json $ delta_file)
+      const run_whatif $ obs_term $ target_term $ format_term $ delta_json
+      $ delta_file)
   in
   Cmd.v
     (Cmd.info "whatif"
@@ -223,7 +497,7 @@ let whatif_cmd =
 (* serve *)
 
 let run_serve obs batch max_problems audit =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       if batch < 1 then fail "--batch must be positive"
       else if max_problems < 1 then fail "--max-problems must be positive"
       else begin
@@ -232,9 +506,9 @@ let run_serve obs batch max_problems audit =
         if audit then begin
           let responses, report = Daemon.audit ~pool ~caches () in
           Printf.printf "serve audit: %d responses\n" (List.length responses);
-          print_string (Ftes_verify.Report.to_text report);
-          if not (Ftes_verify.Report.ok report) then
-            Driver.request_exit Driver.Lint_failure;
+          print_string (Report.to_text report);
+          if not (Report.ok report) then
+            Lifecycle.request_exit Lifecycle.Lint_failure;
           Ok ()
         end
         else begin
@@ -271,9 +545,7 @@ let serve_cmd =
                certify the emitted response stream with the verifier's \
                $(b,serve/*) rules; exits 3 on any failure.")
   in
-  let term =
-    Term.(const run_serve $ Driver.obs_term $ batch $ max_problems $ audit)
-  in
+  let term = Term.(const run_serve $ obs_term $ batch $ max_problems $ audit) in
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Resident design service: JSONL requests in, certified JSONL \
@@ -303,12 +575,12 @@ let serve_cmd =
 (* generate *)
 
 let run_generate obs index procs ser hpd dot output =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       if procs <= 0 then fail "process count must be positive"
       else begin
         let spec =
-          Workload.generate_spec ~seed:obs.Driver.seed ~index ~n_processes:procs
-            ()
+          Workload.generate_spec ~seed:obs.Lifecycle.seed ~index
+            ~n_processes:procs ()
         in
         let problem = Workload.problem_of_spec { Workload.ser; hpd } spec in
         Format.printf "%a@." Ftes_model.Problem.pp problem;
@@ -320,7 +592,7 @@ let run_generate obs index procs ser hpd dot output =
         Option.iter
           (fun path ->
             Ftes_model.Problem_io.save path problem;
-            Printf.eprintf "wrote %s\n%!" path)
+            wrote_to stderr path)
           output;
         Ok ()
       end)
@@ -352,22 +624,32 @@ let generate_cmd =
   in
   let term =
     Term.(
-      const run_generate $ Driver.obs_term $ index $ procs $ ser $ hpd $ dot
-      $ output)
+      const run_generate $ obs_term $ index $ procs $ ser $ hpd $ dot $ output)
   in
   Cmd.v (Cmd.info "generate" ~doc:"Generate a synthetic application")
     Term.(term_result term)
 
-(* simulate *)
+(* simulate, worst-case, checkpoint: tools over the optimized design *)
+
+(* The design these tools start from is the one every other command
+   gets: the optimize request on the shared Exec path. *)
+let with_design obs target ~purpose f =
+  with_problem obs target (fun problem config ->
+      match Exec.run (request_of target Request.Optimize problem config) with
+      | Exec.Optimized { solution = Some s; _ } -> f problem s
+      | Exec.Optimized { solution = None; _ }
+      | Exec.Analyzed _ | Exec.Proved _ | Exec.Frontiered _ ->
+          fail "no feasible design to %s" purpose)
+
+let solution_design (s : Design_strategy.solution) =
+  s.Design_strategy.result.Redundancy_opt.design
 
 let run_simulate obs target trials boost =
-  Driver.with_solution obs target
-    ~on_none:(fun _ _ -> fail "no feasible design to simulate")
-    (fun problem _config s ->
-      let design = Driver.solution_design s in
-      let prng = Ftes_util.Prng.create obs.Driver.seed in
+  with_design obs target ~purpose:"simulate" (fun problem s ->
+      let prng = Ftes_util.Prng.create obs.Lifecycle.seed in
       let campaign =
-        Ftes_faultsim.Executor.run_campaign ~boost prng problem design ~trials
+        Ftes_faultsim.Executor.run_campaign ~boost prng problem
+          (solution_design s) ~trials
       in
       Printf.printf
         "trials %d (boost %.0fx)\n\
@@ -392,9 +674,7 @@ let simulate_cmd =
          ~doc:"Failure-probability boost for rare-event sampling.")
   in
   let term =
-    Term.(
-      const run_simulate $ Driver.obs_term $ Driver.target_term $ trials
-      $ boost)
+    Term.(const run_simulate $ obs_term $ target_term $ trials $ boost)
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -404,9 +684,11 @@ let simulate_cmd =
 (* experiment *)
 
 let run_experiment obs figure apps =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       let suite =
-        lazy (Ftes_exp.Synthetic.create_suite ~count:apps ~seed:obs.Driver.seed ())
+        lazy
+          (Ftes_exp.Synthetic.create_suite ~count:apps ~seed:obs.Lifecycle.seed
+             ())
       in
       let render_one artifact =
         print_string (Ftes_exp.Figures.render artifact);
@@ -434,7 +716,7 @@ let experiment_cmd =
     Arg.(value & opt int 150 & info [ "apps" ] ~docv:"N"
          ~doc:"Synthetic population size.")
   in
-  let term = Term.(const run_experiment $ Driver.obs_term $ figure $ apps) in
+  let term = Term.(const run_experiment $ obs_term $ figure $ apps) in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Reproduce a figure or table of the paper")
     Term.(term_result term)
@@ -448,7 +730,7 @@ module Clock = Ftes_obs.Clock
 let run_profile obs target csv =
   (* Span aggregation on regardless of --metrics: the breakdown is the
      point of the command. *)
-  Driver.with_problem ~aggregate_spans:true obs target (fun problem config ->
+  with_problem ~aggregate_spans:true obs target (fun problem config ->
       (* Zero the registry after problem loading so the snapshot
          describes the optimization run alone. *)
       Metrics.reset ();
@@ -456,8 +738,8 @@ let run_profile obs target csv =
       let solution = Design_strategy.run ~config problem in
       let wall_ns = Clock.now_ns () - t0 in
       let snapshot = Metrics.snapshot () in
-      Printf.printf "profile %s (strategy %s)\n"
-        (Driver.target_source target) target.Driver.strategy;
+      Printf.printf "profile %s (strategy %s)\n" (source_of target)
+        target.strategy;
       (match solution with
       | Some s ->
           Printf.printf
@@ -476,14 +758,12 @@ let run_profile obs target csv =
          inconsistent registry means the numbers above are not
          trustworthy. *)
       let report =
-        Ftes_verify.Verify.run ~rules:Ftes_verify.Obs_rules.all
-          (Ftes_verify.Subject.with_metrics
-             (Ftes_verify.Subject.of_problem problem)
-             snapshot)
+        Verify.run ~rules:Ftes_verify.Obs_rules.all
+          (Subject.with_metrics (Subject.of_problem problem) snapshot)
       in
-      if not (Ftes_verify.Report.ok report) then begin
-        print_string (Ftes_verify.Report.to_text report);
-        Driver.request_exit Driver.Lint_failure
+      if not (Report.ok report) then begin
+        print_string (Report.to_text report);
+        Lifecycle.request_exit Lifecycle.Lint_failure
       end;
       Ok ())
 
@@ -492,9 +772,7 @@ let profile_cmd =
     Arg.(value & flag
          & info [ "csv" ] ~doc:"Emit the breakdown as CSV instead of a table.")
   in
-  let term =
-    Term.(const run_profile $ Driver.obs_term $ Driver.target_term $ csv)
-  in
+  let term = Term.(const run_profile $ obs_term $ target_term $ csv) in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Per-phase time and allocation breakdown of an optimization run"
@@ -511,10 +789,8 @@ let profile_cmd =
 (* worst-case *)
 
 let run_worst_case obs target limit =
-  Driver.with_solution obs target
-    ~on_none:(fun _ _ -> fail "no feasible design to analyze")
-    (fun problem _config s ->
-      let design = Driver.solution_design s in
+  with_design obs target ~purpose:"analyze" (fun problem s ->
+      let design = solution_design s in
       let space = Ftes_faultsim.Scenarios.count_scenarios design in
       if space > float_of_int limit then
         fail "%.3g fault scenarios exceed --limit %d" space limit
@@ -540,9 +816,7 @@ let worst_case_cmd =
     Arg.(value & opt int 200_000 & info [ "limit" ] ~docv:"N"
          ~doc:"Maximum number of fault scenarios to replay.")
   in
-  let term =
-    Term.(const run_worst_case $ Driver.obs_term $ Driver.target_term $ limit)
-  in
+  let term = Term.(const run_worst_case $ obs_term $ target_term $ limit) in
   Cmd.v
     (Cmd.info "worst-case"
        ~doc:"Exact worst-case analysis by exhaustive fault-scenario replay")
@@ -551,13 +825,10 @@ let worst_case_cmd =
 (* checkpoint *)
 
 let run_checkpoint obs target save_ms =
-  Driver.with_solution obs target
-    ~on_none:(fun _ _ -> fail "no feasible design to checkpoint")
-    (fun problem _config s ->
-      let design = Driver.solution_design s in
+  with_design obs target ~purpose:"checkpoint" (fun problem s ->
       let plain = s.Design_strategy.result.Redundancy_opt.schedule_length in
       let kappa, ckpt =
-        Ftes_core.Checkpoint_opt.optimize ?save_ms problem design
+        Ftes_core.Checkpoint_opt.optimize ?save_ms problem (solution_design s)
       in
       Printf.printf
         "plain re-execution SL      %.2f ms\n\
@@ -574,10 +845,7 @@ let checkpoint_cmd =
          ~doc:"Checkpoint save cost in ms (default: half the recovery \
                overhead).")
   in
-  let term =
-    Term.(
-      const run_checkpoint $ Driver.obs_term $ Driver.target_term $ save_ms)
-  in
+  let term = Term.(const run_checkpoint $ obs_term $ target_term $ save_ms) in
   Cmd.v
     (Cmd.info "checkpoint"
        ~doc:"Optimize checkpoint counts on top of an optimized design")
@@ -585,62 +853,44 @@ let checkpoint_cmd =
 
 (* lint *)
 
-module Verify = Ftes_verify.Verify
-module Report = Ftes_verify.Report
-module Subject = Ftes_verify.Subject
-module Json = Ftes_util.Json
-
-let lint_json ~source ~strategy ~feasible report =
-  Driver.report_json ~source ~strategy
-    [ ("feasible", Json.Bool feasible); ("report", Report.to_json report) ]
+(* Lint renders the optimize outcome as the verifier report on the
+   emitted triple; with no feasible design, as the problem rules alone.
+   Exit status 3 marks an error-severity diagnostic. *)
+let render_lint format (req : Request.t) outcome =
+  let feasible, report =
+    match outcome with
+    | Exec.Optimized { solution = Some s; _ } ->
+        ( true,
+          match s.Design_strategy.certificate with
+          | Some report -> report
+          | None ->
+              Verify.certify ~slack:req.Request.config.Config.slack
+                req.Request.problem (solution_design s)
+                s.Design_strategy.schedule )
+    | Exec.Optimized { solution = None; _ }
+    | Exec.Analyzed _ | Exec.Proved _ | Exec.Frontiered _ ->
+        (false, Verify.run (Subject.of_problem req.Request.problem))
+  in
+  ( (match format with
+    | `Json ->
+        Json.to_string
+          (Exec.report_json ~source:req.Request.source
+             ~strategy:req.Request.strategy
+             [ ("feasible", Json.Bool feasible);
+               ("report", Report.to_json report) ])
+        ^ "\n"
+    | `Text ->
+        Printf.sprintf "lint %s (strategy %s)%s\n" req.Request.source
+          req.Request.strategy
+          (if feasible then "" else " — no feasible design, problem rules only")
+        ^ Report.to_text report),
+    if Report.ok report then Lifecycle.Success else Lifecycle.Lint_failure )
 
 let run_lint obs target format =
-  Driver.with_solution obs target ~certify:true
-    ~on_none:(fun problem _config ->
-      let report = Verify.run (Subject.of_problem problem) in
-      Printf.printf "lint %s (strategy %s) — no feasible design, problem \
-                     rules only\n"
-        (Driver.target_source target) target.Driver.strategy;
-      print_string (Report.to_text report);
-      if not (Report.ok report) then
-        Driver.request_exit Driver.Lint_failure;
-      Ok ())
-    (fun problem config s ->
-      let source = Driver.target_source target in
-      let report =
-        match s.Design_strategy.certificate with
-        | Some report -> report
-        | None ->
-            (* Unreachable with certify on, but never drop the report. *)
-            Verify.certify ~slack:config.Config.slack problem
-              (Driver.solution_design s) s.Design_strategy.schedule
-      in
-      (match format with
-      | `Json ->
-          print_endline
-            (Json.to_string
-               (lint_json ~source ~strategy:target.Driver.strategy
-                  ~feasible:true report))
-      | `Text ->
-          Printf.printf "lint %s (strategy %s)\n" source target.Driver.strategy;
-          print_string (Report.to_text report));
-      (* Exit code 3 distinguishes "the verifier found an error" from
-         cmdliner's own 1/124/125 conventions; requested, not exited,
-         so --trace/--metrics still flush. *)
-      if not (Report.ok report) then
-        Driver.request_exit Driver.Lint_failure;
-      Ok ())
+  answer ~render:render_lint obs target format (Ok (Request.Optimize, None))
 
 let lint_cmd =
-  let format =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT"
-         ~doc:"Report format: $(b,text) or $(b,json).")
-  in
-  let term =
-    Term.(const run_lint $ Driver.obs_term $ Driver.target_term $ format)
-  in
+  let term = Term.(const run_lint $ obs_term $ target_term $ format_term) in
   Cmd.v
     (Cmd.info "lint"
        ~doc:"Statically verify a problem and its optimized design/schedule"
@@ -656,122 +906,22 @@ let lint_cmd =
 
 (* analyze *)
 
-module Preflight = Ftes_analyze.Preflight
-module Certificate = Ftes_analyze.Certificate
-module Certificate_io = Ftes_analyze.Certificate_io
-
-let bound_string v = if Float.is_finite v then Printf.sprintf "%.2f" v else "unbounded (no admissible assignment)"
-
-let analysis_text source strategy problem (pf : Preflight.t) =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let name p =
-    Ftes_model.Application.process_name problem.Ftes_model.Problem.app p
-  in
-  add "analyze %s (strategy %s)\n" source strategy;
-  add "premises: deadline %.2f ms, kmax %d, %s slack accounting\n"
-    pf.Preflight.deadline_ms pf.Preflight.kmax
-    (if pf.Preflight.reexec then "re-execution" else "non-re-execution");
-  add "critical path   %.2f ms (%s)\n" pf.Preflight.critical_path_ms
-    (String.concat " -> " (List.map name pf.Preflight.critical_path));
-  add "total work      %.2f ms of %.2f ms library capacity\n"
-    pf.Preflight.total_work_ms pf.Preflight.capacity_ms;
-  add "cost lower bound %s (reliability-only: %s)\n"
-    (bound_string pf.Preflight.cost_lower_bound)
-    (bound_string pf.Preflight.sfp_cost_lower_bound);
-  (match pf.Preflight.witnesses with
-  | [] ->
-      add "verdict: feasible — no necessary condition is violated\n"
-  | ws ->
-      add "verdict: provably infeasible (%d witness%s)\n" (List.length ws)
-        (if List.length ws = 1 then "" else "es");
-      List.iter
-        (fun w -> add "  - %s\n" (Preflight.witness_to_string problem w))
-        ws);
-  Buffer.contents b
-
-let run_audit problem config format ~source ~strategy ~cert_path
-    ~frontier_path =
-  match Certificate_io.load cert_path with
-  | Error e -> fail "--audit %s: %s" cert_path e
-  | Ok cert -> (
-      let subject =
-        Subject.with_certificate
-          { (Subject.of_problem problem) with
-            Subject.slack = config.Config.slack;
-            bus = config.Config.bus }
-          cert
-      in
-      let subject =
-        match frontier_path with
-        | None -> Ok subject
-        | Some path -> (
-            match
-              Ftes_util.Versioned_json.load
-                (Ftes_pareto.Frontier_io.of_json ~problem)
-                path
-            with
-            | Error e -> Error ("--frontier " ^ e)
-            | Ok archive -> Ok (Subject.with_archive subject archive))
-      in
-      match subject with
-      | Error e -> fail "%s" e
-      | Ok subject ->
-          let report = Verify.run subject in
-          (match format with
-          | `Json ->
-              print_endline
-                (Json.to_string
-                   (Driver.report_json ~source ~strategy
-                      [ ("certificate", Json.String cert_path);
-                        ("report", Report.to_json report) ]))
-          | `Text ->
-              Printf.printf "audit %s against %s (strategy %s)\n" cert_path
-                source strategy;
-              print_string (Report.to_text report));
-          if not (Report.ok report) then
-            Driver.request_exit Driver.Lint_failure;
-          Ok ())
-
 let run_analyze obs target format cert_path audit_path frontier_path =
-  Driver.with_problem obs target (fun problem config ->
-      let source = Driver.target_source target in
-      let strategy = target.Driver.strategy in
-      match audit_path with
-      | Some cert_path ->
-          run_audit problem config format ~source ~strategy ~cert_path
-            ~frontier_path
-      | None ->
-          (* The shared Ftes_driver.Exec path (same payload bytes as
-             the daemon). *)
-          let req = Driver.request_of target Request.Analyze problem config in
-          let outcome = Exec.run req in
-          let pf, cert =
-            match outcome with
-            | Exec.Analyzed { preflight; certificate } ->
-                (preflight, certificate)
-            | _ -> assert false
-          in
-          (match cert_path with
-          | Some path ->
-              Certificate_io.save path cert;
-              Printf.eprintf "wrote %s\n%!" path
-          | None -> ());
-          (match format with
-          | `Json -> print_endline (Json.to_string (Exec.payload req outcome))
-          | `Text -> print_string (analysis_text source strategy problem pf));
-          (* Status 3 = proven infeasible, with the witnesses printed;
-             requested, not exited, so --trace/--metrics still flush. *)
-          request_outcome_exit outcome;
-          Ok ())
+  match audit_path with
+  | None ->
+      answer ?cert:cert_path obs target format (Ok (Request.Analyze, None))
+  | Some path ->
+      audit obs target format ~cert_path:path (fun ~load problem subject ->
+          let* cert = load (Ftes_analyze.Certificate_io.load path) in
+          let subject = Subject.with_certificate subject cert in
+          match frontier_path with
+          | None -> Ok subject
+          | Some fpath ->
+              Versioned_json.load (Ftes_pareto.Frontier_io.of_json ~problem) fpath
+              |> Result.map (Subject.with_archive subject)
+              |> Result.map_error (( ^ ) "--frontier "))
 
 let analyze_cmd =
-  let format =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT"
-         ~doc:"Report format: $(b,text) or $(b,json).")
-  in
   let cert_path =
     Arg.(value & opt (some string) None & info [ "cert" ] ~docv:"PATH"
          ~doc:"Write the analysis as a versioned certificate to $(docv).")
@@ -792,8 +942,8 @@ let analyze_cmd =
   in
   let term =
     Term.(
-      const run_analyze $ Driver.obs_term $ Driver.target_term $ format
-      $ cert_path $ audit_path $ frontier_path)
+      const run_analyze $ obs_term $ target_term $ format_term $ cert_path
+      $ audit_path $ frontier_path)
   in
   Cmd.v
     (Cmd.info "analyze"
@@ -819,119 +969,18 @@ let analyze_cmd =
 
 (* exact *)
 
-module Bnb = Ftes_bnb.Bnb
-module Bnb_certificate = Ftes_analyze.Bnb_certificate
-module Bnb_certificate_io = Ftes_analyze.Bnb_certificate_io
-
-let exact_text source strategy (cert : Bnb_certificate.t) =
-  let b = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let cost v =
-    if Float.is_finite v then Printf.sprintf "%.2f" v else "unbounded"
-  in
-  add "exact %s (strategy %s)\n" source strategy;
-  let c = cert.Bnb_certificate.counters in
-  add "search space    %.0f candidates, %d fully evaluated\n"
-    cert.Bnb_certificate.search_space c.Bnb_certificate.evaluated;
-  add
-    "pruned          %d cost / %d infeasible / %d symmetry subtrees, %d \
-     level vectors, %d mappings\n"
-    c.Bnb_certificate.pruned_cost c.Bnb_certificate.pruned_arch
-    c.Bnb_certificate.pruned_symmetry c.Bnb_certificate.pruned_levels
-    c.Bnb_certificate.pruned_mappings;
-  add "heuristic cost  %s\n" (cost cert.Bnb_certificate.heuristic_cost);
-  add "optimal cost    %s (proven)\n" (cost cert.Bnb_certificate.optimal_cost);
-  (match Bnb_certificate.gap cert with
-  | Some gap -> add "optimality gap  %.2f%% of the optimum\n" (100.0 *. gap)
-  | None -> ());
-  (match cert.Bnb_certificate.incumbent with
-  | Some i ->
-      add "schedule        %.2f ms worst case\n"
-        i.Bnb_certificate.schedule_length_ms;
-      add "verdict: optimal design proven (certificate carries %d prune \
-           premises)\n"
-        (List.length cert.Bnb_certificate.prunes)
-  | None ->
-      add "verdict: provably infeasible — the certified search closed the \
-           whole design space without a feasible candidate\n");
-  Buffer.contents b
-
-let run_exact_audit problem config format ~source ~strategy ~cert_path =
-  match Bnb_certificate_io.load cert_path with
-  | Error e -> fail "--audit %s: %s" cert_path e
-  | Ok cert ->
-      let subject =
-        Subject.with_bnb_certificate
-          { (Subject.of_problem problem) with
-            Subject.slack = config.Config.slack;
-            bus = config.Config.bus }
-          cert
-      in
-      let report = Verify.run subject in
-      (match format with
-      | `Json ->
-          print_endline
-            (Json.to_string
-               (Driver.report_json ~source ~strategy
-                  [ ("certificate", Json.String cert_path);
-                    ("report", Report.to_json report) ]))
-      | `Text ->
-          Printf.printf "audit %s against %s (strategy %s)\n" cert_path
-            source strategy;
-          print_string (Report.to_text report));
-      if not (Report.ok report) then
-        Driver.request_exit Driver.Lint_failure;
-      Ok ()
-
 let run_exact obs target format limit cert_path audit_path =
-  Driver.with_problem ~aggregate_spans:true obs target (fun problem config ->
-      let source = Driver.target_source target in
-      let strategy = target.Driver.strategy in
-      match audit_path with
-      | Some cert_path ->
-          run_exact_audit problem config format ~source ~strategy ~cert_path
-      | None -> (
-          (* The shared Ftes_driver.Exec path: certify is always on
-             there — the proof is the point — and the JSON payload is
-             byte-identical to the daemon's. *)
-          let req =
-            Driver.request_of target (Request.Exact { limit }) problem config
-          in
-          match Exec.run req with
-          | exception Bnb.Budget_exhausted n ->
-              fail
-                "candidate budget exhausted after %d full evaluations \
-                 (raise --limit); no optimality claim is made"
-                n
-          | outcome ->
-              let bnb, report =
-                match outcome with
-                | Exec.Proved { outcome; report } -> (outcome, report)
-                | _ -> assert false
-              in
-              let cert = bnb.Bnb.certificate in
-              (match cert_path with
-              | Some path ->
-                  Bnb_certificate_io.save path cert;
-                  Printf.eprintf "wrote %s\n%!" path
-              | None -> ());
-              (match format with
-              | `Json ->
-                  print_endline (Json.to_string (Exec.payload req outcome))
-              | `Text ->
-                  print_string (exact_text source strategy cert);
-                  if not (Report.ok report) then
-                    print_string (Report.to_text report));
-              request_outcome_exit outcome;
-              Ok ()))
+  match audit_path with
+  | None ->
+      (* Certify is always on for exact: the proof is the point. *)
+      answer ?cert:cert_path obs target format
+        (Ok (Request.Exact { limit }, None))
+  | Some path ->
+      audit obs target format ~cert_path:path (fun ~load _problem subject ->
+          load (Ftes_analyze.Bnb_certificate_io.load path)
+          |> Result.map (Subject.with_bnb_certificate subject))
 
 let exact_cmd =
-  let format =
-    Arg.(value
-         & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-         & info [ "format" ] ~docv:"FMT"
-         ~doc:"Report format: $(b,text) or $(b,json).")
-  in
   let limit =
     Arg.(value & opt (some int) None & info [ "limit" ] ~docv:"N"
          ~doc:"Abort (with an error, not a weaker claim) after $(docv) \
@@ -951,8 +1000,8 @@ let exact_cmd =
   in
   let term =
     Term.(
-      const run_exact $ Driver.obs_term $ Driver.target_term $ format
-      $ limit $ cert_path $ audit_path)
+      const run_exact $ obs_term $ target_term $ format_term $ limit
+      $ cert_path $ audit_path)
   in
   Cmd.v
     (Cmd.info "exact"
@@ -976,100 +1025,21 @@ let exact_cmd =
 
 (* pareto *)
 
-module Archive = Ftes_pareto.Archive
-module Objective = Ftes_pareto.Objective
-module Frontier_io = Ftes_pareto.Frontier_io
-
-let write_text_file path text =
-  Ftes_util.Atomic_file.write_string path (text ^ "\n")
-
 let run_pareto obs target format eps objectives csv_path json_path ref_cost =
-  Driver.with_problem obs target (fun problem config ->
-      match Objective.parse_list objectives with
-      | Error e -> fail "--objectives: %s" e
-      | Ok objectives ->
-          if not (Float.is_finite eps) || eps < 0.0 then
-            fail "--eps must be finite and non-negative"
-          else begin
-            (* The shared Ftes_driver.Exec path runs the frontier and
-               self-certifies it with the pareto/* rules; the JSON
-               payload is byte-identical to the daemon's. *)
-            let req =
-              Driver.request_of target
-                (Request.Pareto { eps; objectives; ref_cost })
-                problem config
-            in
-            let outcome = Exec.run req in
-            let frontier, reference, report =
-              match outcome with
-              | Exec.Frontiered { frontier; reference; report } ->
-                  (frontier, reference, report)
-              | _ -> assert false
-            in
-            let archive = frontier.Design_strategy.archive in
-            let wrote path =
-              match format with
-              | `Json -> Printf.eprintf "wrote %s\n%!" path
-              | `Text -> Printf.printf "wrote %s\n" path
-            in
-            (match format with
-            | `Json ->
-                print_endline (Json.to_string (Exec.payload req outcome))
-            | `Text ->
-                let pts = Archive.points archive in
-                let stats = Archive.stats archive in
-                Printf.printf "pareto %s (strategy %s)\n"
-                  (Driver.target_source target) target.Driver.strategy;
-                Printf.printf
-                  "frontier: %d points over {%s} at eps %g (%d architectures \
-                   explored)\n"
-                  (List.length pts)
-                  (Objective.names objectives)
-                  eps frontier.Design_strategy.explored;
-                (match frontier.Design_strategy.best with
-                | Some s ->
-                    Printf.printf
-                      "cheapest: cost %.2f, schedule length %.2f ms, slack \
-                       %.2f ms, margin %.2f decades\n"
-                      s.Design_strategy.result.Redundancy_opt.cost
-                      s.Design_strategy.result.Redundancy_opt.schedule_length
-                      s.Design_strategy.result.Redundancy_opt.slack
-                      s.Design_strategy.result.Redundancy_opt.margin
-                | None -> print_string "no feasible design found\n");
-                Printf.printf
-                  "archive: %d boxes (%d inserted, %d dominated, %d evicted)\n"
-                  stats.Archive.boxes stats.Archive.inserted
-                  stats.Archive.dominated stats.Archive.evicted;
-                let hv = Archive.hypervolume archive ~reference in
-                Printf.printf
-                  "hypervolume vs (cost %.2f, slack %.2f ms, margin %.2f): \
-                   %.6g\n"
-                  reference.Archive.ref_cost reference.Archive.ref_slack
-                  reference.Archive.ref_margin hv;
-                if pts <> [] then
-                  print_string
-                    (Ftes_util.Ascii_chart.scatter
-                       ~title:"frontier: architecture cost vs worst-case slack"
-                       ~x_label:"cost" ~y_label:"slack_ms"
-                       (List.map
-                          (fun (p : Archive.point) ->
-                            (p.Archive.cost, p.Archive.slack))
-                          pts));
-                if not (Report.ok report) then
-                  print_string (Report.to_text report));
-            (match csv_path with
-            | Some path ->
-                Ftes_util.Csv.write_file path (Frontier_io.to_csv archive);
-                wrote path
-            | None -> ());
-            (match json_path with
-            | Some path ->
-                write_text_file path (Frontier_io.to_string ~reference archive);
-                wrote path
-            | None -> ());
-            request_outcome_exit outcome;
-            Ok ()
-          end)
+  let spec =
+    match Ftes_pareto.Objective.parse_list objectives with
+    | Error e -> Error ("--objectives: " ^ e)
+    | Ok _ when not (Float.is_finite eps) || eps < 0.0 ->
+        Error "--eps must be finite and non-negative"
+    | Ok objectives ->
+        Ok (Request.Pareto { eps; objectives; ref_cost }, None)
+  in
+  (* The text report lists the exports on stdout; JSON keeps stdout for
+     the payload. *)
+  let wrote =
+    match format with `Text -> wrote_to stdout | `Json -> wrote_to stderr
+  in
+  answer ?csv:csv_path ?frontier:json_path ~wrote obs target format spec
 
 let pareto_cmd =
   let eps =
@@ -1099,8 +1069,8 @@ let pareto_cmd =
   in
   let term =
     Term.(
-      const run_pareto $ Driver.obs_term $ Driver.target_term $ format_term
-      $ eps $ objectives $ csv_path $ json_path $ ref_cost)
+      const run_pareto $ obs_term $ target_term $ format_term $ eps
+      $ objectives $ csv_path $ json_path $ ref_cost)
   in
   Cmd.v
     (Cmd.info "pareto"
@@ -1128,12 +1098,12 @@ let pareto_cmd =
 (* export *)
 
 let run_export obs example output =
-  Driver.with_observability obs (fun () ->
-      match Driver.problem_of_example example with
+  session obs (fun () ->
+      match Request.problem_of_example example with
       | Error e -> fail "%s" e
       | Ok problem ->
           Ftes_model.Problem_io.save output problem;
-          Printf.printf "wrote %s\n" output;
+          wrote_to stdout output;
           Ok ())
 
 let export_cmd =
@@ -1145,7 +1115,7 @@ let export_cmd =
     Arg.(value & opt string "problem.json" & info [ "output"; "o" ] ~docv:"PATH"
          ~doc:"Destination file.")
   in
-  let term = Term.(const run_export $ Driver.obs_term $ example $ output) in
+  let term = Term.(const run_export $ obs_term $ example $ output) in
   Cmd.v
     (Cmd.info "export" ~doc:"Write a built-in problem instance as JSON")
     Term.(term_result term)
@@ -1157,42 +1127,24 @@ module Campaign_checkpoint = Ftes_campaign.Checkpoint
 module Runner = Ftes_campaign.Runner
 module Merge = Ftes_campaign.Merge
 
-let ( let* ) = Result.bind
-
 let dir_term =
   Arg.(required
        & opt (some string) None
        & info [ "dir"; "d" ] ~docv:"DIR" ~doc:"Campaign directory.")
 
-let read_json_file = Ftes_util.Versioned_json.load Result.ok
+(* List options accept blanks around their commas ("min, opt"). *)
+let list_of conv =
+  Arg.list
+    (Arg.conv
+       ((fun text -> Arg.conv_parser conv (String.trim text)),
+        Arg.conv_printer conv))
 
-let policy_of_cli = function
-  | "opt" | "OPT" -> Ok Config.Optimize
-  | "min" | "MIN" -> Ok Config.Fixed_min
-  | "max" | "MAX" -> Ok Config.Fixed_max
-  | name -> fail "unknown hardening policy %S (use min, max or opt)" name
-
-let split_list text = String.split_on_char ',' (String.trim text)
-
-let floats_of_cli label text =
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match float_of_string_opt (String.trim part) with
-        | Some v -> build (v :: acc) rest
-        | None -> fail "bad %s value %S" label part)
-  in
-  build [] (split_list text)
-
-let policies_of_cli text =
-  let rec build acc = function
-    | [] -> Ok (List.rev acc)
-    | part :: rest -> (
-        match policy_of_cli (String.trim part) with
-        | Ok p -> build (p :: acc) rest
-        | Error e -> Error e)
-  in
-  build [] (split_list text)
+(* Upper case first: the help shows a value's last spelling. *)
+let policy_conv =
+  Arg.enum
+    [ ("MIN", Config.Fixed_min); ("MAX", Config.Fixed_max);
+      ("OPT", Config.Optimize); ("min", Config.Fixed_min);
+      ("max", Config.Fixed_max); ("opt", Config.Optimize) ]
 
 let shard_progress (c : Campaign_checkpoint.t) n_cells =
   Printf.sprintf "%d/%d cells" (List.length c.Campaign_checkpoint.cells) n_cells
@@ -1228,41 +1180,32 @@ let drive_campaign ~manifest ~dir ~jobs =
               failed))
 
 let run_campaign_run obs dir apps shards jobs sers hpds policies eps =
-  Driver.with_observability obs (fun () ->
-      match
-        let* sers = floats_of_cli "SER" sers in
-        let* hpds = floats_of_cli "HPD" hpds in
-        let* policies = policies_of_cli policies in
-        Ok (sers, hpds, policies)
-      with
-      | Error e -> Error e
-      | Ok (sers, hpds, policies) ->
-          if Sys.file_exists (Manifest.path ~dir) then
-            fail "%s already holds a campaign; use resume" dir
-          else begin
-            match
-              Manifest.make ~sers ~hpds ~policies ~eps ~apps
-                ~seed:obs.Driver.seed ~shards ()
-            with
-            | exception Invalid_argument msg -> fail "%s" msg
-            | manifest ->
-                (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-                Manifest.save ~dir manifest;
-                Printf.printf "campaign %s: %d apps, %d shards, %d cells \
-                               (manifest %s)\n%!"
-                  dir apps shards (Manifest.n_cells manifest)
-                  (Manifest.fingerprint manifest);
-                drive_campaign ~manifest ~dir ~jobs
-          end)
+  session obs (fun () ->
+      if Sys.file_exists (Manifest.path ~dir) then
+        fail "%s already holds a campaign; use resume" dir
+      else
+        match
+          Manifest.make ~sers ~hpds ~policies ~eps ~apps
+            ~seed:obs.Lifecycle.seed ~shards ()
+        with
+        | exception Invalid_argument msg -> fail "%s" msg
+        | manifest ->
+            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+            Manifest.save ~dir manifest;
+            Printf.printf "campaign %s: %d apps, %d shards, %d cells \
+                           (manifest %s)\n%!"
+              dir apps shards (Manifest.n_cells manifest)
+              (Manifest.fingerprint manifest);
+            drive_campaign ~manifest ~dir ~jobs)
 
 let run_campaign_resume obs dir jobs =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       match Manifest.load ~dir with
       | Error e -> fail "%s" e
       | Ok manifest -> drive_campaign ~manifest ~dir ~jobs)
 
 let run_campaign_status obs dir =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       match Manifest.load ~dir with
       | Error e -> fail "%s" e
       | Ok manifest ->
@@ -1298,6 +1241,7 @@ let run_campaign_status obs dir =
    run the campaign/* rules over the raw JSON, so what is certified is
    what a later consumer will actually parse. *)
 let certify_merge ~dir ~manifest =
+  let read_json_file = Versioned_json.load Result.ok in
   let* manifest_doc = read_json_file (Manifest.path ~dir) in
   let* checkpoints =
     List.fold_left
@@ -1310,23 +1254,17 @@ let certify_merge ~dir ~manifest =
       (List.init manifest.Manifest.shards Fun.id)
   in
   let* merged_doc = read_json_file (Filename.concat dir Merge.filename) in
-  let* problem = Driver.problem_of_example "fig1" in
+  let* problem = Request.problem_of_example "fig1" in
   let subject =
     Subject.with_campaign ~merged:merged_doc
       (Subject.of_problem problem)
       ~manifest:manifest_doc
       ~checkpoints:(List.rev checkpoints)
   in
-  let rules =
-    List.filter
-      (fun r -> String.length r.Ftes_verify.Rule.id >= 9
-                && String.sub r.Ftes_verify.Rule.id 0 9 = "campaign/")
-      Verify.registry
-  in
-  Ok (Verify.run ~rules subject)
+  Ok (Verify.run ~rules:Ftes_verify.Campaign_rules.all subject)
 
 let run_campaign_merge obs dir =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       match Manifest.load ~dir with
       | Error e -> fail "%s" e
       | Ok manifest -> (
@@ -1356,7 +1294,7 @@ let run_campaign_merge obs dir =
               | Ok report ->
                   print_string (Report.to_text report);
                   if not (Report.ok report) then
-                    Driver.request_exit Driver.Lint_failure;
+                    Lifecycle.request_exit Lifecycle.Lint_failure;
                   Ok ())))
 
 (* The deliberate mid-run kill of the resume tests: exit abruptly,
@@ -1377,7 +1315,7 @@ let kill_plan () =
           Some (after, shard))
 
 let run_campaign_worker obs dir shard =
-  Driver.with_observability obs (fun () ->
+  session obs (fun () ->
       match Manifest.load ~dir with
       | Error e -> fail "%s" e
       | Ok manifest ->
@@ -1416,15 +1354,17 @@ let campaign_cmd =
            ~doc:"Number of disjoint application-range shards.")
     in
     let sers =
-      Arg.(value & opt string "1e-11" & info [ "sers" ] ~docv:"LIST"
+      Arg.(value & opt (list_of float) [ 1e-11 ] & info [ "sers" ] ~docv:"LIST"
            ~doc:"Comma-separated SER grid axis.")
     in
     let hpds =
-      Arg.(value & opt string "0.25" & info [ "hpds" ] ~docv:"LIST"
+      Arg.(value & opt (list_of float) [ 0.25 ] & info [ "hpds" ] ~docv:"LIST"
            ~doc:"Comma-separated HPD grid axis.")
     in
     let policies =
-      Arg.(value & opt string "min,opt" & info [ "policies" ] ~docv:"LIST"
+      Arg.(value
+           & opt (list_of policy_conv) [ Config.Fixed_min; Config.Optimize ]
+           & info [ "policies" ] ~docv:"LIST"
            ~doc:"Comma-separated hardening policies among $(b,min), \
                  $(b,max), $(b,opt).")
     in
@@ -1434,7 +1374,7 @@ let campaign_cmd =
     in
     let term =
       Term.(
-        const run_campaign_run $ Driver.obs_term $ dir_term $ apps $ shards
+        const run_campaign_run $ obs_term $ dir_term $ apps $ shards
         $ jobs_term $ sers $ hpds $ policies $ eps)
     in
     Cmd.v
@@ -1443,7 +1383,7 @@ let campaign_cmd =
   in
   let resume_cmd =
     let term =
-      Term.(const run_campaign_resume $ Driver.obs_term $ dir_term $ jobs_term)
+      Term.(const run_campaign_resume $ obs_term $ dir_term $ jobs_term)
     in
     Cmd.v
       (Cmd.info "resume"
@@ -1451,13 +1391,13 @@ let campaign_cmd =
       Term.(term_result term)
   in
   let status_cmd =
-    let term = Term.(const run_campaign_status $ Driver.obs_term $ dir_term) in
+    let term = Term.(const run_campaign_status $ obs_term $ dir_term) in
     Cmd.v
       (Cmd.info "status" ~doc:"Show per-shard checkpoint state")
       Term.(term_result term)
   in
   let merge_cmd =
-    let term = Term.(const run_campaign_merge $ Driver.obs_term $ dir_term) in
+    let term = Term.(const run_campaign_merge $ obs_term $ dir_term) in
     Cmd.v
       (Cmd.info "merge"
          ~doc:"Merge completed shards and certify with the campaign/* rules")
@@ -1486,7 +1426,7 @@ let campaign_worker_cmd =
          & info [ "shard" ] ~docv:"N" ~doc:"Shard index to compute.")
   in
   let term =
-    Term.(const run_campaign_worker $ Driver.obs_term $ dir_term $ shard)
+    Term.(const run_campaign_worker $ obs_term $ dir_term $ shard)
   in
   Cmd.v
     (Cmd.info "campaign-worker"
@@ -1500,7 +1440,7 @@ let () =
   in
   let info = Cmd.info "ftes" ~version:"1.0.0" ~doc in
   exit
-    (Driver.finish
+    (Lifecycle.finish
        (Cmd.eval
           (Cmd.group info
              [ optimize_cmd; analyze_cmd; pareto_cmd; whatif_cmd; serve_cmd;

@@ -87,7 +87,10 @@ let run_sequential ~manifest =
   let cells =
     List.map
       (fun key ->
-        let run = Synthetic.run_cell ~params:manifest.Manifest.params ~config ~specs key in
+        let problems =
+          Synthetic.problems ~params:manifest.Manifest.params key specs
+        in
+        let run = Synthetic.run_cell ~config ~problems key in
         {
           key;
           costs = run.Synthetic.costs;

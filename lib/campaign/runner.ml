@@ -68,7 +68,13 @@ let run_shard ?(on_cell = fun ~cell_index:_ ~n_cells:_ -> ()) ~manifest ~dir
         Ftes_core.Config.(default |> with_certify false)
       in
       let compute ckpt index key =
-        let run = Synthetic.run_cell ~params:manifest.Manifest.params ~config ~specs key in
+        let problems =
+          List.map
+            (fun (spec : Ftes_gen.Workload.app_spec) ->
+              (spec.index, Manifest.problem manifest ~cell:index ~app:spec.index))
+            specs
+        in
+        let run = Synthetic.run_cell ~config ~problems key in
         let cells' = ckpt.Checkpoint.cells @ [ cell_result_of_run ~run ] in
         let ckpt =
           { ckpt with Checkpoint.cells = cells';

@@ -12,17 +12,21 @@ type cell_run = {
   elapsed_s : float;
 }
 
-let run_cell ?pool ?params ?(config = Config.default) ~specs key =
+let problems ?params key specs =
+  let cell = { Workload.ser = key.ser; hpd = key.hpd } in
+  List.map
+    (fun spec -> (spec.Workload.index, Workload.problem_of_spec ?params cell spec))
+    specs
+
+let run_cell ?pool ?(config = Config.default) ~problems key =
   Ftes_obs.Span.with_ ~name:"exp/cell" @@ fun () ->
   let config = Config.with_hardening key.policy config in
-  let cell = { Workload.ser = key.ser; hpd = key.hpd } in
   let t0 = Sys.time () in
   let solutions =
-    specs
-    |> Ftes_par.Pool.map ?pool (fun spec ->
-           let problem = Workload.problem_of_spec ?params cell spec in
+    problems
+    |> Ftes_par.Pool.map ?pool (fun (index, problem) ->
            let solution = Design_strategy.run ?pool ~config problem in
-           ( spec.Workload.index,
+           ( index,
              Option.map
                (fun (s : Design_strategy.solution) ->
                  let r = s.Design_strategy.result in
@@ -90,10 +94,8 @@ let cell suite key =
   match Hashtbl.find_opt suite.table key with
   | Some run -> run
   | None ->
-      let run =
-        run_cell ?pool:suite.pool ?params:suite.params ~config:suite.config
-          ~specs:suite.specs key
-      in
+      let problems = problems ?params:suite.params key suite.specs in
+      let run = run_cell ?pool:suite.pool ~config:suite.config ~problems key in
       Hashtbl.replace suite.table key run;
       run
 

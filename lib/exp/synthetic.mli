@@ -31,14 +31,22 @@ type cell_run = {
   elapsed_s : float;
 }
 
+val problems :
+  ?params:Ftes_gen.Workload.params ->
+  cell_key ->
+  Ftes_gen.Workload.app_spec list ->
+  (int * Ftes_model.Problem.t) list
+(** Each application's index and its problem in the cell's SER/HPD
+    instance. *)
+
 val run_cell :
   ?pool:Ftes_par.Pool.t ->
-  ?params:Ftes_gen.Workload.params ->
   ?config:Ftes_core.Config.t ->
-  specs:Ftes_gen.Workload.app_spec list ->
+  problems:(int * Ftes_model.Problem.t) list ->
   cell_key ->
   cell_run
-(** Run one cell over a fixed application population.  [config]'s
+(** Run one cell over a fixed application population, given as
+    {!problems}.  [config]'s
     hardening policy is overridden by the cell's.  With a multi-domain
     [pool] the (independent) applications are optimized concurrently;
     the per-application results and their order are bit-identical to a

@@ -16,7 +16,9 @@ let fsync_dir dir =
 let write ?(fsync = true) path f =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
-    Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+    with Unix.Unix_error (e, _, _) ->
+      raise (Sys_error (path ^ ": " ^ Unix.error_message e))
   in
   let oc = Unix.out_channel_of_descr fd in
   (match f oc with

@@ -7,17 +7,20 @@ module Ablations = Ftes_exp.Ablations
 module Config = Ftes_core.Config
 module Workload = Ftes_gen.Workload
 
-let specs = lazy (Workload.paper_suite ~count:6 ~seed:321 ())
-
 let key policy = { Synthetic.ser = 1e-11; hpd = 0.05; policy }
 
+let problems =
+  lazy
+    (Synthetic.problems (key Config.Optimize)
+       (Workload.paper_suite ~count:6 ~seed:321 ()))
+
 let test_run_cell_shape () =
-  let run = Synthetic.run_cell ~specs:(Lazy.force specs) (key Config.Optimize) in
+  let run = Synthetic.run_cell ~problems:(Lazy.force problems) (key Config.Optimize) in
   Alcotest.(check int) "one cost slot per app" 6 (Array.length run.Synthetic.costs);
   Alcotest.(check bool) "elapsed time recorded" true (run.Synthetic.elapsed_s >= 0.0)
 
 let test_acceptance_monotone_in_budget () =
-  let run = Synthetic.run_cell ~specs:(Lazy.force specs) (key Config.Optimize) in
+  let run = Synthetic.run_cell ~problems:(Lazy.force problems) (key Config.Optimize) in
   let a15 = Synthetic.acceptance run ~max_cost:15.0 in
   let a20 = Synthetic.acceptance run ~max_cost:20.0 in
   let a25 = Synthetic.acceptance run ~max_cost:25.0 in
@@ -25,7 +28,7 @@ let test_acceptance_monotone_in_budget () =
   Alcotest.(check bool) "bounded" true (a15 >= 0.0 && a25 <= 100.0)
 
 let test_acceptance_vs_feasibility () =
-  let run = Synthetic.run_cell ~specs:(Lazy.force specs) (key Config.Optimize) in
+  let run = Synthetic.run_cell ~problems:(Lazy.force problems) (key Config.Optimize) in
   Alcotest.(check bool) "acceptance below feasibility" true
     (Synthetic.acceptance run ~max_cost:1e9 <= Synthetic.feasibility run +. 1e-9);
   Alcotest.(check (float 1e-9)) "infinite budget = feasibility"
@@ -33,9 +36,9 @@ let test_acceptance_vs_feasibility () =
     (Synthetic.acceptance run ~max_cost:infinity)
 
 let test_opt_at_least_min () =
-  let specs = Lazy.force specs in
-  let opt = Synthetic.run_cell ~specs (key Config.Optimize) in
-  let min_ = Synthetic.run_cell ~specs (key Config.Fixed_min) in
+  let problems = Lazy.force problems in
+  let opt = Synthetic.run_cell ~problems (key Config.Optimize) in
+  let min_ = Synthetic.run_cell ~problems (key Config.Fixed_min) in
   Alcotest.(check bool) "OPT feasibility >= MIN feasibility" true
     (Synthetic.feasibility opt >= Synthetic.feasibility min_ -. 1e-9)
 
