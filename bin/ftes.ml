@@ -330,15 +330,11 @@ let pareto_text (req : Request.t) (frontier : Design_strategy.frontier)
 (* The text report of one outcome: the counterpart of [Exec.payload]. *)
 let text_of ~gantt (req : Request.t) = function
   | Exec.Analyzed { preflight; _ } -> analysis_text req preflight
-  | Exec.Optimized { solution; reuse; _ } ->
-      let certificate =
-        Option.bind solution (fun (s : Design_strategy.solution) ->
-            s.Design_strategy.certificate)
-      in
+  | Exec.Optimized { solution; report; reuse; _ } ->
       (match req.Request.whatif with
       | None -> optimize_text ~gantt req solution
       | Some w -> whatif_text req w reuse solution)
-      ^ Option.fold ~none:"" ~some:failed_report certificate
+      ^ Option.fold ~none:"" ~some:failed_report report
   | Exec.Proved { outcome; report } ->
       exact_text req outcome.Ftes_bnb.Bnb.certificate ^ failed_report report
   | Exec.Frontiered { frontier; reference; report } ->
@@ -646,23 +642,40 @@ let solution_design (s : Design_strategy.solution) =
 
 let run_simulate obs target trials boost =
   with_design obs target ~purpose:"simulate" (fun problem s ->
-      let prng = Ftes_util.Prng.create obs.Lifecycle.seed in
-      let campaign =
-        Ftes_faultsim.Executor.run_campaign ~boost prng problem
-          (solution_design s) ~trials
+      let design = solution_design s in
+      (* The executor samples boosted probabilities, which must stay
+         below 1: name the largest boost this design admits. *)
+      let worst =
+        List.fold_left
+          (fun acc proc ->
+            Float.max acc (Ftes_model.Design.pfail problem design ~proc))
+          0.0
+          (List.init (Ftes_model.Problem.n_processes problem) Fun.id)
       in
-      Printf.printf
-        "trials %d (boost %.0fx)\n\
-         observed system-failure rate  %.4e\n\
-         SFP-predicted rate            %.4e\n\
-         within-budget deadline misses %d\n\
-         max within-budget makespan    %.2f ms\n"
-        campaign.Ftes_faultsim.Executor.trials boost
-        campaign.Ftes_faultsim.Executor.observed_failure_rate
-        campaign.Ftes_faultsim.Executor.predicted_failure_rate
-        campaign.Ftes_faultsim.Executor.deadline_misses
-        campaign.Ftes_faultsim.Executor.max_makespan;
-      Ok ())
+      if boost < 1.0 then fail "--boost %g: the boost must be at least 1" boost
+      else if worst *. boost >= 1.0 then
+        fail
+          "--boost %g lifts a process failure probability to %.3g; lower \
+           --boost below %.4g for this design"
+          boost (worst *. boost) (1.0 /. worst)
+      else begin
+        let prng = Ftes_util.Prng.create obs.Lifecycle.seed in
+        let campaign =
+          Ftes_faultsim.Executor.run_campaign ~boost prng problem design ~trials
+        in
+        Printf.printf
+          "trials %d (boost %.0fx)\n\
+           observed system-failure rate  %.4e\n\
+           SFP-predicted rate            %.4e\n\
+           within-budget deadline misses %d\n\
+           max within-budget makespan    %.2f ms\n"
+          campaign.Ftes_faultsim.Executor.trials boost
+          campaign.Ftes_faultsim.Executor.observed_failure_rate
+          campaign.Ftes_faultsim.Executor.predicted_failure_rate
+          campaign.Ftes_faultsim.Executor.deadline_misses
+          campaign.Ftes_faultsim.Executor.max_makespan;
+        Ok ()
+      end)
 
 let simulate_cmd =
   let trials =
@@ -671,7 +684,8 @@ let simulate_cmd =
   in
   let boost =
     Arg.(value & opt float 1000.0 & info [ "boost" ] ~docv:"X"
-         ~doc:"Failure-probability boost for rare-event sampling.")
+         ~doc:"Failure-probability boost for rare-event sampling; every \
+               boosted process failure probability must stay below 1.")
   in
   let term =
     Term.(const run_simulate $ obs_term $ target_term $ trials $ boost)
@@ -859,15 +873,8 @@ let checkpoint_cmd =
 let render_lint format (req : Request.t) outcome =
   let feasible, report =
     match outcome with
-    | Exec.Optimized { solution = Some s; _ } ->
-        ( true,
-          match s.Design_strategy.certificate with
-          | Some report -> report
-          | None ->
-              Verify.certify ~slack:req.Request.config.Config.slack
-                req.Request.problem (solution_design s)
-                s.Design_strategy.schedule )
-    | Exec.Optimized { solution = None; _ }
+    | Exec.Optimized { report = Some report; _ } -> (true, report)
+    | Exec.Optimized { report = None; _ }
     | Exec.Analyzed _ | Exec.Proved _ | Exec.Frontiered _ ->
         (false, Verify.run (Subject.of_problem req.Request.problem))
   in
@@ -1020,7 +1027,14 @@ let exact_cmd =
                (the certificate then covers the whole design space) or \
                when any audit fails.  $(b,--cert) exports the \
                certificate; $(b,--audit) re-checks a previously exported \
-               one offline without running the search." ])
+               one offline without running the search.";
+           `P "The search is exponential: it closes the built-in examples \
+               fig1 and fig3 and synthetic instances of a dozen processes \
+               on a few nodes, but the cruise controller ($(b,--example \
+               cc), 32 processes) is beyond it and runs for minutes, in \
+               hundreds of MB, without printing anything.  Pass \
+               $(b,--limit) to bound such a run; it then stops with an \
+               error instead of a weaker claim." ])
     Term.(term_result term)
 
 (* pareto *)

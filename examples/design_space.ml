@@ -24,10 +24,7 @@ let () =
   Format.printf "%a@.@." Problem.pp problem;
 
   let members = [| 0; 1 |] in
-  let mapping =
-    Ftes_core.Mapping_opt.initial_mapping ~config:Ftes_core.Config.default
-      problem ~members
-  in
+  let mapping = Ftes_core.Mapping_opt.initial_mapping problem ~members in
   let levels_of j = Problem.levels problem members.(j) in
   let table =
     Text_table.create

@@ -20,8 +20,6 @@ let search_space = Exhaustive.search_space
 type outcome = {
   best : Redundancy_opt.result option;
   certificate : Cert.t;
-  heuristic : Design_strategy.solution option;
-  audit : Ftes_verify.Report.t option;
 }
 
 let deadline problem = problem.Problem.app.Application.deadline_ms
@@ -230,9 +228,8 @@ let solve ?pool ?(limit = max_int) ~config problem =
           problem
       in
       let cache = Ftes_par.Sfp_cache.create () in
-      let heuristic = Design_strategy.run ?pool ~preflight ~config problem in
       let heuristic_cost =
-        match heuristic with
+        match Design_strategy.run ?pool ~preflight ~config problem with
         | Some s -> s.Design_strategy.result.Redundancy_opt.cost
         | None -> infinity
       in
@@ -436,23 +433,4 @@ let solve ?pool ?(limit = max_int) ~config problem =
           ~represented_subsets:!represented_total ~heuristic_cost ~incumbent
           ~counters ~prunes:(List.rev !prunes)
       in
-      let audit =
-        if config.Config.certify then begin
-          let base =
-            match best with
-            | Some r ->
-                Ftes_verify.Subject.of_design problem r.Redundancy_opt.design
-            | None -> Ftes_verify.Subject.of_problem problem
-          in
-          let subject =
-            Ftes_verify.Subject.with_bnb_certificate
-              { base with
-                Ftes_verify.Subject.slack = config.Config.slack;
-                bus = config.Config.bus }
-              certificate
-          in
-          Some (Ftes_verify.Verify.run subject)
-        end
-        else None
-      in
-      { best; certificate; heuristic; audit })
+      { best; certificate })

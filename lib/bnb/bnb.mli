@@ -31,7 +31,7 @@
 
     Each prune is recorded as a premise in a
     {!Ftes_analyze.Bnb_certificate}, audited offline by the [bnb/*]
-    rules of [Ftes_verify]: premises are re-derived from the problem
+    verifier rules: premises are re-derived from the problem
     and, together with the closed architectures, must tile the whole
     architecture lattice exactly once. *)
 
@@ -47,13 +47,8 @@ type outcome = {
   best : Ftes_core.Redundancy_opt.result option;
       (** the proven-optimal design; [None] = proven infeasible. *)
   certificate : Ftes_analyze.Bnb_certificate.t;
-  heuristic : Ftes_core.Design_strategy.solution option;
-      (** the greedy walk used to seed the incumbent, for gap
-          reporting. *)
-  audit : Ftes_verify.Report.t option;
-      (** offline audit of the certificate (and of the optimal design,
-          when one exists), present when {!Ftes_core.Config.t.certify}
-          is set. *)
+      (** the optimality certificate; auditing it is the caller's
+          business (the verifier's [bnb/*] rules). *)
 }
 
 val solve :

@@ -83,14 +83,13 @@ let run_sequential ~manifest =
       ~count:manifest.Manifest.apps ~seed:manifest.Manifest.seed ()
   in
   let spec = Manifest.archive_spec manifest in
-  let config = Config.(default |> with_certify false) in
   let cells =
     List.map
       (fun key ->
         let problems =
           Synthetic.problems ~params:manifest.Manifest.params key specs
         in
-        let run = Synthetic.run_cell ~config ~problems key in
+        let run = Synthetic.run_cell ~problems key in
         {
           key;
           costs = run.Synthetic.costs;

@@ -64,9 +64,6 @@ let run_shard ?(on_cell = fun ~cell_index:_ ~n_cells:_ -> ()) ~manifest ~dir
   | `Run start -> (
       let resumed = start.Checkpoint.cells <> [] in
       let specs = Manifest.specs_for_shard manifest shard in
-      let config =
-        Ftes_core.Config.(default |> with_certify false)
-      in
       let compute ckpt index key =
         let problems =
           List.map
@@ -74,7 +71,7 @@ let run_shard ?(on_cell = fun ~cell_index:_ ~n_cells:_ -> ()) ~manifest ~dir
               (spec.index, Manifest.problem manifest ~cell:index ~app:spec.index))
             specs
         in
-        let run = Synthetic.run_cell ~config ~problems key in
+        let run = Synthetic.run_cell ~problems key in
         let cells' = ckpt.Checkpoint.cells @ [ cell_result_of_run ~run ] in
         let ckpt =
           { ckpt with Checkpoint.cells = cells';

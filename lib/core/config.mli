@@ -12,70 +12,44 @@ type hardening_policy =
   | Fixed_max  (** the MAX baseline: maximum hardening everywhere. *)
 
 type t = {
-  tabu_tenure : int;
-      (** iterations a re-mapped process stays tabu (Section 6.2). *)
-  waiting_boost : int;
-      (** iterations after which a never-moved process gets priority. *)
-  max_stall : int;
-      (** stop the tabu search after this many non-improving moves. *)
-  max_iterations : int;  (** hard cap on tabu iterations. *)
-  move_candidates : int;
-      (** how many critical-path processes are considered for re-mapping
-          at each tabu iteration. *)
+  max_iterations : int;
+      (** hard cap on tabu mapping iterations (Section 6.2); the other
+          tabu constants live in {!Mapping_opt}. *)
   kmax : int;  (** per-node re-execution bound explored by the SFP search. *)
   slack : Ftes_sched.Scheduler.slack_mode;
   bus : Ftes_sched.Bus.policy;
       (** bus arbitration assumed by every schedulability test of the
           search ([Fcfs] by default, matching the paper's setup). *)
   hardening : hardening_policy;
-  certify : bool;
-      (** when set, {!Design_strategy.run} passes every emitted design
-          through the {!Ftes_verify} static verifier and attaches the
-          report to the solution. *)
 }
 
 val make :
-  ?tabu_tenure:int ->
-  ?waiting_boost:int ->
-  ?max_stall:int ->
   ?max_iterations:int ->
-  ?move_candidates:int ->
   ?kmax:int ->
   ?slack:Ftes_sched.Scheduler.slack_mode ->
   ?bus:Ftes_sched.Bus.policy ->
   ?hardening:hardening_policy ->
-  ?certify:bool ->
   unit ->
   t
 (** The supported constructor: every omitted knob takes the {!default}
     value, and bounds are validated ([Invalid_argument] on a negative
-    tenure/stall/iteration budget, [move_candidates < 1] or a negative
-    [kmax]).  Prefer [make] + the [with_*] builders below over record
-    literals/updates — construction sites written this way survive new
-    knobs unchanged (the record stays exposed as the representation,
-    for pattern matching). *)
+    iteration budget or a negative [kmax]).  Prefer [make] + the
+    [with_*] builders below over record literals/updates — construction
+    sites written this way survive new knobs unchanged (the record
+    stays exposed as the representation, for pattern matching). *)
 
 val default : t
-(** [make ()]: [Optimize] policy, shared slack, FCFS bus, tenure 3,
-    stall 10, kmax 12.  Memoization is not configured here: every
+(** [make ()]: [Optimize] policy, shared slack, FCFS bus, 120 tabu
+    iterations, kmax 12.  Memoization is not configured here: every
     search shares its SFP tables and candidate evaluations through a
     {!Redundancy_opt.cache}, bounded by the cache's own capacity. *)
 
 (** {2 Builders}
 
     [with_field v t] is [t] with [field] replaced; composable by
-    piping: [Config.(default |> with_slack Dedicated |> with_certify
-    true)]. *)
-
-val with_tabu_tenure : int -> t -> t
-
-val with_waiting_boost : int -> t -> t
-
-val with_max_stall : int -> t -> t
+    piping: [Config.(default |> with_slack Dedicated |> with_kmax 4)]. *)
 
 val with_max_iterations : int -> t -> t
-
-val with_move_candidates : int -> t -> t
 
 val with_kmax : int -> t -> t
 
@@ -84,8 +58,6 @@ val with_slack : Ftes_sched.Scheduler.slack_mode -> t -> t
 val with_bus : Ftes_sched.Bus.policy -> t -> t
 
 val with_hardening : hardening_policy -> t -> t
-
-val with_certify : bool -> t -> t
 
 val min_strategy : t
 (** {!default} with [Fixed_min]. *)

@@ -10,7 +10,7 @@ type solution = {
   verdict : Sfp.verdict;
   schedule : Ftes_sched.Schedule.t;
   explored : int;
-  certificate : Ftes_verify.Report.t option;
+  sfp_tables : Sfp.node_analysis array;
 }
 
 let subset_speed problem members =
@@ -61,17 +61,42 @@ type step = {
   step_verdict : [ `Schedulable of float | `Unschedulable ];
 }
 
-(* The Fig. 5 walk, parameterized over a feasible-candidate hook.  The
-   hook fires once per feasible result surfaced by an evaluated
-   architecture (the schedule-length winner first, then the cost-refined
-   mapping when one exists), always from the deterministic bookkeeping
-   path: the sequential walk calls it in evaluation order, and the
-   parallel walk only during the ordered batch merge — never from a
-   speculative worker — so the hook sees the exact same sequence whatever
-   the domain count.  [on_step] fires from the same path, once per
-   evaluated architecture. *)
-let search ?pool ?cache ?preflight ~config ~on_feasible
-    ?(on_step = fun _ -> ()) problem =
+let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
+    =
+  Ftes_obs.Span.with_ ~name:"strategy/finalize" @@ fun () ->
+  let design = result.Redundancy_opt.design in
+  let schedule =
+    Scheduler.schedule ~slack:config.Config.slack ~bus:config.Config.bus
+      problem design
+  in
+  let sfp_tables =
+    let sfp = Redundancy_opt.sfp_cache cache in
+    Array.init (Design.n_members design) (fun member ->
+        Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
+          ~kmax:(Sfp.analysis_kmax design ~member))
+  in
+  { result;
+    verdict = Sfp.evaluate_analyses problem design ~analyses:sfp_tables;
+    schedule;
+    explored;
+    sfp_tables }
+
+(* The Fig. 5 walk, parameterized over a feasible-candidate hook.  Each
+   size level is walked fastest first in batches: a batch is scored by
+   [Pool.map] (speculatively, beyond the walk's stopping point, when it
+   holds more than one candidate) and then merged in speed order.  The
+   scoring does no bookkeeping; the ordered merge is the only place
+   that counts, records, fires [on_step] / [on_feasible] and stops at
+   line 15, so every counter, the trail and the hook sequence are the
+   same whatever the batch size or domain count.  [on_feasible] fires
+   once per feasible result of an evaluated architecture (the
+   schedule-length winner first, then the cost-refined mapping when one
+   exists), [on_step] once per evaluated architecture.  Every entry
+   point runs through here: one [strategy/run] span around the walk and
+   the finalization of its best result. *)
+let search ?pool ?cache ?preflight ~config ~on_feasible ~on_step problem =
+  Ftes_obs.Metrics.incr c_runs;
+  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   Option.iter (Redundancy_opt.validate_preflight ~config problem) preflight;
   let lib = Problem.n_library problem in
   (* An externally supplied cache lets several runs over the same
@@ -86,180 +111,117 @@ let search ?pool ?cache ?preflight ~config ~on_feasible
   let explored = ref 0 in
   let best = ref None in
   let best_cost = ref infinity in
-  (* Pure candidate score: no counter update, so the parallel walk can
-     evaluate speculatively and replay the bookkeeping during the
-     ordered merge. *)
-  let evaluate_architecture members =
-    (* Pre-flight short-circuit: when the report proves every mapping
-       onto this architecture unreliable or over-deadline, the whole
-       tabu search would only ever see futile probes — [`Unschedulable]
-       without running it, so the Fig. 5 line-15 size jump fires
-       identically. *)
-    let provably_dead =
-      match preflight with
-      | None -> false
-      | Some pf -> (
-          match Ftes_analyze.Preflight.architecture_check pf ~members with
-          | `Feasible -> false
-          | `Unreliable _ | `Deadline _ ->
-              Ftes_obs.Metrics.incr c_pruned_architectures;
-              true)
-    in
-    if provably_dead then `Unschedulable
-    else
-    match
-      Mapping_opt.run ~cache ?pool ?preflight ~config
-        ~objective:Mapping_opt.Schedule_length problem ~members
-    with
-    | None -> `Unschedulable
-    | Some sl_result ->
-        let refined =
+  (* Score one candidate against the best cost at batch entry: its
+     minimum-hardening cost and a verdict.  Line 6 (cannot beat the
+     best-so-far) and the pre-flight proof (every mapping onto the
+     architecture is unreliable or over-deadline, so the tabu search
+     would only see futile probes) both come back as verdicts without a
+     mapping search. *)
+  let score ~bound members =
+    let floor = min_hardening_cost problem members in
+    let verdict =
+      if floor >= bound then `Pruned
+      else if
+        match preflight with
+        | None -> false
+        | Some pf -> (
+            match Ftes_analyze.Preflight.architecture_check pf ~members with
+            | `Feasible -> false
+            | `Unreliable _ | `Deadline _ -> true)
+      then `Dead
+      else
+        match
           Mapping_opt.run ~cache ?pool ?preflight ~config
-            ~objective:Mapping_opt.Architecture_cost
-            ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
-            ~members
-        in
-        let result, candidates =
-          match refined with
-          | Some r when r.Redundancy_opt.cost <= sl_result.Redundancy_opt.cost
-            ->
-              (r, [ sl_result; r ])
-          | Some r -> (sl_result, [ sl_result; r ])
-          | None -> (sl_result, [ sl_result ])
-        in
-        `Schedulable (result, candidates)
+            ~objective:Mapping_opt.Schedule_length problem ~members
+        with
+        | None -> `Unschedulable
+        | Some sl_result ->
+            let refined =
+              Mapping_opt.run ~cache ?pool ?preflight ~config
+                ~objective:Mapping_opt.Architecture_cost
+                ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
+                ~members
+            in
+            let result, candidates =
+              match refined with
+              | Some r
+                when r.Redundancy_opt.cost <= sl_result.Redundancy_opt.cost ->
+                  (r, [ sl_result; r ])
+              | Some r -> (sl_result, [ sl_result; r ])
+              | None -> (sl_result, [ sl_result ])
+            in
+            `Schedulable (result, candidates)
+    in
+    (members, floor, verdict)
   in
-  let record (result, candidates) =
-    List.iter on_feasible candidates;
-    if result.Redundancy_opt.cost < !best_cost then begin
-      best_cost := result.Redundancy_opt.cost;
-      best := Some result
-    end
-  in
-  (* One size level, sequentially: fastest-first until the queue is
-     exhausted or an evaluated architecture is unschedulable (Fig. 5,
-     line 15: jump to the next size). *)
-  let rec size_level_seq = function
-    | [] -> ()
-    | members :: rest ->
-        if min_hardening_cost problem members >= !best_cost then begin
+  (* Merge one scored batch in speed order; false when the walk must
+     jump to the next size (an evaluated architecture was unschedulable:
+     Fig. 5 line 15).  The prune test is re-run against the current best
+     cost: it only decreases, so a candidate pruned at batch entry is
+     pruned here too, and one scored at batch entry may still be. *)
+  let rec merge = function
+    | [] -> true
+    | (members, floor, verdict) :: rest ->
+        if floor >= !best_cost then begin
           Ftes_obs.Metrics.incr c_pruned;
-          size_level_seq rest (* line 6: cannot beat the best-so-far *)
+          merge rest
         end
         else begin
           incr explored;
           Ftes_obs.Metrics.incr c_explored;
-          match evaluate_architecture members with
-          | `Unschedulable ->
-              on_step { step_members = members; step_verdict = `Unschedulable }
-          | `Schedulable ((result, _) as outcome) ->
+          let unschedulable () =
+            on_step { step_members = members; step_verdict = `Unschedulable };
+            false
+          in
+          match verdict with
+          | `Dead ->
+              Ftes_obs.Metrics.incr c_pruned_architectures;
+              unschedulable ()
+          | `Pruned (* unreachable: pruned above *) | `Unschedulable ->
+              unschedulable ()
+          | `Schedulable (result, candidates) ->
               on_step
                 { step_members = members;
                   step_verdict = `Schedulable result.Redundancy_opt.cost };
-              record outcome;
-              size_level_seq rest
+              List.iter on_feasible candidates;
+              if result.Redundancy_opt.cost < !best_cost then begin
+                best_cost := result.Redundancy_opt.cost;
+                best := Some result
+              end;
+              merge rest
         end
   in
-  (* Same level on a pool: score a batch of candidates speculatively in
-     parallel, then merge in speed order replaying exactly the
-     sequential prune / record / jump decisions.  Pre-pruning against
-     the best cost at batch entry is sound because the best cost only
-     decreases: a candidate pruned now would be pruned by the sequential
-     walk too, and one kept now is re-checked during the merge.
-     Batching bounds the speculative work evaluated beyond the
-     sequential walk's stopping point to one batch. *)
-  let size_level_par pool queue =
-    let batch_size = 2 * Ftes_par.Pool.domains pool in
-    (* Merge one scored batch; returns false when the walk must stop
-       (an evaluated architecture was unschedulable: Fig. 5 line 15). *)
-    let rec merge candidates results =
-      match (candidates, results) with
-      | [], [] -> true
-      | members :: candidates, result :: results ->
-          if min_hardening_cost problem members >= !best_cost then begin
-            Ftes_obs.Metrics.incr c_pruned;
-            merge candidates results
-          end
-          else begin
-            incr explored;
-            Ftes_obs.Metrics.incr c_explored;
-            match result with
-            | `Unschedulable ->
-                on_step
-                  { step_members = members; step_verdict = `Unschedulable };
-                false
-            | `Schedulable ((result, _) as outcome) ->
-                on_step
-                  { step_members = members;
-                    step_verdict = `Schedulable result.Redundancy_opt.cost };
-                record outcome;
-                merge candidates results
-          end
-      | _ -> assert false
-    in
-    let rec batches queue =
-      match queue with
-      | [] -> ()
-      | _ ->
-          let rec take n = function
-            | rest when n = 0 -> ([], rest)
-            | [] -> ([], [])
-            | x :: rest ->
-                let taken, rest = take (n - 1) rest in
-                (x :: taken, rest)
-          in
-          let batch, rest = take batch_size queue in
-          let candidates =
-            List.filter
-              (fun members -> min_hardening_cost problem members < !best_cost)
-              batch
-          in
-          let results =
-            Ftes_par.Pool.map ~pool evaluate_architecture candidates
-          in
-          if merge candidates results then batches rest
-    in
-    batches queue
-  in
-  let size_level =
+  (* Speculation needs spare domains: one candidate per batch walks the
+     level lazily, exactly as far as the merge goes. *)
+  let batch_size =
     match pool with
     | Some pool
       when Ftes_par.Pool.domains pool > 1 && not (Ftes_par.Pool.in_worker ())
       ->
-        size_level_par pool
-    | Some _ | None -> size_level_seq
+        2 * Ftes_par.Pool.domains pool
+    | Some _ | None -> 1
+  in
+  let rec take n = function
+    | x :: rest when n > 0 ->
+        let taken, rest = take (n - 1) rest in
+        (x :: taken, rest)
+    | rest -> ([], rest)
+  in
+  let rec size_level = function
+    | [] -> ()
+    | queue ->
+        let batch, rest = take batch_size queue in
+        let bound = !best_cost in
+        if merge (Ftes_par.Pool.map ?pool (score ~bound) batch) then
+          size_level rest
   in
   for n = 1 to lib do
     size_level (architectures_by_speed problem ~n)
   done;
-  (!best, !explored, cache)
-
-let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
-    =
-  Ftes_obs.Span.with_ ~name:"strategy/finalize" @@ fun () ->
-  let design = result.Redundancy_opt.design in
-  let schedule =
-    Scheduler.schedule ~slack:config.Config.slack ~bus:config.Config.bus
-      problem design
-  in
-  let analyses =
-    let sfp = Redundancy_opt.sfp_cache cache in
-    Array.init (Design.n_members design) (fun member ->
-        Ftes_par.Sfp_cache.node_analysis sfp problem design ~member
-          ~kmax:(Sfp.analysis_kmax design ~member))
-  in
-  let certificate =
-    if config.Config.certify then
-      Some
-        (Ftes_verify.Verify.certify ~slack:config.Config.slack
-           ~bus:config.Config.bus ~sfp_tables:analyses problem design schedule)
-    else None
-  in
-  { result;
-    verdict = Sfp.evaluate_analyses problem design ~analyses;
-    schedule;
-    explored;
-    certificate }
+  let explored = !explored in
+  ( Option.map (finalize ~config ~cache ~explored problem) !best,
+    explored,
+    cache )
 
 type recorded = {
   rec_problem : Problem.t;
@@ -272,12 +234,11 @@ type recorded = {
 }
 
 let run_recorded ?pool ?cache ?preflight ~config problem =
-  Ftes_obs.Metrics.incr c_runs;
-  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   let steps = ref [] in
-  let on_step step = steps := step :: !steps in
-  let best, explored, cache =
-    search ?pool ?cache ?preflight ~config ~on_feasible:(fun _ -> ()) ~on_step
+  let solution, explored, cache =
+    search ?pool ?cache ?preflight ~config
+      ~on_feasible:(fun _ -> ())
+      ~on_step:(fun step -> steps := step :: !steps)
       problem
   in
   { rec_problem = problem;
@@ -285,23 +246,11 @@ let run_recorded ?pool ?cache ?preflight ~config problem =
     rec_cache = cache;
     rec_preflight = preflight;
     rec_trail = List.rev !steps;
-    rec_solution = Option.map (finalize ~config ~cache ~explored problem) best;
+    rec_solution = solution;
     rec_explored = explored }
 
-let run ?pool ?cache ?preflight ?record ~config problem =
-  match record with
-  | Some cell ->
-      let recorded = run_recorded ?pool ?cache ?preflight ~config problem in
-      cell := Some recorded;
-      recorded.rec_solution
-  | None ->
-      Ftes_obs.Metrics.incr c_runs;
-      Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
-      let best, explored, cache =
-        search ?pool ?cache ?preflight ~config ~on_feasible:(fun _ -> ())
-          problem
-      in
-      Option.map (finalize ~config ~cache ~explored problem) best
+let run ?pool ?cache ?preflight ~config problem =
+  (run_recorded ?pool ?cache ?preflight ~config problem).rec_solution
 
 let step_equal a b =
   a.step_members = b.step_members
@@ -370,8 +319,6 @@ type frontier = {
 }
 
 let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
-  Ftes_obs.Metrics.incr c_runs;
-  Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   let archive = Archive.create ?spec () in
   let on_feasible (r : Redundancy_opt.result) =
     Archive.insert archive
@@ -380,12 +327,12 @@ let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
         slack = r.Redundancy_opt.slack;
         margin = r.Redundancy_opt.margin }
   in
-  let best, explored, cache =
-    search ?pool ?cache ?preflight ~config ~on_feasible problem
+  let best, explored, _ =
+    search ?pool ?cache ?preflight ~config ~on_feasible
+      ~on_step:(fun _ -> ())
+      problem
   in
-  { archive;
-    best = Option.map (finalize ~config ~cache ~explored problem) best;
-    explored }
+  { archive; best; explored }
 
 let accepted ?max_cost = function
   | None -> false

@@ -17,9 +17,10 @@ type solution = {
   verdict : Ftes_sfp.Sfp.verdict;
   schedule : Ftes_sched.Schedule.t;
   explored : int;  (** number of architectures evaluated. *)
-  certificate : Ftes_verify.Report.t option;
-      (** static-verifier report on the emitted triple, present when
-          {!Config.t.certify} is set. *)
+  sfp_tables : Ftes_sfp.Sfp.node_analysis array;
+      (** the per-member SFP tables [verdict] was computed from — what
+          a certifier passes to the verifier so the SFP-cache contract
+          rule can check them against fresh recomputation. *)
 }
 
 val architectures_by_speed : Ftes_model.Problem.t -> n:int -> int array list
@@ -34,8 +35,8 @@ type step = {
 }
 (** One entry of a recorded walk.  Steps correspond 1:1 with the
     [explored] counter's increments and fire only from the walk's
-    deterministic bookkeeping path, so a trail is bit-identical across
-    pool modes and across cache capacities. *)
+    ordered merge, so a trail is bit-identical across pool modes and
+    across cache capacities. *)
 
 type recorded = {
   rec_problem : Ftes_model.Problem.t;
@@ -50,27 +51,33 @@ type recorded = {
 }
 (** Everything {!rerun} needs to answer a perturbed query warm. *)
 
-val run :
+val run_recorded :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
-  ?record:recorded option ref ->
   config:Config.t ->
   Ftes_model.Problem.t ->
-  solution option
-(** The full strategy.  Returns the cheapest solution that meets both
-    the deadline and the reliability goal, or [None] when no explored
+  recorded
+(** The full strategy, returning the walk's {!recorded} state (trail,
+    populated cache, pre-flight, solution) for later {!rerun} calls.
+    [rec_solution] is the cheapest solution that meets both the
+    deadline and the reliability goal, or [None] when no explored
     architecture admits one.
 
-    When [pool] spans more than one domain, the candidate architectures
-    of each size level are scored concurrently (speculatively) and the
-    results merged back in speed order, replaying the sequential prune
-    and size-jump decisions — the returned solution, its schedule and
-    the [explored] counter are bit-identical to a sequential run.  SFP
-    node tables and whole candidate evaluations are shared across the
-    walk through a per-run {!Redundancy_opt.cache}, which likewise
-    never changes any result: a run over a [~capacity:0] cache, which
-    retains nothing, returns the same solution.
+    Each size level is walked fastest first in batches, and every
+    batch is merged in speed order.  The merge alone counts
+    ([strategy.explored], [strategy.pruned],
+    [analyze.pruned_architectures]), records the trail and the best
+    solution, and takes the size jump of Fig. 5 line 15.  A batch holds
+    one candidate unless [pool] spans more than one domain and the
+    caller is not itself a pool worker; then it holds [2 × domains]
+    candidates, scored concurrently (speculatively) before the merge.
+    The solution, its schedule, the trail, [explored] and every walk
+    counter are therefore bit-identical across pool modes.  SFP node
+    tables and whole candidate evaluations are shared across the walk
+    through a per-run {!Redundancy_opt.cache}, which likewise never
+    changes any result: a run over a [~capacity:0] cache, which retains
+    nothing, returns the same solution.
 
     [cache] overrides the per-run cache, letting several runs over the
     {e same problem} share evaluations — e.g. a MIN / MAX / OPT
@@ -89,21 +96,16 @@ val run :
     under {!run_frontier} — the archive are bit-identical to an
     unpruned walk.  Raises [Invalid_argument] when the report was
     derived for a different problem, [kmax] or slack-policy bucket
-    than the config's.
+    than the config's. *)
 
-    [record], when given, is filled with the {!recorded} state of this
-    run (trail, populated cache, pre-flight, solution) for later
-    {!rerun} calls.  Recording does not change the walk. *)
-
-val run_recorded :
+val run :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
-  recorded
-(** {!run} returning the full recorded state; [rec_solution] is exactly
-    what {!run} would return. *)
+  solution option
+(** [(run_recorded ...).rec_solution]. *)
 
 val rerun :
   ?pool:Ftes_par.Pool.t ->
@@ -152,9 +154,8 @@ val run_frontier :
     of each schedulable architecture) into a fresh archive over [spec]
     (default {!Ftes_pareto.Archive.default_spec}).
 
-    Candidates enter the archive only from the walk's deterministic
-    bookkeeping path — under a multi-domain [pool] that is the ordered
-    batch merge, never a speculative worker — so the insertion sequence,
+    Candidates enter the archive only from the walk's ordered batch
+    merge, never from a speculative worker, so the insertion sequence,
     and with it the archive, is bit-identical to a sequential run's
     (the archive is additionally insertion-order independent, see
     {!Ftes_pareto.Archive}).  The walk itself records exactly the same

@@ -80,7 +80,7 @@ let better ~best (cost, sl) =
       || (Float.abs (cost -. r.Redundancy_opt.cost) <= 1e-9
           && sl < r.Redundancy_opt.schedule_length -. 1e-9)
 
-let run ?pool ?(limit = 2_000_000) ~config problem =
+let run ?(limit = 2_000_000) ~config problem =
   let space = search_space problem in
   if space > float_of_int limit then
     invalid_arg
@@ -135,22 +135,4 @@ let run ?pool ?(limit = 2_000_000) ~config problem =
                   end));
     !best
   in
-  let all_subsets = subsets (Problem.n_library problem) in
-  match pool with
-  | Some p
-    when Ftes_par.Pool.domains p > 1 && not (Ftes_par.Pool.in_worker ()) ->
-      (* Each subset is searched independently (without the cross-subset
-         incumbent, so some pruning is lost) and the per-subset winners
-         are merged in subset order, reproducing the sequential
-         first-wins tie-breaking. *)
-      Ftes_par.Pool.map ~pool:p (search_subset None) all_subsets
-      |> List.fold_left
-           (fun best -> function
-             | Some (r : Redundancy_opt.result)
-               when better ~best
-                      (r.Redundancy_opt.cost, r.Redundancy_opt.schedule_length)
-               ->
-                 Some r
-             | Some _ | None -> best)
-           None
-  | Some _ | None -> List.fold_left search_subset None all_subsets
+  List.fold_left search_subset None (subsets (Problem.n_library problem))

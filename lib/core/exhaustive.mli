@@ -42,7 +42,6 @@ val better :
     breaks towards a strictly shorter schedule. *)
 
 val run :
-  ?pool:Ftes_par.Pool.t ->
   ?limit:int ->
   config:Config.t ->
   Ftes_model.Problem.t ->
@@ -50,9 +49,5 @@ val run :
 (** The cost-minimal feasible design, or [None] when no candidate is
     both schedulable and reliable.  Ties on cost are broken towards the
     shorter schedule.  Raises [Invalid_argument] when {!search_space}
-    exceeds [limit] (default 2_000_000).
-
-    With a multi-domain [pool] the architecture subsets are searched
-    concurrently and their winners merged in subset order; the SFP node
-    tables are shared across candidates.  Either way the enumeration order inside a subset and
-    the tie-breaking across subsets match the sequential search. *)
+    exceeds [limit] (default 2_000_000).  The SFP node tables are shared
+    across candidates. *)

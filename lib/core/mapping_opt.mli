@@ -20,8 +20,7 @@
 
 type objective = Schedule_length | Architecture_cost
 
-val initial_mapping :
-  config:Config.t -> Ftes_model.Problem.t -> members:int array -> int array
+val initial_mapping : Ftes_model.Problem.t -> members:int array -> int array
 (** Greedy earliest-finish-time mapping at minimum hardening, used as
     the tabu starting point. *)
 

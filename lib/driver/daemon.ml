@@ -187,7 +187,7 @@ let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
       List.iter
         (fun (id, _, _, _, _, _, warm) ->
           match warm with
-          | Some (Some recorded, _) when id <> "" -> (
+          | Some (recorded, _) when id <> "" -> (
               match String_memo.find t.recorded id with
               | Some _ -> ()
               | None -> ignore (String_memo.add t.recorded id recorded))

@@ -24,9 +24,11 @@ type outcome =
     }
   | Optimized of {
       solution : Design_strategy.solution option;
-      recorded : Design_strategy.recorded option;
+      report : Report.t option;
+          (** the verifier report on the solution's triple. *)
+      recorded : Design_strategy.recorded;
           (** the walk's recorded state — registry capital for later
-              warm starts ([None] only if recording was impossible). *)
+              warm starts. *)
       reuse : Ftes_whatif.Reuse.t option;
           (** present exactly when this outcome was warm-started. *)
     }
@@ -80,6 +82,48 @@ let base_matches (base : Design_strategy.recorded) ~config ~problem =
   base.Design_strategy.rec_config = config
   && problem_bytes base.Design_strategy.rec_problem = problem_bytes problem
 
+(* The walk a what-if request reruns from: walked cold in the same
+   request (one-shot what-if) or resolved by [base_id] in the resident
+   registry. *)
+let whatif_base ?cache ?recorded_of ~config problem = function
+  | None -> Design_strategy.run_recorded ?cache ~config problem
+  | Some id -> (
+      match recorded_of with
+      | None ->
+          raise
+            (Rejected
+               "base_id needs a resident session (no recorded-walk \
+                registry here)")
+      | Some find -> (
+          match find id with
+          | None ->
+              raise
+                (Rejected
+                   (Printf.sprintf "no recorded optimize walk under base_id %S"
+                      id))
+          | Some base ->
+              if base_matches base ~config ~problem then base
+              else
+                raise
+                  (Rejected
+                     (Printf.sprintf
+                        "base_id %S was recorded under a different problem \
+                         or policy than this request"
+                        id))))
+
+let audit_exact ~config problem (outcome : Bnb.outcome) =
+  let base =
+    match outcome.Bnb.best with
+    | Some r -> Subject.of_design problem r.Redundancy_opt.design
+    | None -> Subject.of_problem problem
+  in
+  Verify.run
+    (Subject.with_bnb_certificate
+       { base with
+         Subject.slack = config.Config.slack;
+         bus = config.Config.bus }
+       outcome.Bnb.certificate)
+
 let run ?cache ?recorded_of (req : Request.t) =
   let config = req.Request.config in
   let problem = req.Request.problem in
@@ -90,69 +134,40 @@ let run ?cache ?recorded_of (req : Request.t) =
           problem
       in
       Analyzed { preflight; certificate = Certificate.of_preflight preflight }
-  | Request.Optimize -> (
-      (* Self-certify: the verifier report on the emitted triple is
-         part of the payload, so certify is always on here. *)
-      let config = Config.with_certify true config in
-      match req.Request.whatif with
-      | None ->
-          let record = ref None in
-          let solution =
-            Design_strategy.run ?cache ~record ~config problem
-          in
-          Optimized { solution; recorded = !record; reuse = None }
-      | Some { Request.base_id; delta } ->
-          let base =
-            match base_id with
-            | None ->
-                (* One-shot what-if: walk the base cold in the same
-                   request, then rerun the delta warm off it. *)
-                Design_strategy.run_recorded ?cache ~config problem
-            | Some id -> (
-                match recorded_of with
-                | None ->
-                    raise
-                      (Rejected
-                         "base_id needs a resident session (no recorded-walk \
-                          registry here)")
-                | Some find -> (
-                    match find id with
-                    | None ->
-                        raise
-                          (Rejected
-                             (Printf.sprintf
-                                "no recorded optimize walk under base_id %S"
-                                id))
-                    | Some base ->
-                        if base_matches base ~config ~problem then base
-                        else
-                          raise
-                            (Rejected
-                               (Printf.sprintf
-                                  "base_id %S was recorded under a different \
-                                   problem or policy than this request"
-                                  id))))
-          in
-          (match Design_strategy.rerun ~from:base delta with
-          | Error msg -> raise (Rejected ("delta rejected: " ^ msg))
-          | Ok (warm, reuse) ->
-              Optimized
-                { solution = warm.Design_strategy.rec_solution;
-                  recorded = Some warm;
-                  reuse = Some reuse }))
-  | Request.Exact { limit } ->
-      (* The proof is the point: always self-audit the emitted
-         certificate, whatever the strategy's certify default.  The
-         exact search builds its own memo tables, so [cache] does not
-         apply. *)
-      let config = Config.with_certify true config in
-      let outcome = Bnb.solve ?limit ~config problem in
-      let report =
-        match outcome.Bnb.audit with
-        | Some report -> report
-        | None -> assert false (* certify is set above *)
+  | Request.Optimize ->
+      let recorded, reuse =
+        match req.Request.whatif with
+        | None -> (Design_strategy.run_recorded ?cache ~config problem, None)
+        | Some { Request.base_id; delta } -> (
+            let base =
+              whatif_base ?cache ?recorded_of ~config problem base_id
+            in
+            match Design_strategy.rerun ~from:base delta with
+            | Error msg -> raise (Rejected ("delta rejected: " ^ msg))
+            | Ok (warm, reuse) -> (warm, Some reuse))
       in
-      Proved { outcome; report }
+      let solution = recorded.Design_strategy.rec_solution in
+      (* Self-certify: the verifier report on the emitted triple is part
+         of the payload.  The walk's own SFP tables go along, so the
+         SFP-cache contract rule checks them against fresh
+         recomputation. *)
+      let report =
+        Option.map
+          (fun (s : Design_strategy.solution) ->
+            Verify.certify ~slack:config.Config.slack ~bus:config.Config.bus
+              ~sfp_tables:s.Design_strategy.sfp_tables
+              recorded.Design_strategy.rec_problem
+              s.Design_strategy.result.Redundancy_opt.design
+              s.Design_strategy.schedule)
+          solution
+      in
+      Optimized { solution; report; recorded; reuse }
+  | Request.Exact { limit } ->
+      (* The proof is the point: always audit the emitted certificate.
+         The exact search builds its own memo tables, so [cache] does
+         not apply. *)
+      let outcome = Bnb.solve ?limit ~config problem in
+      Proved { outcome; report = audit_exact ~config problem outcome }
   | Request.Pareto { eps; objectives; ref_cost } ->
       let spec = Archive.spec ~objectives ~eps () in
       let frontier = Design_strategy.run_frontier ?cache ~spec ~config problem in
@@ -191,10 +206,9 @@ let verdict = function
       if Preflight.feasible preflight then Response.Feasible
       else Response.Infeasible
   | Optimized { solution = None; _ } -> Response.No_solution
-  | Optimized { solution = Some s; _ } -> (
-      match s.Design_strategy.certificate with
-      | Some report when not (Report.ok report) -> Response.Lint_failure
-      | _ -> Response.Feasible)
+  | Optimized { report = Some report; _ } when not (Report.ok report) ->
+      Response.Lint_failure
+  | Optimized _ -> Response.Feasible
   | Proved { outcome; report } ->
       if not (Report.ok report) then Response.Lint_failure
       else if outcome.Bnb.best = None then Response.Infeasible
@@ -235,16 +249,14 @@ let payload (req : Request.t) outcome =
           ("analysis", Certificate_io.to_json certificate) ]
   | Optimized { solution = None; _ } ->
       report_json ~source ~strategy [ ("feasible", Json.Bool false) ]
-  | Optimized { solution = Some s; _ } ->
+  | Optimized { solution = Some s; report; _ } ->
       report_json ~source ~strategy
         (( "feasible", Json.Bool true )
-         :: ( "explored",
-              Json.int s.Design_strategy.explored )
+         :: ("explored", Json.int s.Design_strategy.explored)
          :: solution_fields s
-        @
-        match s.Design_strategy.certificate with
-        | Some report -> [ ("report", Report.to_json report) ]
-        | None -> [])
+        @ Option.fold ~none:[]
+            ~some:(fun report -> [ ("report", Report.to_json report) ])
+            report)
   | Proved { outcome; report } ->
       let cert = outcome.Bnb.certificate in
       report_json ~source ~strategy

@@ -7,10 +7,12 @@
     it in a response envelope — and {!verdict} maps the outcome onto
     the response/exit-code semantics.
 
-    Every execution self-certifies: optimize attaches the full
-    verifier report of the emitted triple, exact audits its optimality
-    certificate, pareto runs the [pareto/*] rules over the frontier
-    archive.  A failed certification degrades the verdict to
+    Every execution self-certifies, and this is the one place that
+    does: optimize and what-if attach the full verifier report of the
+    emitted triple, exact audits its optimality certificate (and the
+    optimal design) with the [bnb/*] rules, pareto runs the [pareto/*]
+    rules over the frontier archive.  The optimizer itself links no
+    verifier.  A failed certification degrades the verdict to
     {!Response.Lint_failure} — never to silence.
 
     Determinism: given equal requests, [payload] is byte-identical
@@ -31,7 +33,11 @@ type outcome =
     }
   | Optimized of {
       solution : Ftes_core.Design_strategy.solution option;
-      recorded : Ftes_core.Design_strategy.recorded option;
+      report : Ftes_verify.Report.t option;
+          (** the full verifier report on the solution's triple, checked
+              against the walk's own SFP tables; present exactly when
+              [solution] is. *)
+      recorded : Ftes_core.Design_strategy.recorded;
           (** the optimize walk's recorded state — what a daemon
               registers under the request id so later what-if requests
               can warm-start from it via ["base_id"]. *)
@@ -71,6 +77,16 @@ val run :
     evaluation budget runs out, and {!Rejected} on unservable what-if
     requests — frontends turn both into an error report / [Failed]
     response. *)
+
+val audit_exact :
+  config:Ftes_core.Config.t ->
+  Ftes_model.Problem.t ->
+  Ftes_bnb.Bnb.outcome ->
+  Ftes_verify.Report.t
+(** The report {!run} attaches to an exact outcome: the full registry
+    over the optimal design (or the problem alone, when proven
+    infeasible) together with the optimality certificate, so the
+    [bnb/*] rules audit every premise. *)
 
 val verdict : outcome -> Response.verdict
 

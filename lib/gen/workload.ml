@@ -73,8 +73,7 @@ let no_fault_length ~params spec =
   let provisional = { spec with deadline_ms = 1e12; gamma = 1e-9 } in
   let problem = problem_of_spec ~params anchor_cell provisional in
   let members = Array.init params.n_library Fun.id in
-  let config = Ftes_core.Config.default in
-  let mapping = Ftes_core.Mapping_opt.initial_mapping ~config problem ~members in
+  let mapping = Ftes_core.Mapping_opt.initial_mapping problem ~members in
   let m = Array.length members in
   let design =
     Design.make problem ~members ~levels:(Array.make m 1)

@@ -128,16 +128,14 @@ let run_deques ~workers deques exec =
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ()
 
-let run_tasks ~workers ~n exec =
-  (* Block-distribute the indices: worker [w] owns the contiguous slice
-     [w*n/workers, (w+1)*n/workers), which keeps owner pops cache-local
-     and makes steals grab from the far end of another block. *)
-  let deques =
-    Array.init workers (fun w ->
-        let lo = w * n / workers and hi = (w + 1) * n / workers in
-        Deque.of_tasks (Array.init (hi - lo) (fun i -> lo + i)))
-  in
-  run_deques ~workers deques exec
+(* Block-distribute the indices: worker [w] owns the contiguous slice
+   [w*n/workers, (w+1)*n/workers), which keeps owner pops cache-local
+   and makes steals grab from the far end of another block. *)
+let block_deques ~workers tasks =
+  let n = Array.length tasks in
+  Array.init workers (fun w ->
+      let lo = w * n / workers and hi = (w + 1) * n / workers in
+      Deque.of_tasks (Array.init (hi - lo) (fun i -> lo + i)))
 
 (* Deal the indices round-robin by descending weight so every worker
    starts on one of the heaviest tasks; within a worker's deque the
@@ -157,51 +155,35 @@ let weighted_deques ~workers weights =
   Array.iteri (fun i task -> lists.(i mod workers) <- task :: lists.(i mod workers)) order;
   Array.map (fun tasks -> Deque.of_tasks (Array.of_list tasks)) lists
 
-let map_array ?(pool = sequential) f xs =
-  let n = Array.length xs in
-  let workers = min pool.domains n in
-  if workers <= 1 || Domain.DLS.get inside_worker then Array.map f xs
-  else begin
-    Ftes_obs.Metrics.incr c_maps;
-    Ftes_obs.Metrics.add c_tasks n;
-    let results = Array.make n None in
-    run_tasks ~workers ~n (fun i -> results.(i) <- Some (f xs.(i)));
-    Array.map
-      (function
-        | Some r -> r
-        | None -> assert false (* run_tasks re-raises before we get here *))
-      results
-  end
-
-let map ?pool f xs =
-  match xs with
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs -> Array.to_list (map_array ?pool f (Array.of_list xs))
-
-let map_weighted ?(pool = sequential) ~weight f xs =
-  let arr = Array.of_list xs in
-  let n = Array.length arr in
+(* The ordered map behind [map] and [map_weighted]: [List.map] when no
+   parallelism is available, else the task indices are spread over the
+   workers by [deques] and the results read back in input order. *)
+let ordered_map ~pool ~deques f xs =
+  let n = List.length xs in
   let workers = min pool.domains n in
   if workers <= 1 || Domain.DLS.get inside_worker then List.map f xs
   else begin
     Ftes_obs.Metrics.incr c_maps;
     Ftes_obs.Metrics.add c_tasks n;
-    (* Weights are taken before any parallelism starts, in input order,
-       so the schedule hint can never feed back into the results. *)
-    let weights = Array.map weight arr in
+    let tasks = Array.of_list xs in
     let results = Array.make n None in
-    run_deques ~workers
-      (weighted_deques ~workers weights)
-      (fun i -> results.(i) <- Some (f arr.(i)));
+    run_deques ~workers (deques ~workers tasks) (fun i ->
+        results.(i) <- Some (f tasks.(i)));
     Array.to_list results
     |> List.map (function
          | Some r -> r
          | None -> assert false (* run_deques re-raises before we get here *))
   end
 
-let map_reduce ?pool ~map:f ~combine ~init xs =
-  List.fold_left combine init (map ?pool f xs)
+let map ?(pool = sequential) f xs = ordered_map ~pool ~deques:block_deques f xs
+
+(* Weights are taken before any parallelism starts, in input order, so
+   the schedule hint can never feed back into the results. *)
+let map_weighted ?(pool = sequential) ~weight f xs =
+  ordered_map ~pool
+    ~deques:(fun ~workers tasks ->
+      weighted_deques ~workers (Array.map weight tasks))
+    f xs
 
 let map_seeded ?pool ~prng f xs =
   let seeded = List.map (fun x -> (Ftes_util.Prng.split prng, x)) xs in

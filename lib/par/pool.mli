@@ -50,9 +50,6 @@ val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
     is exactly [List.map].  Exceptions raised by [f] are re-raised in
     the calling domain after all workers have stopped. *)
 
-val map_array : ?pool:t -> ('a -> 'b) -> 'a array -> 'b array
-(** Array variant of {!map}, same ordering and exception contract. *)
-
 val map_weighted :
   ?pool:t -> weight:('a -> float) -> ('a -> 'b) -> 'a list -> 'b list
 (** {!map} with a scheduling hint: elements with larger [weight] are
@@ -62,13 +59,6 @@ val map_weighted :
     parallelism starts.  Results are returned in input order; for a
     pure [f] the output is [List.map f xs] regardless of the weights —
     they only shape the wall clock. *)
-
-val map_reduce :
-  ?pool:t -> map:('a -> 'b) -> combine:('c -> 'b -> 'c) -> init:'c ->
-  'a list -> 'c
-(** [map_reduce ~map ~combine ~init xs] maps in parallel and folds the
-    results in input order, so a non-commutative [combine] still gives
-    the sequential answer. *)
 
 val map_seeded :
   ?pool:t -> prng:Ftes_util.Prng.t -> (Ftes_util.Prng.t -> 'a -> 'b) ->

@@ -76,6 +76,7 @@ run whatif --example fig1 --delta-file delta.json --format json
 run whatif --example fig1 --delta '{"class": "frobnicate"}'
 
 run simulate --example fig1 --trials 2000 --boost 100
+run simulate --example fig1 --trials 2000
 run simulate --example cc --trials 2000
 run worst-case --example fig1
 run checkpoint --example fig1

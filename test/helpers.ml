@@ -180,10 +180,7 @@ let perturbed_problem prng problem =
 let design_on_all_nodes ?(levels = 1) ?(k = 0) problem =
   let m = Ftes_model.Problem.n_library problem in
   let members = Array.init m Fun.id in
-  let mapping =
-    Ftes_core.Mapping_opt.initial_mapping ~config:Ftes_core.Config.default
-      problem ~members
-  in
+  let mapping = Ftes_core.Mapping_opt.initial_mapping problem ~members in
   Ftes_model.Design.make problem ~members
     ~levels:(Array.make m levels)
     ~reexecs:(Array.make m k) ~mapping

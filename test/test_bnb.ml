@@ -33,19 +33,15 @@ let sl_of = function
   | Some r -> r.Redundancy_opt.schedule_length
   | None -> infinity
 
-let audit_ok (outcome : Bnb.outcome) =
-  match outcome.Bnb.audit with
-  | Some report -> Report.ok report
-  | None -> false
+(* The error diagnostics of the audit [Exec] attaches to an exact
+   answer; empty when it passes. *)
+let audit_errors config problem outcome =
+  String.concat "; "
+    (List.map
+       (fun d -> d.Diagnostic.rule ^ ": " ^ d.Diagnostic.detail)
+       (Report.errors (Ftes_driver.Exec.audit_exact ~config problem outcome)))
 
-let audit_errors (outcome : Bnb.outcome) =
-  match outcome.Bnb.audit with
-  | Some report ->
-      String.concat "; "
-        (List.map
-           (fun d -> d.Diagnostic.rule ^ ": " ^ d.Diagnostic.detail)
-           (Report.errors report))
-  | None -> "no audit attached"
+let audit_ok config problem outcome = audit_errors config problem outcome = ""
 
 (* A library with a bitwise twin of node 0, so the symmetry pruner has
    something to skip. *)
@@ -61,7 +57,7 @@ let duplicated_library seed =
 let fixture =
   lazy
     (let problem = Helpers.small_problem ~n:4 ~lib:3 ~levels:2 42 in
-     let config = Config.make ~certify:true () in
+     let config = Config.default in
      (problem, config, Bnb.solve ~config problem))
 
 (* --- golden optimality-gap table --- *)
@@ -161,7 +157,7 @@ let prop_differential =
         (fun slack ->
           List.for_all
             (fun bus ->
-              let config = Config.make ~slack ~bus ~certify:true () in
+              let config = Config.make ~slack ~bus () in
               let ex = Exhaustive.run ~config problem in
               let outcome = Bnb.solve ~config problem in
               let cert = outcome.Bnb.certificate in
@@ -176,9 +172,9 @@ let prop_differential =
                 QCheck.Test.fail_reportf
                   "schedule length %g <> exhaustive %g"
                   (sl_of outcome.Bnb.best) (sl_of ex)
-              else if not (audit_ok outcome) then
+              else if not (audit_ok config problem outcome) then
                 QCheck.Test.fail_reportf "audit failed: %s"
-                  (audit_errors outcome)
+                  (audit_errors config problem outcome)
               else if
                 cert.Cert.heuristic_cost < cert.Cert.optimal_cost -. 1e-9
               then
@@ -222,15 +218,14 @@ let prunes (c : Cert.counters) =
   + c.Cert.pruned_levels + c.Cert.pruned_mappings
 
 let solve_rung label problem =
-  let config = Config.make ~certify:true () in
+  let config = Config.default in
   match Bnb.solve ~limit:ladder_limit ~config problem with
   | exception Bnb.Budget_exhausted n ->
       Alcotest.failf "%s: exhausted the %d-candidate budget at %d" label
         ladder_limit n
   | outcome ->
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: audit ok (%s)" label (audit_errors outcome))
-        true (audit_ok outcome);
+      Alcotest.(check string) (label ^ ": audit errors") ""
+        (audit_errors config problem outcome);
       outcome
 
 (* The rungs small enough for the reference enumeration. *)
@@ -245,7 +240,7 @@ let exhaustive_rungs =
        [ (4, 2); (6, 2); (6, 3); (8, 3) ])
 
 let test_ladder_matches_exhaustive () =
-  let config = Config.make ~certify:true () in
+  let config = Config.default in
   let rungs = Lazy.force exhaustive_rungs in
   Alcotest.(check bool) "some rung fits the exhaustive budget" true
     (rungs <> []);
@@ -285,7 +280,7 @@ let test_symmetry_differential () =
   List.iter
     (fun seed ->
       let problem = duplicated_library seed in
-      let config = Config.make ~certify:true () in
+      let config = Config.default in
       let ex = Exhaustive.run ~config problem in
       let outcome = Bnb.solve ~config problem in
       let c = outcome.Bnb.certificate in
@@ -299,14 +294,14 @@ let test_symmetry_differential () =
         (cost_of outcome.Bnb.best);
       Alcotest.(check bool)
         (Printf.sprintf "seed %d: audit ok" seed)
-        true (audit_ok outcome))
+        true (audit_ok config problem outcome))
     [ 42; 7 ]
 
 let test_parallel_matches_sequential () =
   let pool = Pool.create ~domains:2 () in
   List.iter
     (fun (name, problem) ->
-      let config = Config.make ~certify:true () in
+      let config = Config.default in
       let seq = Bnb.solve ~config problem in
       let par = Bnb.solve ~pool ~config problem in
       Alcotest.(check (float 0.0))
@@ -321,7 +316,9 @@ let test_parallel_matches_sequential () =
             (a.Redundancy_opt.design = b.Redundancy_opt.design)
       | None, None -> ()
       | _ -> Alcotest.fail (name ^ ": feasibility diverged"));
-      Alcotest.(check bool) (name ^ ": parallel audit ok") true (audit_ok par))
+      Alcotest.(check bool)
+        (name ^ ": parallel audit ok")
+        true (audit_ok config problem par))
     [ ("seed42", Helpers.small_problem ~n:4 ~lib:3 ~levels:2 42);
       ("seed3", Helpers.small_problem ~n:4 ~lib:3 ~levels:2 3);
       ("twin", duplicated_library 42) ]
@@ -337,7 +334,7 @@ let test_budget_exhausted () =
    design. *)
 let test_bnb_beats_greedy () =
   let problem = Helpers.small_problem ~n:4 ~lib:3 ~levels:2 3 in
-  let config = Config.make ~certify:true () in
+  let config = Config.default in
   let outcome = Bnb.solve ~config problem in
   let cert = outcome.Bnb.certificate in
   Alcotest.(check bool) "greedy found nothing" false
@@ -345,7 +342,7 @@ let test_bnb_beats_greedy () =
   Alcotest.(check bool) "bnb proved an optimum" true
     (Float.is_finite cert.Cert.optimal_cost);
   Alcotest.(check (option (float 0.0))) "gap undefined" None (Cert.gap cert);
-  Alcotest.(check bool) "audit ok" true (audit_ok outcome)
+  Alcotest.(check bool) "audit ok" true (audit_ok config problem outcome)
 
 let test_gap_zero_when_heuristic_optimal () =
   let _, _, outcome = Lazy.force fixture in
@@ -355,14 +352,14 @@ let test_gap_zero_when_heuristic_optimal () =
 
 let test_infeasible_proof () =
   let problem = Helpers.small_problem ~n:4 ~lib:3 ~levels:2 1 in
-  let config = Config.make ~certify:true () in
+  let config = Config.default in
   let ex = Exhaustive.run ~config problem in
   let outcome = Bnb.solve ~config problem in
   Alcotest.(check bool) "exhaustive agrees" true (ex = None);
   Alcotest.(check bool) "no incumbent" true (outcome.Bnb.best = None);
   Alcotest.(check bool) "optimal cost unbounded" false
     (Float.is_finite outcome.Bnb.certificate.Cert.optimal_cost);
-  Alcotest.(check bool) "audit ok" true (audit_ok outcome)
+  Alcotest.(check bool) "audit ok" true (audit_ok config problem outcome)
 
 (* --- certificate JSON io --- *)
 

@@ -181,7 +181,7 @@ let test_best_effort_length () =
 let test_initial_mapping_total () =
   let problem = Helpers.synthetic_problem ~n:15 () in
   let members = [| 0; 1; 2 |] in
-  let mapping = Mapping_opt.initial_mapping ~config:Config.default problem ~members in
+  let mapping = Mapping_opt.initial_mapping problem ~members in
   Alcotest.(check int) "covers all processes" 15 (Array.length mapping);
   Array.iter
     (fun slot -> Alcotest.(check bool) "valid slot" true (slot >= 0 && slot < 3))

@@ -188,14 +188,13 @@ let test_cross_domain_merge () =
   Metrics.reset_counter c;
   let pool = Pool.create ~domains:2 () in
   let n = 200 in
-  let input = Array.init n (fun i -> i) in
   let _ =
-    Pool.map_array ~pool
+    Pool.map ~pool
       (fun i ->
         Metrics.incr c;
         Metrics.observe h (1 + (i mod 7));
         i)
-      input
+      (List.init n Fun.id)
   in
   Alcotest.(check int) "increments from every domain land" n
     (Metrics.counter_value c);

@@ -30,13 +30,6 @@ let prop_map_is_list_map =
       let f x = (x * x) - (3 * x) in
       Pool.map ~pool f xs = List.map f xs)
 
-let prop_map_array =
-  QCheck.Test.make ~count:50 ~name:"Pool.map_array f = Array.map f"
-    QCheck.(array_of_size Gen.(int_bound 40) int)
-    (fun xs ->
-      let f x = x lxor 0x2a in
-      Pool.map_array ~pool:pool3 f xs = Array.map f xs)
-
 let prop_map_weighted =
   QCheck.Test.make ~count:50
     ~name:"Pool.map_weighted f = List.map f (weights only shape wall clock)"
@@ -47,22 +40,6 @@ let prop_map_weighted =
       (* Adversarial weights: negative, tied and non-monotonic. *)
       let weight x = float_of_int ((x mod 5) - 2) in
       Pool.map_weighted ~pool ~weight f xs = List.map f xs)
-
-let prop_map_reduce =
-  QCheck.Test.make ~count:50
-    ~name:"Pool.map_reduce folds mapped results in input order"
-    QCheck.(small_list small_int)
-    (fun xs ->
-      (* Non-commutative combine: order-sensitive on purpose. *)
-      let seq =
-        List.fold_left (fun acc x -> (10 * acc) + (x mod 7)) 1 xs
-      in
-      let par =
-        Pool.map_reduce ~pool:pool2 ~map:(fun x -> x mod 7)
-          ~combine:(fun acc d -> (10 * acc) + d)
-          ~init:1 xs
-      in
-      seq = par)
 
 let test_map_exception () =
   let raises () =
@@ -260,38 +237,57 @@ let fingerprint = function
           mapping = d.Design.mapping;
           explored = s.Design_strategy.explored }
 
-let problem_of_seed seed =
-  let spec =
-    Workload.generate_spec ~seed ~index:0 ~n_processes:(8 + (seed mod 5)) ()
-  in
+let problem_of_seed ?n_processes seed =
+  let n_processes = Option.value n_processes ~default:(8 + (seed mod 5)) in
+  let spec = Workload.generate_spec ~seed ~index:0 ~n_processes () in
   Workload.problem_of_spec { Workload.ser = 1e-11; hpd = 0.25 } spec
 
 (* A cache that retains nothing: every lookup misses and recomputes,
    the unmemoized reference path. *)
 let unmemoized () = Redundancy_opt.create_cache ~capacity:0 ()
 
+(* The walk's own counters: the ordered merge alone moves them, so a
+   pooled walk must read exactly what a sequential one reads. *)
+let walk_counters =
+  List.map Metrics.counter
+    [ "strategy.explored"; "strategy.pruned"; "analyze.pruned_architectures" ]
+
+(* A pre-flight-pruned walk's fingerprint together with the deltas of
+   the walk counters it moved. *)
+let walk ?pool ?cache ~config problem =
+  let preflight =
+    Ftes_analyze.Preflight.run ~kmax:config.Config.kmax
+      ~slack:config.Config.slack problem
+  in
+  let before = List.map Metrics.counter_value walk_counters in
+  let solution = Design_strategy.run ?pool ?cache ~preflight ~config problem in
+  ( fingerprint solution,
+    List.map2 (fun c b -> Metrics.counter_value c - b) walk_counters before )
+
+let parallel_identical problem =
+  List.for_all
+    (fun (_, slack) ->
+      List.for_all
+        (fun (_, bus) ->
+          let config = Config.(default |> with_slack slack |> with_bus bus) in
+          walk ~cache:(unmemoized ()) ~config problem
+          = walk ~pool:pool2 ~config problem)
+        bus_policies)
+    slack_policies
+
+let cc_parallel_identical =
+  lazy (parallel_identical (Ftes_cc.Cruise_control.problem ()))
+
 let prop_strategy_parallel_identical =
-  QCheck.Test.make ~count:6
+  QCheck.Test.make ~count:3
     ~name:
-      "parallel memoized Design_strategy.run = sequential unmemoized (all \
-       slack x bus policies)"
+      "parallel memoized Design_strategy.run = sequential unmemoized, walk \
+       counters included (cc + 20-process apps, pre-flight on, all slack x \
+       bus policies)"
     QCheck.(int_bound 10_000)
     (fun seed ->
-      let problem = problem_of_seed seed in
-      List.for_all
-        (fun (_, slack) ->
-          List.for_all
-            (fun (_, bus) ->
-              let config = Config.(default |> with_slack slack |> with_bus bus) in
-              let seq =
-                Design_strategy.run ~cache:(unmemoized ()) ~config problem
-              in
-              let par =
-                Design_strategy.run ~pool:pool2 ~config problem
-              in
-              fingerprint seq = fingerprint par)
-            bus_policies)
-        slack_policies)
+      Lazy.force cc_parallel_identical
+      && parallel_identical (problem_of_seed ~n_processes:20 seed))
 
 let prop_memoization_invisible =
   QCheck.Test.make ~count:10
@@ -356,9 +352,7 @@ let () =
   Alcotest.run "ftes_par"
     [ ("pool",
        [ q prop_map_is_list_map;
-         q prop_map_array;
          q prop_map_weighted;
-         q prop_map_reduce;
          Alcotest.test_case "exception propagation" `Quick test_map_exception;
          Alcotest.test_case "map_seeded invariant across domain counts"
            `Quick test_map_seeded_domain_invariant;

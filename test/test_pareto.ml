@@ -198,11 +198,8 @@ let prop_merge_equals_sequential =
       in
       let pool = Pool.create ~domains:3 () in
       let merged =
-        Pool.map_reduce ~pool
-          ~map:(fun chunk -> Archive.of_points ~spec chunk)
-          ~combine:Archive.merge
-          ~init:(Archive.create ~spec ())
-          chunks
+        Pool.map ~pool (Archive.of_points ~spec) chunks
+        |> List.fold_left Archive.merge (Archive.create ~spec ())
       in
       Archive.equal merged (Archive.of_points ~spec pts))
 

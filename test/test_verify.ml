@@ -90,25 +90,23 @@ let test_json_reports_diagnostics () =
 
 (* --- certification wiring --- *)
 
-let test_design_strategy_certificate () =
-  let problem = Ftes_cc.Fig_examples.fig1_problem () in
-  let config = Ftes_core.Config.with_certify true Ftes_core.Config.default in
-  match Ftes_core.Design_strategy.run ~config problem with
-  | None -> Alcotest.fail "fig1 should have a feasible design"
-  | Some s -> (
-      match s.Ftes_core.Design_strategy.certificate with
-      | None -> Alcotest.fail "certify=true should attach a report"
-      | Some report ->
-          Alcotest.(check bool) "emitted design certifies" true
-            (Report.ok report))
-
-let test_design_strategy_no_certificate_by_default () =
-  let problem = Ftes_cc.Fig_examples.fig1_problem () in
-  match Ftes_core.Design_strategy.run ~config:Ftes_core.Config.default problem with
-  | None -> Alcotest.fail "fig1 should have a feasible design"
-  | Some s ->
-      Alcotest.(check bool) "no report unless asked" true
-        (s.Ftes_core.Design_strategy.certificate = None)
+let test_exec_optimize_certificate () =
+  let req =
+    match
+      Ftes_driver.Request.make Ftes_driver.Request.Optimize (`Example "fig1")
+    with
+    | Ok req -> req
+    | Error e -> Alcotest.fail e
+  in
+  match Ftes_driver.Exec.run req with
+  | Ftes_driver.Exec.Optimized { solution = Some _; report = Some report; _ }
+    ->
+      Alcotest.(check bool) "emitted design certifies" true (Report.ok report);
+      Alcotest.(check bool) "walk's SFP tables checked" true
+        (List.mem "sfp/cache" report.Report.rules_run)
+  | Ftes_driver.Exec.Optimized { solution = Some _; report = None; _ } ->
+      Alcotest.fail "an optimize outcome must carry a report"
+  | _ -> Alcotest.fail "fig1 should have a feasible design"
 
 (* --- acceptance of scheduler output --- *)
 
@@ -386,10 +384,8 @@ let () =
           Alcotest.test_case "json carries diagnostics" `Quick
             test_json_reports_diagnostics ] );
       ( "certification",
-        [ Alcotest.test_case "design strategy attaches a report" `Quick
-            test_design_strategy_certificate;
-          Alcotest.test_case "off by default" `Quick
-            test_design_strategy_no_certificate_by_default ] );
+        [ Alcotest.test_case "exec optimize attaches a report" `Quick
+            test_exec_optimize_certificate ] );
       ( "acceptance",
         [ Alcotest.test_case "clean base" `Quick test_clean_base_verifies;
           Alcotest.test_case "per-process policy" `Quick
