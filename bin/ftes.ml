@@ -230,17 +230,13 @@ let reuse_text (r : Ftes_whatif.Reuse.t) =
   let module R = Ftes_whatif.Reuse in
   Printf.sprintf
     "warm start (%s): replayed %d/%d steps; kept %d/%d SFP tables, %d/%d \
-     evaluations, %d/%d probes%s\n"
+     evaluations, %d/%d probes\n"
     r.R.delta_class r.R.steps_replayed r.R.steps_total r.R.sfp_kept
     (r.R.sfp_kept + r.R.sfp_dropped)
     r.R.evals_kept
     (r.R.evals_kept + r.R.evals_dropped)
     r.R.probes_kept
     (r.R.probes_kept + r.R.probes_dropped)
-    (if r.R.preflight_reused then
-       Printf.sprintf "; pre-flight reused (%d witnesses re-checked)"
-         r.R.witnesses_rechecked
-     else "")
 
 let whatif_text (req : Request.t) (w : Request.whatif) reuse solution =
   Printf.sprintf "whatif %s (strategy %s, delta %s)\n" req.Request.source

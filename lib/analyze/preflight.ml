@@ -199,98 +199,7 @@ let witness_to_string problem w =
          capacity within the deadline"
         work_ms capacity_ms
 
-(* --- warm-start reuse -----------------------------------------------
-
-   A report derived for a base problem can serve a perturbed problem
-   when the perturbation only tightens: the per-cell [kneed] values were
-   computed against a budget at least as loose as the perturbed one, so
-   they under-approximate the required re-executions, and every length
-   lower bound built from them stays a lower bound (the WCETs the
-   oracles read come from [t.problem], which [retarget] swaps to the
-   perturbed instance).  {!Ftes_whatif.Delta.cannot_weaken} is the
-   caller-side gate; [recheck] then re-verifies the stored infeasibility
-   witnesses arithmetically — re-checked, not re-derived — against the
-   perturbed tables. *)
-
-let recheck t problem =
-  let app = problem.Problem.app in
-  let deadline = app.Application.deadline_ms in
-  let mu = app.Application.recovery_overhead_ms in
-  let n = Problem.n_processes problem in
-  let lib = Problem.n_library problem in
-  let budget = Bound.admissible_budget ~kmax:t.kmax app in
-  let min_wcet proc =
-    let best = ref infinity in
-    for node = 0 to lib - 1 do
-      for level = 1 to Problem.levels problem node do
-        let w = Problem.wcet problem ~node ~level ~proc in
-        if w < !best then best := w
-      done
-    done;
-    !best
-  in
-  let min_length proc =
-    (* Shortest reliability-admissible single-task length, re-execution
-       slack included — the [Task_slack] derivation replayed on the
-       perturbed tables. *)
-    let best = ref infinity in
-    for node = 0 to lib - 1 do
-      for level = 1 to Problem.levels problem node do
-        let pf = Problem.pfail problem ~node ~level ~proc in
-        match Bound.required_k_exact [| pf |] ~budget ~kmax:t.kmax with
-        | Some k ->
-            let w = Problem.wcet problem ~node ~level ~proc in
-            let len =
-              if t.reexec then w +. (float_of_int k *. (w +. mu)) else w
-            in
-            if len < !best then best := len
-        | None -> ()
-      done
-    done;
-    !best
-  in
-  let holds = function
-    | Task_unreliable { proc } ->
-        proc >= 0 && proc < n
-        &&
-        let reachable = ref false in
-        for node = 0 to lib - 1 do
-          for level = 1 to Problem.levels problem node do
-            let pf = Problem.pfail problem ~node ~level ~proc in
-            if Bound.required_k_exact [| pf |] ~budget ~kmax:t.kmax <> None
-            then reachable := true
-          done
-        done;
-        not !reachable
-    | Task_wcet { proc; _ } ->
-        proc >= 0 && proc < n && overruns (min_wcet proc) ~deadline
-    | Task_slack { proc; _ } ->
-        proc >= 0 && proc < n && overruns (min_length proc) ~deadline
-    | Critical_path { path; _ } ->
-        (* The stored path is a dependency chain, so the sum of its
-           per-process minimum WCETs lower-bounds any schedule whatever
-           the true critical path now is. *)
-        List.for_all (fun p -> p >= 0 && p < n) path
-        &&
-        let len = List.fold_left (fun acc p -> acc +. min_wcet p) 0.0 path in
-        overruns len ~deadline
-    | Total_work _ ->
-        let work = ref 0.0 in
-        for proc = 0 to n - 1 do
-          work := !work +. min_wcet proc
-        done;
-        overruns (!work /. float_of_int lib) ~deadline
-  in
-  List.for_all holds t.witnesses
-
-let retarget t problem = { t with problem }
-
 (* --- pruning oracles --- *)
-
-let node_required_reexecs t ~probs =
-  Bound.required_k_exact probs ~budget:t.budget ~kmax:t.kmax
-
-let node_goal_unreachable t ~probs = node_required_reexecs t ~probs = None
 
 let architecture_check t ~members =
   let problem = t.problem in

@@ -19,11 +19,12 @@
       reliability-admissible h-version of the most demanding process.
 
     Every violated condition carries a concrete {!witness}.  The same
-    tables double as sound pruning oracles for the design-space walk
-    ({!node_required_reexecs}, {!architecture_check}): each test is
-    one-sided, so consuming the report skips only assignments the
-    unpruned search would have rejected anyway — results are
-    bit-identical (certified by the test-suite).
+    tables double as sound pruning oracles for the exact search
+    ({!architecture_check}, {!completion_cost_lower_bound},
+    {!canonical_nodes}): each test is one-sided, so consuming the report
+    skips only architectures the search would have rejected anyway.
+    The heuristic Fig. 5 walk ({!Ftes_core.Design_strategy}) takes no
+    report.
 
     A report is emitted as a machine-checkable {!Certificate} and
     re-derived offline by the [analyze/*] rules of [Ftes_verify]. *)
@@ -109,8 +110,8 @@ val run_with : ?kmax:int -> reexec:bool -> Ftes_model.Problem.t -> t
 val reexec_of_slack : Ftes_sched.Scheduler.slack_mode -> bool
 (** The policy bucket {!run} analyzes a slack mode under: [true] for
     the whole-process re-execution policies ([Shared] / [Conservative]
-    / [Dedicated]).  Consumers validate a report against their config
-    through this before pruning with it. *)
+    / [Dedicated]).  The [bnb/*] audit re-derives a report under the
+    subject's slack mode through this. *)
 
 val feasible : t -> bool
 (** [witnesses = []] — no necessary condition is violated.  (The
@@ -118,48 +119,11 @@ val feasible : t -> bool
 
 val witness_to_string : Ftes_model.Problem.t -> witness -> string
 
-(** {2 Warm-start reuse}
-
-    A report can outlive its problem across a {e tightening}
-    perturbation (deadline or period decreased, gamma decreased, WCETs
-    or failure probabilities raised — the caller proves this via
-    {!Ftes_whatif.Delta.cannot_weaken}): the [kneed] table was derived
-    under a budget at least as loose as the perturbed one, so its
-    entries under-approximate the required re-executions and every
-    length bound built from them remains a valid lower bound.  The
-    pruning oracles stay one-sided under such reuse, so warm walks
-    remain bit-identical to cold ones. *)
-
-val recheck : t -> Ftes_model.Problem.t -> bool
-(** [recheck t perturbed] arithmetically re-verifies each stored
-    infeasibility witness against the perturbed problem's tables —
-    re-checked, not re-derived.  [true] when every witness still
-    proves infeasibility there (vacuously for a feasible report).
-    Only meaningful when the library shape and process count are
-    unchanged; the caller's tightening gate guarantees that. *)
-
-val retarget : t -> Ftes_model.Problem.t -> t
-(** [retarget t perturbed] rebinds the report to the perturbed problem
-    (the oracles read WCETs through it) while keeping every derived
-    bound.  Sound only under the tightening premise above; the
-    unchanged [kmax] and policy bucket still must match the consuming
-    config, as {!Ftes_core.Redundancy_opt.validate_preflight}
-    enforces. *)
-
 (** {2 Pruning oracles}
 
-    Sound one-sided tests the optimizer consults mid-walk; every
-    "dead" answer means the full evaluation provably fails. *)
-
-val node_required_reexecs : t -> probs:float array -> int option
-(** Least [k <= kmax] bringing a node with these process failure
-    probabilities within the admissible budget — a lower bound on the
-    re-execution count of any design in which such a node meets the
-    goal.  [None] proves the node can never meet it. *)
-
-val node_goal_unreachable : t -> probs:float array -> bool
-(** [node_required_reexecs = None]: {!Ftes_core.Re_execution_opt}
-    would return [None] for any design containing this node vector. *)
+    Sound one-sided tests the exact search ({!Ftes_bnb}) consults while
+    it enumerates architectures; every "dead" answer means the full
+    evaluation provably fails. *)
 
 val architecture_check :
   t -> members:int array -> [ `Feasible | `Unreliable of int | `Deadline of float ]

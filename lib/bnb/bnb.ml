@@ -229,7 +229,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
       in
       let cache = Ftes_par.Sfp_cache.create () in
       let heuristic_cost =
-        match Design_strategy.run ?pool ~preflight ~config problem with
+        match Design_strategy.run ?pool ~config problem with
         | Some s -> s.Design_strategy.result.Redundancy_opt.cost
         | None -> infinity
       in

@@ -50,9 +50,6 @@ let c_pruned = Ftes_obs.Metrics.counter "strategy.pruned"
 
 let c_runs = Ftes_obs.Metrics.counter "strategy.runs"
 
-let c_pruned_architectures =
-  Ftes_obs.Metrics.counter "analyze.pruned_architectures"
-
 (* One entry of the recorded walk: an evaluated architecture and its
    verdict.  Steps correspond 1:1 with [explored] increments, which are
    bit-identical across pool modes, so the trail is too. *)
@@ -94,10 +91,9 @@ let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
    exists), [on_step] once per evaluated architecture.  Every entry
    point runs through here: one [strategy/run] span around the walk and
    the finalization of its best result. *)
-let search ?pool ?cache ?preflight ~config ~on_feasible ~on_step problem =
+let search ?pool ?cache ~config ~on_feasible ~on_step problem =
   Ftes_obs.Metrics.incr c_runs;
   Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
-  Option.iter (Redundancy_opt.validate_preflight ~config problem) preflight;
   let lib = Problem.n_library problem in
   (* An externally supplied cache lets several runs over the same
      problem (e.g. a hardening-policy sweep) share evaluations; it must
@@ -113,31 +109,20 @@ let search ?pool ?cache ?preflight ~config ~on_feasible ~on_step problem =
   let best_cost = ref infinity in
   (* Score one candidate against the best cost at batch entry: its
      minimum-hardening cost and a verdict.  Line 6 (cannot beat the
-     best-so-far) and the pre-flight proof (every mapping onto the
-     architecture is unreliable or over-deadline, so the tabu search
-     would only see futile probes) both come back as verdicts without a
-     mapping search. *)
+     best-so-far) comes back as a verdict without a mapping search. *)
   let score ~bound members =
     let floor = min_hardening_cost problem members in
     let verdict =
       if floor >= bound then `Pruned
-      else if
-        match preflight with
-        | None -> false
-        | Some pf -> (
-            match Ftes_analyze.Preflight.architecture_check pf ~members with
-            | `Feasible -> false
-            | `Unreliable _ | `Deadline _ -> true)
-      then `Dead
       else
         match
-          Mapping_opt.run ~cache ?pool ?preflight ~config
+          Mapping_opt.run ~cache ?pool ~config
             ~objective:Mapping_opt.Schedule_length problem ~members
         with
         | None -> `Unschedulable
         | Some sl_result ->
             let refined =
-              Mapping_opt.run ~cache ?pool ?preflight ~config
+              Mapping_opt.run ~cache ?pool ~config
                 ~objective:Mapping_opt.Architecture_cost
                 ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
                 ~members
@@ -169,16 +154,10 @@ let search ?pool ?cache ?preflight ~config ~on_feasible ~on_step problem =
         else begin
           incr explored;
           Ftes_obs.Metrics.incr c_explored;
-          let unschedulable () =
-            on_step { step_members = members; step_verdict = `Unschedulable };
-            false
-          in
           match verdict with
-          | `Dead ->
-              Ftes_obs.Metrics.incr c_pruned_architectures;
-              unschedulable ()
           | `Pruned (* unreachable: pruned above *) | `Unschedulable ->
-              unschedulable ()
+              on_step { step_members = members; step_verdict = `Unschedulable };
+              false
           | `Schedulable (result, candidates) ->
               on_step
                 { step_members = members;
@@ -227,16 +206,15 @@ type recorded = {
   rec_problem : Problem.t;
   rec_config : Config.t;
   rec_cache : Redundancy_opt.cache;
-  rec_preflight : Ftes_analyze.Preflight.t option;
   rec_trail : step list;
   rec_solution : solution option;
   rec_explored : int;
 }
 
-let run_recorded ?pool ?cache ?preflight ~config problem =
+let run_recorded ?pool ?cache ~config problem =
   let steps = ref [] in
   let solution, explored, cache =
-    search ?pool ?cache ?preflight ~config
+    search ?pool ?cache ~config
       ~on_feasible:(fun _ -> ())
       ~on_step:(fun step -> steps := step :: !steps)
       problem
@@ -244,13 +222,12 @@ let run_recorded ?pool ?cache ?preflight ~config problem =
   { rec_problem = problem;
     rec_config = config;
     rec_cache = cache;
-    rec_preflight = preflight;
     rec_trail = List.rev !steps;
     rec_solution = solution;
     rec_explored = explored }
 
-let run ?pool ?cache ?preflight ~config problem =
-  (run_recorded ?pool ?cache ?preflight ~config problem).rec_solution
+let run ?pool ?cache ~config problem =
+  (run_recorded ?pool ?cache ~config problem).rec_solution
 
 let step_equal a b =
   a.step_members = b.step_members
@@ -281,22 +258,7 @@ let rerun ?pool ~from delta =
         Redundancy_opt.migrate_cache ~base:from.rec_problem ~footprint
           from.rec_cache
       in
-      (* Pre-flight reuse: only when the delta provably cannot weaken
-         the report (tightening-only), and then the stored witnesses are
-         re-checked — not re-derived — against the perturbed tables.
-         Pruning is bit-invisible either way, so dropping the report on
-         a weakening delta costs speed, never correctness. *)
-      let preflight, preflight_reused, witnesses_rechecked =
-        match from.rec_preflight with
-        | Some pf
-          when Ftes_whatif.Delta.cannot_weaken from.rec_problem delta
-               && Ftes_analyze.Preflight.recheck pf perturbed ->
-            ( Some (Ftes_analyze.Preflight.retarget pf perturbed),
-              true,
-              List.length pf.Ftes_analyze.Preflight.witnesses )
-        | _ -> (None, false, 0)
-      in
-      let warm = run_recorded ?pool ~cache ?preflight ~config perturbed in
+      let warm = run_recorded ?pool ~cache ~config perturbed in
       let reuse =
         { Ftes_whatif.Reuse.delta_class = Ftes_whatif.Delta.class_name delta;
           sfp_kept = migration.Redundancy_opt.mig_sfp_kept;
@@ -306,9 +268,7 @@ let rerun ?pool ~from delta =
           probes_kept = migration.Redundancy_opt.mig_probes_kept;
           probes_dropped = migration.Redundancy_opt.mig_probes_dropped;
           steps_replayed = replayed_prefix from.rec_trail warm.rec_trail;
-          steps_total = List.length warm.rec_trail;
-          preflight_reused;
-          witnesses_rechecked }
+          steps_total = List.length warm.rec_trail }
       in
       Ok (warm, reuse)
 
@@ -318,7 +278,7 @@ type frontier = {
   explored : int;
 }
 
-let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
+let run_frontier ?pool ?cache ?spec ~config problem =
   let archive = Archive.create ?spec () in
   let on_feasible (r : Redundancy_opt.result) =
     Archive.insert archive
@@ -328,7 +288,7 @@ let run_frontier ?pool ?cache ?preflight ?spec ~config problem =
         margin = r.Redundancy_opt.margin }
   in
   let best, explored, _ =
-    search ?pool ?cache ?preflight ~config ~on_feasible
+    search ?pool ?cache ~config ~on_feasible
       ~on_step:(fun _ -> ())
       problem
   in

@@ -44,7 +44,6 @@ type recorded = {
   rec_cache : Redundancy_opt.cache;
       (** the populated per-run (or supplied) cache — the warm-start
           capital. *)
-  rec_preflight : Ftes_analyze.Preflight.t option;
   rec_trail : step list;  (** evaluated architectures, in walk order. *)
   rec_solution : solution option;
   rec_explored : int;
@@ -54,21 +53,19 @@ type recorded = {
 val run_recorded :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
   recorded
 (** The full strategy, returning the walk's {!recorded} state (trail,
-    populated cache, pre-flight, solution) for later {!rerun} calls.
+    populated cache, solution) for later {!rerun} calls.
     [rec_solution] is the cheapest solution that meets both the
     deadline and the reliability goal, or [None] when no explored
     architecture admits one.
 
     Each size level is walked fastest first in batches, and every
     batch is merged in speed order.  The merge alone counts
-    ([strategy.explored], [strategy.pruned],
-    [analyze.pruned_architectures]), records the trail and the best
-    solution, and takes the size jump of Fig. 5 line 15.  A batch holds
+    ([strategy.explored], [strategy.pruned]), records the trail and the
+    best solution, and takes the size jump of Fig. 5 line 15.  A batch holds
     one candidate unless [pool] spans more than one domain and the
     caller is not itself a pool worker; then it holds [2 × domains]
     candidates, scored concurrently (speculatively) before the merge.
@@ -84,24 +81,11 @@ val run_recorded :
     hardening-policy sweep, for which candidate evaluations coincide
     (probe outcomes are segregated by policy inside the cache).  The
     configs of all sharing runs must agree except in
-    {!Config.t.hardening}.
-
-    [preflight] enables pre-flight pruning throughout the walk:
-    architectures the report proves unreliable or over-deadline
-    short-circuit to unschedulable without a mapping search (counted by
-    [analyze.pruned_architectures], with the size jump of Fig. 5
-    line 15 firing as it would have), and the report forwards to every
-    hardening probe (see {!Redundancy_opt.run}).  All tests are
-    one-sided proofs, so the solution, schedule, [explored] count and —
-    under {!run_frontier} — the archive are bit-identical to an
-    unpruned walk.  Raises [Invalid_argument] when the report was
-    derived for a different problem, [kmax] or slack-policy bucket
-    than the config's. *)
+    {!Config.t.hardening}. *)
 
 val run :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
   solution option
@@ -115,13 +99,12 @@ val rerun :
 (** Warm re-optimization: apply the delta to the recorded problem
     (checked — [Error] on an inapplicable delta), migrate the recorded
     cache keeping exactly the entries the delta's invalidation
-    footprint proves untouched ({!Redundancy_opt.migrate_cache}), reuse
-    the recorded pre-flight when the delta cannot weaken it (witnesses
-    re-checked, not re-derived), and re-walk the space warm.
+    footprint proves untouched ({!Redundancy_opt.migrate_cache}), and
+    re-walk the space warm.
 
     Because every surviving cache entry is bit-equal to what a cold run
-    on the perturbed problem would compute, and caching, pruning and
-    recording never change any result, the returned solution, schedule,
+    on the perturbed problem would compute, and caching and recording
+    never change any result, the returned solution, schedule,
     trail and [explored] count are {e bit-identical} to a cold
     {!run_recorded} on the perturbed problem under the same config —
     the qcheck property [test_whatif.ml] enforces per delta class
@@ -144,7 +127,6 @@ type frontier = {
 val run_frontier :
   ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
   ?spec:Ftes_pareto.Archive.spec ->
   config:Config.t ->
   Ftes_model.Problem.t ->

@@ -34,10 +34,10 @@ let design_of problem ~members ~mapping =
   Design.make problem ~members ~levels:(Array.make m 1)
     ~reexecs:(Array.make m 0) ~mapping
 
-let evaluate ~cache ?preflight config objective problem ~members mapping =
+let evaluate ~cache config objective problem ~members mapping =
   let design = design_of problem ~members ~mapping in
   let solution, best_len =
-    Redundancy_opt.probe ~cache ?preflight ~config problem design
+    Redundancy_opt.probe ~cache ~config problem design
   in
   let score : score =
     match objective with
@@ -123,7 +123,7 @@ let better objective (a : Redundancy_opt.result) (b : Redundancy_opt.result) =
       a.Redundancy_opt.schedule_length < b.Redundancy_opt.schedule_length
   | Architecture_cost -> a.Redundancy_opt.cost < b.Redundancy_opt.cost
 
-let run ~cache ?pool ?preflight ~config ~objective ?initial problem ~members =
+let run ~cache ?pool ~config ~objective ?initial problem ~members =
   Ftes_obs.Span.with_ ~name:"mapping/run" @@ fun () ->
   let n = Problem.n_processes problem in
   let m = Array.length members in
@@ -141,7 +141,7 @@ let run ~cache ?pool ?preflight ~config ~objective ?initial problem ~members =
         | Some _ | None -> best_solution := Some r)
   in
   let solution, initial_score =
-    evaluate ~cache ?preflight config objective problem ~members mapping
+    evaluate ~cache config objective problem ~members mapping
   in
   consider solution;
   if m <= 1 || n = 0 then !best_solution
@@ -182,7 +182,7 @@ let run ~cache ?pool ?preflight ~config ~objective ?initial problem ~members =
               let candidate = Array.copy mapping in
               candidate.(p) <- slot;
               let solution, score =
-                evaluate ~cache ?preflight config objective problem ~members
+                evaluate ~cache config objective problem ~members
                   candidate
               in
               (p, slot, solution, score))

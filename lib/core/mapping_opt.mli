@@ -27,7 +27,6 @@ val initial_mapping : Ftes_model.Problem.t -> members:int array -> int array
 val run :
   cache:Redundancy_opt.cache ->
   ?pool:Ftes_par.Pool.t ->
-  ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   objective:objective ->
   ?initial:int array ->
@@ -46,7 +45,5 @@ val run :
     [cache] memoizes candidate evaluations across tabu iterations;
     [pool] scores the moves of one iteration concurrently.  Both leave
     the returned solution bit-identical to a sequential search over an
-    empty [~capacity:0] cache: moves are evaluated on private copies of the mapping and
-    merged back in move order.  [preflight] forwards to every
-    {!Redundancy_opt.probe}, skipping hardening vectors the report
-    proves futile — likewise without changing any result. *)
+    empty [~capacity:0] cache: moves are evaluated on private copies
+    of the mapping and merged back in move order. *)

@@ -19,8 +19,8 @@ type result = {
    tables. *)
 type eval_key = { members : int array; levels : int array; mapping : int array }
 
-(* [probe] and [run] ignore the input levels on top of that (the level
-   search overwrites them), so whole probe outcomes are additionally
+(* [probe] ignores the input levels on top of that (the level search
+   overwrites them), so whole probe outcomes are additionally
    memoized on just (policy, members, mapping) — the tabu search
    re-probes the same mapping whenever a move is revisited, and the
    architecture-cost refinement pass re-probes every mapping the
@@ -226,8 +226,6 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
 
 let c_eval_fresh = Ftes_obs.Metrics.counter "evals.fresh"
 
-let c_probe_shortcuts = Ftes_obs.Metrics.counter "kernel.probe_shortcuts"
-
 type eval_stats = { hits : int; misses : int; fresh : int }
 
 let eval_stats () =
@@ -241,129 +239,6 @@ let reset_eval_stats () =
 
 let deadline problem =
   problem.Problem.app.Ftes_model.Application.deadline_ms
-
-(* --- pre-flight pruning ---------------------------------------------
-
-   A {!Ftes_analyze.Preflight} report turns into per-slot oracles over
-   one (members, mapping): whether a slot's node can ever reach the
-   reliability goal at a given hardening level (if not, [evaluate] is
-   known to return [None] without running), and a lower bound on any
-   schedule containing the slot at that level (usable only where the
-   caller discards deadline-missing candidates anyway).  Both tests are
-   one-sided, so pruning skips exactly evaluations whose outcome is
-   already decided — results stay bit-identical. *)
-
-module Preflight = Ftes_analyze.Preflight
-
-let c_pruned_assignments = Ftes_obs.Metrics.counter "analyze.pruned_assignments"
-
-type slot_info = {
-  si_dead : bool;
-      (* the goal is unreachable on this slot's node vector at this
-         level: [Re_execution_opt.optimize] provably returns [None]. *)
-  si_lb_ms : float;
-      (* lower bound on the schedule length of any goal-meeting design
-         with this slot at this level ([neg_infinity] when no bound
-         applies — non-re-execution policy or an empty slot). *)
-}
-
-type prune_ctx = {
-  pf : Preflight.t;
-  pc_problem : Problem.t;
-  pc_design : Design.t;  (* fixes members and mapping for this run. *)
-  pc_info : (int * int, slot_info) Hashtbl.t;  (* (slot, level) memo. *)
-}
-
-let prune_ctx preflight problem design =
-  Option.map
-    (fun pf ->
-      { pf; pc_problem = problem; pc_design = design;
-        pc_info = Hashtbl.create 64 })
-    preflight
-
-let slot_info ctx slot level =
-  match Hashtbl.find_opt ctx.pc_info (slot, level) with
-  | Some info -> info
-  | None ->
-      let design = ctx.pc_design in
-      (* The failure vector of member [slot] depends only on its own
-         level, so overriding just that entry reproduces bit-for-bit
-         the vector [Re_execution_opt] would analyse. *)
-      let levels = Array.copy design.Design.levels in
-      levels.(slot) <- level;
-      let probs =
-        Design.pfail_vector ctx.pc_problem
-          (Design.with_levels design levels)
-          ~member:slot
-      in
-      let info =
-        match Preflight.node_required_reexecs ctx.pf ~probs with
-        | None -> { si_dead = true; si_lb_ms = infinity }
-        | Some kneed ->
-            let lb =
-              if not ctx.pf.Preflight.reexec then neg_infinity
-              else begin
-                let sum = ref 0.0 and max_t = ref neg_infinity in
-                Array.iteri
-                  (fun proc slot' ->
-                    if slot' = slot then begin
-                      let t =
-                        Problem.wcet ctx.pc_problem
-                          ~node:design.Design.members.(slot) ~level ~proc
-                      in
-                      sum := !sum +. t;
-                      if t > !max_t then max_t := t
-                    end)
-                  design.Design.mapping;
-                if !max_t = neg_infinity then neg_infinity
-                else
-                  !sum
-                  +. (float_of_int kneed
-                      *. (!max_t +. ctx.pf.Preflight.mu_ms))
-              end
-            in
-            { si_dead = false; si_lb_ms = lb }
-      in
-      Hashtbl.add ctx.pc_info (slot, level) info;
-      info
-
-(* The goal is provably unreachable at these levels: [evaluate] would
-   return [None].  Safe at every call site. *)
-let prune_dead prune levels =
-  match prune with
-  | None -> false
-  | Some ctx ->
-      let n = Array.length levels in
-      let rec scan slot =
-        slot < n
-        && ((slot_info ctx slot levels.(slot)).si_dead || scan (slot + 1))
-      in
-      let dead = scan 0 in
-      if dead then Ftes_obs.Metrics.incr c_pruned_assignments;
-      dead
-
-(* The candidate is provably dead OR provably misses the deadline
-   (some slot's length lower bound overruns it).  Safe only where the
-   caller rejects deadline-missing candidates without using their
-   length — the reduction pass and the fixed-level policies. *)
-let prune_rejected prune problem levels =
-  match prune with
-  | None -> false
-  | Some ctx ->
-      let d = deadline problem in
-      let n = Array.length levels in
-      let over lb =
-        lb -. Preflight.prove_eps_ms > d +. Ftes_util.Tolerance.time_eps_ms
-      in
-      let rec scan slot =
-        slot < n
-        &&
-        let info = slot_info ctx slot levels.(slot) in
-        info.si_dead || over info.si_lb_ms || scan (slot + 1)
-      in
-      let rejected = scan 0 in
-      if rejected then Ftes_obs.Metrics.incr c_pruned_assignments;
-      rejected
 
 let evaluate_fresh sfp config problem design levels =
   Ftes_obs.Metrics.incr c_eval_fresh;
@@ -426,41 +301,11 @@ let max_levels problem design =
    shortens the schedule the most, until schedulable or saturated.
    Returns the first schedulable result (if any) and the best schedule
    length seen anywhere along the way. *)
-(* The climb is a deterministic function of (members, mapping, config
-   minus hardening policy, problem), and an Optimize probe that came
-   back unschedulable recorded exactly this climb's [(None, best_len)]
-   outcome (reduction only runs on a schedulable result).  So a
-   memoized unschedulable probe proves the whole escalation futile, and
-   the recorded outcome is returned without re-climbing.  The
-   probe-memo peek deliberately bypasses the [evals.*] lookup
-   counters: it is not one of the lookups whose hits/misses they
-   reconcile. *)
-let escalate_shortcut cache design =
-  let key =
-    { pr_policy = Config.Optimize;
-      pr_members = design.Design.members;
-      pr_mapping = design.Design.mapping }
-  in
-  match Probe_memo.peek cache.probes key with
-  | Some ((None, _) as outcome) ->
-      Ftes_obs.Metrics.incr c_probe_shortcuts;
-      Some outcome
-  | Some (Some _, _) | None -> None
-
-let escalate cache ?prune config problem design =
+let escalate cache config problem design =
   Ftes_obs.Span.with_ ~name:"opt/escalate" @@ fun () ->
-  match escalate_shortcut cache design with
-  | Some outcome -> outcome
-  | None ->
   let d = deadline problem in
-  (* Only deadness may be pruned here: an unschedulable candidate's
-     length still feeds the greedy climb's scoring. *)
-  let evaluate_live levels =
-    if prune_dead prune levels then None
-    else evaluate cache config problem design levels
-  in
   let rec climb levels best_len =
-    let here = evaluate_live levels in
+    let here = evaluate cache config problem design levels in
     let best_len =
       match here with
       | Some r -> Float.min best_len r.schedule_length
@@ -477,7 +322,7 @@ let escalate cache ?prune config problem design =
             let candidate = Array.copy levels in
             candidate.(j) <- candidate.(j) + 1;
             let len =
-              match evaluate_live candidate with
+              match evaluate cache config problem design candidate with
               | Some r -> r.schedule_length
               | None -> infinity
             in
@@ -494,7 +339,7 @@ let escalate cache ?prune config problem design =
 
 (* Reduction: keep taking the cheapest schedulable single-level
    decrease. *)
-let reduce cache ?prune config problem design (current : result) =
+let reduce cache config problem design (current : result) =
   Ftes_obs.Span.with_ ~name:"opt/reduce" @@ fun () ->
   let d = deadline problem in
   let rec descend (current : result) =
@@ -505,15 +350,12 @@ let reduce cache ?prune config problem design (current : result) =
       if levels.(j) > 1 then begin
         let candidate = Array.copy levels in
         candidate.(j) <- candidate.(j) - 1;
-        (* A candidate is kept only when schedulable and reliable, so a
-           proof of either failure skips the evaluation outright. *)
-        if not (prune_rejected prune problem candidate) then
-          match evaluate cache config problem design candidate with
-          | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> (
-              match !best with
-              | Some (br : result) when br.cost <= r.cost -> ()
-              | Some _ | None -> best := Some r)
-          | Some _ | None -> ()
+        match evaluate cache config problem design candidate with
+        | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> (
+            match !best with
+            | Some (br : result) when br.cost <= r.cost -> ()
+            | Some _ | None -> best := Some r)
+        | Some _ | None -> ()
       end
     done;
     match !best with
@@ -522,75 +364,26 @@ let reduce cache ?prune config problem design (current : result) =
   in
   descend current
 
-let fixed_levels cache ?prune config problem design levels =
-  let d = deadline problem in
-  if prune_rejected prune problem levels then None
-  else
-    match evaluate cache config problem design levels with
-    | Some r when Ftes_util.Tolerance.leq r.schedule_length d -> Some r
-    | Some _ | None -> None
+let probe_fixed cache config problem design levels =
+  match evaluate cache config problem design levels with
+  | Some r ->
+      let ok = Ftes_util.Tolerance.leq r.schedule_length (deadline problem) in
+      ((if ok then Some r else None), r.schedule_length)
+  | None -> (None, infinity)
 
-(* A report only proves what it analysed: reject one derived for a
-   different problem, bound or policy bucket before trusting its
-   oracles. *)
-let validate_preflight ~config problem (pf : Preflight.t) =
-  if pf.Preflight.problem != problem then
-    invalid_arg "Redundancy_opt: pre-flight report is for another problem";
-  if pf.Preflight.kmax <> config.Config.kmax then
-    invalid_arg
-      (Printf.sprintf
-         "Redundancy_opt: pre-flight kmax %d differs from the config's %d"
-         pf.Preflight.kmax config.Config.kmax);
-  if pf.Preflight.reexec <> Preflight.reexec_of_slack config.Config.slack
-  then
-    invalid_arg
-      "Redundancy_opt: pre-flight slack bucket differs from the config's"
-
-let prune_of ?preflight ~config problem design =
-  Option.iter (validate_preflight ~config problem) preflight;
-  prune_ctx preflight problem design
-
-let run ~cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
+let probe_fresh cache ~config problem design =
   match config.Config.hardening with
   | Config.Fixed_min ->
-      fixed_levels cache ?prune config problem design (min_levels design)
+      probe_fixed cache config problem design (min_levels design)
   | Config.Fixed_max ->
-      fixed_levels cache ?prune config problem design
-        (max_levels problem design)
+      probe_fixed cache config problem design (max_levels problem design)
   | Config.Optimize -> (
-      match escalate cache ?prune config problem design with
-      | Some r, _ -> Some (reduce cache ?prune config problem design r)
-      | None, _ -> None)
-
-let probe_fixed cache ?prune config problem design levels =
-  (* Deadness only: an over-deadline result's length is still
-     returned, so the deadline bound must not shortcut it. *)
-  if prune_dead prune levels then (None, infinity)
-  else
-    match evaluate cache config problem design levels with
-    | Some r ->
-        let ok =
-          Ftes_util.Tolerance.leq r.schedule_length (deadline problem)
-        in
-        ((if ok then Some r else None), r.schedule_length)
-    | None -> (None, infinity)
-
-let probe_fresh cache ?prune ~config problem design =
-  match config.Config.hardening with
-  | Config.Fixed_min ->
-      probe_fixed cache ?prune config problem design (min_levels design)
-  | Config.Fixed_max ->
-      probe_fixed cache ?prune config problem design
-        (max_levels problem design)
-  | Config.Optimize -> (
-      match escalate cache ?prune config problem design with
+      match escalate cache config problem design with
       | Some r, best_len ->
-          (Some (reduce cache ?prune config problem design r), best_len)
+          (Some (reduce cache config problem design r), best_len)
       | None, best_len -> (None, best_len))
 
-let probe ~cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
+let probe ~cache ~config problem design =
   let key =
     { pr_policy = config.Config.hardening;
       pr_members = design.Design.members;
@@ -599,25 +392,9 @@ let probe ~cache ?preflight ~config problem design =
   match Probe_memo.find cache.probes key with
   | Some outcome -> outcome
   | None ->
-      let outcome = probe_fresh cache ?prune ~config problem design in
+      let outcome = probe_fresh cache ~config problem design in
       Probe_memo.add cache.probes
         { key with
           pr_members = Array.copy design.Design.members;
           pr_mapping = Array.copy design.Design.mapping }
         outcome
-
-let best_effort_length ~cache ?preflight ~config problem design =
-  let prune = prune_of ?preflight ~config problem design in
-  let fixed levels =
-    if prune_dead prune levels then infinity
-    else
-      match evaluate cache config problem design levels with
-      | Some r -> r.schedule_length
-      | None -> infinity
-  in
-  match config.Config.hardening with
-  | Config.Fixed_min -> fixed (min_levels design)
-  | Config.Fixed_max -> fixed (max_levels problem design)
-  | Config.Optimize ->
-      let _, best_len = escalate cache ?prune config problem design in
-      best_len

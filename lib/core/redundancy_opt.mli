@@ -36,7 +36,7 @@ type result = {
 type cache
 (** Memoization shared by one optimization run: the SFP node-table
     cache, a table of whole candidate evaluations keyed on
-    [(members, levels, mapping)] — a pure key because {!run} overwrites
+    [(members, levels, mapping)] — a pure key because {!probe} overwrites
     levels and reexecs and the config is fixed per run — and a table of
     whole {!probe} outcomes keyed on [(policy, members, mapping)] — three
     {!Ftes_par.Memo} tables, the last two counting under the [evals.*]
@@ -58,13 +58,7 @@ val create_cache : ?capacity:int -> unit -> cache
     (checked by the [obs/cache-capacity] verifier rule), so a saturated
     cache is observable instead of silently degrading into
     recomputation.  Raises [Invalid_argument] on a negative
-    capacity.
-
-    A memoized [Optimize] probe that came back unschedulable also
-    short-circuits later escalations of the same (members, mapping) —
-    the recorded [(None, best_len)] outcome is returned without
-    re-climbing (bit-identical: the climb is deterministic), counted by
-    [kernel.probe_shortcuts]. *)
+    capacity. *)
 
 val sfp_cache : cache -> Ftes_par.Sfp_cache.t
 (** The SFP node-table layer of [cache], for hit-rate reporting and for
@@ -107,65 +101,28 @@ type eval_stats = { hits : int; misses : int; fresh : int }
 val eval_stats : unit -> eval_stats
 (** Process-wide counters, aggregated over every {!cache} instance. *)
 
-val validate_preflight :
-  config:Config.t ->
-  Ftes_model.Problem.t ->
-  Ftes_analyze.Preflight.t ->
-  unit
-(** Raises [Invalid_argument] unless the report was derived for exactly
-    this problem (physical equality) under the config's [kmax] and
-    slack-policy bucket — the premises its pruning oracles are sound
-    under.  {!run} / {!probe} apply it to their [preflight] argument;
-    {!Design_strategy} applies it once up front. *)
-
 val reset_eval_stats : unit -> unit
 (** Zero the whole [evals.*] family (lookups, hits, misses, capacity
     drops) and [evals.fresh]. *)
 
-val run :
-  cache:cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
-  config:Config.t ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  result option
-(** [run ~config problem design] uses [design]'s members and mapping;
-    its levels and reexecs fields are ignored (replaced by the search).
-    Returns [None] when no hardening vector allowed by the policy makes
-    the application both schedulable and reliable.
-
-    [preflight] enables pre-flight pruning: hardening vectors whose
-    outcome the report already decides — the reliability goal provably
-    unreachable on some member, or (during reduction and under the
-    fixed policies) a member's schedule-length lower bound provably
-    beyond the deadline — are skipped without evaluation, counted by
-    [analyze.pruned_assignments].  Both tests are one-sided, so the
-    result is bit-identical with or without the report.  Raises
-    [Invalid_argument] when the report was derived for a different
-    problem, or under a [kmax] or slack-policy bucket other than the
-    config's. *)
-
 val probe :
   cache:cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
   config:Config.t ->
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   result option * float
-(** [probe ~config problem design] is [(run ..., best-effort length)]
-    computed in a single escalation pass; the tabu mapping search uses
-    the length to rank unschedulable mappings and the result to track
-    schedulable ones.  [preflight] prunes as in {!run} (deadness only
-    where a candidate's length still matters). *)
+(** [probe ~config problem design] uses [design]'s members and mapping;
+    its levels and reexecs fields are ignored (replaced by the search).
+    The pair is the hardening outcome and the best-effort length, both
+    computed in a single escalation pass:
 
-val best_effort_length :
-  cache:cache ->
-  ?preflight:Ftes_analyze.Preflight.t ->
-  config:Config.t ->
-  Ftes_model.Problem.t ->
-  Ftes_model.Design.t ->
-  float
-(** The shortest worst-case schedule length reachable by the policy for
-    this mapping, even if it misses the deadline ([infinity] when the
-    reliability goal is unreachable at every hardening vector).  Used as
-    the tabu-search objective while no schedulable mapping is known. *)
+    - the result is [None] when no hardening vector allowed by the
+      policy makes the application both schedulable and reliable;
+    - the length is the shortest worst-case schedule length reachable
+      by the policy for this mapping, even if it misses the deadline
+      ([infinity] when the reliability goal is unreachable at every
+      hardening vector).
+
+    The tabu mapping search ranks unschedulable mappings by the length
+    and tracks schedulable ones through the result.  Outcomes are
+    memoized per [(policy, members, mapping)] in [cache]. *)

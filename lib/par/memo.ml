@@ -43,8 +43,6 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let locked t f = Mutex.protect t.lock f
 
-  let peek t key = locked t (fun () -> Tbl.find_opt t.table key)
-
   let find t key =
     Metrics.incr t.family.lookups;
     let found =

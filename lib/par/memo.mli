@@ -51,10 +51,6 @@ module Make (K : Hashtbl.HashedType) : sig
       arrays they mutate afterwards; keys given to {!add} must not be
       mutated once stored. *)
 
-  val peek : 'v t -> key -> 'v option
-  (** Like {!find}, without touching any counter — for probes that are
-      not one of the lookups the hit rate describes. *)
-
   val add : 'v t -> key -> 'v -> 'v
   (** [add t key v] stores [v] unless [key] is already bound, and
       returns the stored value (the earlier one on a concurrent

@@ -36,7 +36,7 @@ val is_sound : float array -> k:int -> bool
     The closed-form bound above over-approximates the exceedance, so it
     can only prove a re-execution count {e sufficient} — never that an
     assignment is dead.  Exclusion arguments (the pre-flight analyzer of
-    {!Ftes_analyze}, the optimizer's pruning) therefore run on the exact
+    {!Ftes_analyze}, the exact search's pruners) therefore run on the exact
     grain-rounded analysis of {!Sfp} instead, through the two entries
     below. *)
 

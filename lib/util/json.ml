@@ -80,6 +80,12 @@ let to_string ?(minify = false) t =
 
 exception Parse_error of int * string
 
+(* No document this project reads nests more than a handful of levels,
+   and the recursive descent below costs more than linear time in the
+   depth: a fixed bound turns a hostile line of brackets into an early
+   error. *)
+let max_depth = 512
+
 let of_string input =
   let n = String.length input in
   let pos = ref 0 in
@@ -173,7 +179,14 @@ let of_string input =
         raise (Parse_error (start, "number out of range " ^ text))
     | None -> error ("invalid number " ^ text)
   in
-  let rec parse_value () =
+  let nest depth =
+    if depth >= max_depth then
+      error (Printf.sprintf "nesting deeper than %d" max_depth);
+    advance ();
+    skip_ws ();
+    depth + 1
+  in
+  let rec parse_value depth =
     skip_ws ();
     match peek () with
     | None -> error "unexpected end of input"
@@ -182,15 +195,14 @@ let of_string input =
     | Some 'f' -> literal "false" (Bool false)
     | Some '"' -> String (parse_string ())
     | Some '[' ->
-        advance ();
-        skip_ws ();
+        let depth = nest depth in
         if peek () = Some ']' then begin
           advance ();
           List []
         end
         else begin
           let rec items acc =
-            let v = parse_value () in
+            let v = parse_value depth in
             skip_ws ();
             match peek () with
             | Some ',' ->
@@ -205,8 +217,7 @@ let of_string input =
           List (items [])
         end
     | Some '{' ->
-        advance ();
-        skip_ws ();
+        let depth = nest depth in
         if peek () = Some '}' then begin
           advance ();
           Object []
@@ -217,7 +228,7 @@ let of_string input =
             let key = parse_string () in
             skip_ws ();
             expect ':';
-            let value = parse_value () in
+            let value = parse_value depth in
             (key, value)
           in
           let rec fields acc =
@@ -239,7 +250,7 @@ let of_string input =
     | Some c -> error (Printf.sprintf "unexpected character %c" c)
   in
   match
-    let v = parse_value () in
+    let v = parse_value 0 in
     skip_ws ();
     if !pos < n then error "trailing characters after the document";
     v

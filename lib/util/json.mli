@@ -21,8 +21,9 @@ val to_string : ?minify:bool -> t -> string
 
 val of_string : string -> (t, string) result
 (** Parse a complete document; trailing garbage is an error, and so is
-    a number that overflows to a non-finite float ([1e999]).  Errors
-    carry a character offset. *)
+    a number that overflows to a non-finite float ([1e999]) or a list
+    or object nested more than 512 levels deep.  Errors carry a
+    character offset. *)
 
 (** {1 Accessors} — all return [Error] with a path-aware message rather
     than raising. *)

@@ -28,8 +28,7 @@ let reuse_block json =
 
 (* whatif/reuse: every reuse block decodes, names a known delta class,
    and its counters are internally consistent — non-negative, replayed
-   prefix within the trail, witnesses only re-checked when the
-   pre-flight was actually reused. *)
+   prefix within the trail. *)
 let check_reuse subject =
   let rule = "whatif/reuse" in
   List.concat
@@ -63,8 +62,7 @@ let check_reuse subject =
                        ("probes.kept", r.Reuse.probes_kept);
                        ("probes.dropped", r.Reuse.probes_dropped);
                        ("steps.replayed", r.Reuse.steps_replayed);
-                       ("steps.total", r.Reuse.steps_total);
-                       ("witnesses_rechecked", r.Reuse.witnesses_rechecked) ]
+                       ("steps.total", r.Reuse.steps_total) ]
                  in
                  let steps =
                    if r.Reuse.steps_replayed > r.Reuse.steps_total then
@@ -73,18 +71,7 @@ let check_reuse subject =
                          who r.Reuse.steps_replayed r.Reuse.steps_total ]
                    else []
                  in
-                 let witnesses =
-                   if
-                     r.Reuse.witnesses_rechecked > 0
-                     && not r.Reuse.preflight_reused
-                   then
-                     [ D.error ~rule
-                         "%s: %d witnesses re-checked on a run that did not \
-                          reuse its pre-flight"
-                         who r.Reuse.witnesses_rechecked ]
-                   else []
-                 in
-                 known @ negative @ steps @ witnesses))
+                 known @ negative @ steps))
        (responses_exn subject))
 
 (* whatif/verdict: a warm-started response still tells the optimize

@@ -6,9 +6,8 @@
     rules audit every such block in a captured stream:
 
     - [whatif/reuse]: the block decodes, names a known delta class,
-      all counters are non-negative, the replayed prefix fits inside
-      the trail, and witnesses are only re-checked when the pre-flight
-      was actually reused.
+      all counters are non-negative, and the replayed prefix fits
+      inside the trail.
     - [whatif/verdict]: a warm-started response still carries an
       optimize verdict ([feasible] / [no-solution]) and a feasible
       payload reports at least one explored architecture — the

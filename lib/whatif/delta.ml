@@ -240,34 +240,6 @@ let footprint problem delta =
          bake the chosen re-execution counts in, so they go. *)
       { base with eval_policy = `Drop; keep_probes = false }
 
-let cannot_weaken problem delta =
-  let app = problem.Problem.app in
-  match delta with
-  | Deadline_set d -> d <= app.Application.deadline_ms
-  | Deadline_scale f -> f <= 1.
-  | Period_set p -> p <= app.Application.period_ms && p > 0.
-  | Period_scale f -> f <= 1.
-  | Gamma_set g -> g <= app.Application.gamma
-  | Wcet_scale { factor; _ } -> factor >= 1.
-  | Ser_scale { factor; _ } -> factor >= 1.
-  | Hversion_cost_set { node; level; cost } ->
-      (* Pre-flight cost bounds are lower bounds; raising a cost keeps
-         them valid. *)
-      node >= 0 && node < Problem.n_library problem
-      && level >= 1 && level <= Problem.levels problem node
-      && cost >= Problem.cost problem ~node ~level
-  | Hversion_wcet_set { node; level; proc; wcet_ms } ->
-      node >= 0 && node < Problem.n_library problem
-      && level >= 1 && level <= Problem.levels problem node
-      && proc >= 0 && proc < Problem.n_processes problem
-      && wcet_ms >= Problem.wcet problem ~node ~level ~proc
-  | Hversion_pfail_set { node; level; proc; pfail } ->
-      node >= 0 && node < Problem.n_library problem
-      && level >= 1 && level <= Problem.levels problem node
-      && proc >= 0 && proc < Problem.n_processes problem
-      && pfail >= Problem.pfail problem ~node ~level ~proc
-  | Node_add _ | Node_remove _ | Kmax_set _ -> false
-
 (* Wire codec.  A node-add delta carries Problem_io's library entry, so
    a node copied out of an exported problem file pastes straight in. *)
 

@@ -95,14 +95,6 @@ type footprint = {
 val footprint : Ftes_model.Problem.t -> t -> footprint
 (** Classify [delta] against the base problem it will be applied to. *)
 
-val cannot_weaken : Ftes_model.Problem.t -> t -> bool
-(** [true] when the delta provably cannot weaken any pre-flight
-    infeasibility witness or lower bound: it only tightens (deadline
-    decrease, period/gamma decrease, WCET increase, pfail increase) or
-    touches fields pre-flight never reads (costs).  Library shape and
-    kmax changes always return [false] — the pre-flight tables are
-    indexed by both. *)
-
 val to_json : t -> Ftes_util.Json.t
 val of_json : Ftes_util.Json.t -> (t, string) result
 (** Wire codec: an object tagged by ["class"], e.g.

@@ -11,8 +11,6 @@ type t = {
   probes_dropped : int;
   steps_replayed : int;
   steps_total : int;
-  preflight_reused : bool;
-  witnesses_rechecked : int;
 }
 
 let pair kept dropped = Object [ ("kept", int kept); ("dropped", int dropped) ]
@@ -26,9 +24,7 @@ let to_json t =
       ( "steps",
         Object
           [ ("replayed", int t.steps_replayed); ("total", int t.steps_total) ]
-      );
-      ("preflight_reused", Bool t.preflight_reused);
-      ("witnesses_rechecked", int t.witnesses_rechecked) ]
+      ) ]
 
 let pair_of_json json =
   let* kept = field "kept" to_int json in
@@ -43,9 +39,6 @@ let of_json json =
   let* steps = member "steps" json in
   let* steps_replayed = field "replayed" to_int steps in
   let* steps_total = field "total" to_int steps in
-  let* preflight_reused = field "preflight_reused" to_bool json in
-  let* witnesses_rechecked = field "witnesses_rechecked" to_int json in
   Ok
     { delta_class; sfp_kept; sfp_dropped; evals_kept; evals_dropped;
-      probes_kept; probes_dropped; steps_replayed; steps_total;
-      preflight_reused; witnesses_rechecked }
+      probes_kept; probes_dropped; steps_replayed; steps_total }

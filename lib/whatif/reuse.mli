@@ -17,12 +17,6 @@ type t = {
   steps_replayed : int;
       (** Length of the common prefix of the recorded and warm trails. *)
   steps_total : int;  (** Steps in the warm walk's trail. *)
-  preflight_reused : bool;
-      (** The base pre-flight analysis was retargeted (delta could not
-          weaken it) instead of discarded. *)
-  witnesses_rechecked : int;
-      (** Infeasibility witnesses arithmetically re-verified against the
-          perturbed problem when reusing the pre-flight. *)
 }
 
 val to_json : t -> Ftes_util.Json.t

@@ -1,7 +1,7 @@
 (* Tests for the pre-flight analyzer: soundness of every bound against
-   exhaustive and heuristic optima, bit-identity of the pruned design
-   walk, the certificate round-trip, and mutation tests asserting that
-   corrupted certificates trip the matching analyze/* audit rule. *)
+   exhaustive and heuristic optima, the certificate round-trip, and
+   mutation tests asserting that corrupted certificates trip the
+   matching analyze/* audit rule. *)
 
 module Preflight = Ftes_analyze.Preflight
 module Certificate = Ftes_analyze.Certificate
@@ -145,97 +145,6 @@ let qcheck_lb_below_frontier =
         (fun (p : Archive.point) ->
           pf.Preflight.cost_lower_bound <= p.Archive.cost +. 1e-9)
         (Archive.points frontier.Design_strategy.archive))
-
-(* --- pruning: bit-identical walks --- *)
-
-let solution_fields (s : Design_strategy.solution option) =
-  Option.map
-    (fun (s : Design_strategy.solution) ->
-      let r = s.Design_strategy.result in
-      ( r.Redundancy_opt.design,
-        r.Redundancy_opt.schedule_length,
-        r.Redundancy_opt.cost,
-        s.Design_strategy.explored ))
-    s
-
-let test_pruned_walk_identical () =
-  let c_assign = Ftes_obs.Metrics.counter "analyze.pruned_assignments" in
-  let c_arch = Ftes_obs.Metrics.counter "analyze.pruned_architectures" in
-  let skipped = ref 0 in
-  List.iter
-    (fun (problem, label) ->
-      let pf = Preflight.run problem in
-      let plain = Design_strategy.run ~config:Config.default problem in
-      let before =
-        Ftes_obs.Metrics.counter_value c_assign
-        + Ftes_obs.Metrics.counter_value c_arch
-      in
-      let pruned =
-        Design_strategy.run ~preflight:pf ~config:Config.default problem
-      in
-      skipped :=
-        !skipped
-        + Ftes_obs.Metrics.counter_value c_assign
-        + Ftes_obs.Metrics.counter_value c_arch
-        - before;
-      Alcotest.(check bool)
-        (label ^ ": pruned walk returns the identical solution")
-        true
-        (solution_fields plain = solution_fields pruned))
-    [ (Ftes_cc.Fig_examples.fig1_problem (), "fig1");
-      (small_problem 7, "seed 7");
-      (with_deadline_factor (small_problem 8) 0.6, "seed 8 tight");
-      (with_deadline_factor (Helpers.synthetic_problem ~seed:9 ~n:10 ()) 0.8,
-       "seed 9 tight");
-      (Helpers.synthetic_problem ~seed:11 ~n:10 ~ser:3e-8 (), "seed 11 high-ser")
-    ];
-  Alcotest.(check bool)
-    (Printf.sprintf "pre-flight pruning fired at least once (%d skips)"
-       !skipped)
-    true (!skipped > 0)
-
-let test_frontier_pruned_identical () =
-  let problem = with_deadline_factor (small_problem 12) 0.8 in
-  let pf = Preflight.run problem in
-  let points frontier =
-    List.map
-      (fun (p : Archive.point) ->
-        (p.Archive.design, p.Archive.cost, p.Archive.slack, p.Archive.margin))
-      (Archive.points frontier.Design_strategy.archive)
-  in
-  let plain = Design_strategy.run_frontier ~config:Config.default problem in
-  let pruned =
-    Design_strategy.run_frontier ~preflight:pf ~config:Config.default problem
-  in
-  Alcotest.(check bool) "identical frontier" true (points plain = points pruned)
-
-let test_preflight_validation () =
-  let problem = Ftes_cc.Fig_examples.fig1_problem () in
-  let other = Ftes_cc.Fig_examples.fig3_problem () in
-  let pf = Preflight.run problem in
-  let raises f =
-    try
-      ignore (f ());
-      false
-    with Invalid_argument _ -> true
-  in
-  Alcotest.(check bool) "other problem rejected" true
-    (raises (fun () ->
-         Design_strategy.run ~preflight:pf ~config:Config.default other));
-  Alcotest.(check bool) "kmax mismatch rejected" true
-    (raises (fun () ->
-         Design_strategy.run ~preflight:pf
-           ~config:(Config.with_kmax 3 Config.default)
-           problem));
-  Alcotest.(check bool) "slack bucket mismatch rejected" true
-    (raises (fun () ->
-         Design_strategy.run ~preflight:pf
-           ~config:
-             (Config.with_slack
-                (Ftes_sched.Scheduler.Per_process
-                   (Array.make (Problem.n_processes problem) 0))
-                Config.default)
-           problem))
 
 (* --- certificate round-trip --- *)
 
@@ -414,13 +323,6 @@ let () =
           Alcotest.test_case "vs cc heuristic" `Slow test_cost_lb_on_cc;
           QCheck_alcotest.to_alcotest qcheck_infeasible_sound;
           QCheck_alcotest.to_alcotest qcheck_lb_below_frontier ] );
-      ( "pruning",
-        [ Alcotest.test_case "bit-identical optimize walk" `Slow
-            test_pruned_walk_identical;
-          Alcotest.test_case "bit-identical frontier" `Quick
-            test_frontier_pruned_identical;
-          Alcotest.test_case "premise validation" `Quick
-            test_preflight_validation ] );
       ( "certificate",
         [ Alcotest.test_case "round-trip" `Quick test_certificate_roundtrip;
           Alcotest.test_case "versioning" `Quick test_certificate_versioning ]

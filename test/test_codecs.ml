@@ -203,6 +203,34 @@ let mutate prng mutation doc =
 
 let n_mutations = 7
 
+(* A line nested a million levels deep is refused at the nesting bound,
+   not after recursing through the whole line, and the daemon goes on to
+   serve the next line. *)
+let test_deep_nesting_rejected () =
+  let deep = String.make 1_000_000 '[' in
+  Alcotest.(check (result reject string))
+    "structured nesting error"
+    (Error "JSON error at offset 512: nesting deeper than 512")
+    (Result.map ignore (Json.of_string deep));
+  let valid =
+    Request.to_string
+      (ok_exn "request"
+         (Request.make ~id:"after-deep" Request.Analyze (`Example "fig1")))
+  in
+  match Ftes_driver.Daemon.run_lines ~telemetry:false [ deep; valid ] with
+  | [ refused; served ] ->
+      Alcotest.(check bool) "deep line refused" true
+        (refused.Response.verdict = Response.Failed);
+      Helpers.check_contains "deep line"
+        (Option.value refused.Response.error ~default:"")
+        "nesting deeper than 512";
+      Alcotest.(check string) "next line served in order" "after-deep"
+        served.Response.id;
+      Alcotest.(check bool) "next line answered" true
+        (served.Response.verdict = Response.Feasible)
+  | responses ->
+      Alcotest.failf "%d responses for 2 lines" (List.length responses)
+
 let fuzz =
   QCheck.Test.make ~count:1000 ~name:"every decoder returns Ok or Error"
     QCheck.(triple (int_bound 8) (int_bound (n_mutations - 1)) (int_bound 1_000_000))
@@ -224,4 +252,6 @@ let () =
   Alcotest.run "ftes_codecs"
     [ ( "fuzz",
         [ Alcotest.test_case "pristine documents decode" `Quick test_pristine;
-          QCheck_alcotest.to_alcotest fuzz ] ) ]
+          QCheck_alcotest.to_alcotest fuzz;
+          Alcotest.test_case "over-deep nesting is refused" `Quick
+            test_deep_nesting_rejected ] ) ]

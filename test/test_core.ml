@@ -84,16 +84,16 @@ let test_reexec_optimize_sets_design () =
 
 let fresh_cache () = Redundancy_opt.create_cache ()
 
+let harden ~config problem design =
+  fst (Redundancy_opt.probe ~cache:(fresh_cache ()) ~config problem design)
+
 let test_redundancy_fig3_opt () =
   let problem = fig3 () in
   let design =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match
-    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
-      design
-  with
+  match harden ~config:Config.default problem design with
   | None -> Alcotest.fail "fig3 should be solvable"
   | Some r ->
       Alcotest.(check int) "chooses h=2" 2 r.Redundancy_opt.design.Design.levels.(0);
@@ -108,9 +108,7 @@ let test_redundancy_fixed_min () =
   in
   (* At minimum hardening the single process needs k=6 -> SL 680 > 360. *)
   Alcotest.(check bool) "MIN infeasible on fig3" true
-    (Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.min_strategy
-       problem design
-    = None)
+    (harden ~config:Config.min_strategy problem design = None)
 
 let test_redundancy_fixed_max () =
   let problem = fig3 () in
@@ -118,10 +116,7 @@ let test_redundancy_fixed_max () =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  match
-    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.max_strategy
-      problem design
-  with
+  match harden ~config:Config.max_strategy problem design with
   | None -> Alcotest.fail "MAX feasible on fig3"
   | Some r ->
       Alcotest.(check int) "level 3" 3 r.Redundancy_opt.design.Design.levels.(0);
@@ -130,10 +125,7 @@ let test_redundancy_fixed_max () =
 let test_redundancy_result_is_feasible () =
   let problem = fig1 () in
   let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  match
-    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
-      base
-  with
+  match harden ~config:Config.default problem base with
   | None -> Alcotest.fail "feasible"
   | Some r ->
       let d = r.Redundancy_opt.design in
@@ -141,39 +133,18 @@ let test_redundancy_result_is_feasible () =
       Alcotest.(check bool) "reliable" true (Sfp.meets_goal problem d);
       Alcotest.(check bool) "cost at most both-h2" true (r.Redundancy_opt.cost <= 72.0)
 
-let test_probe_matches_run () =
-  let problem = fig1 () in
-  let base = Design.with_reexecs (Ftes_cc.Fig_examples.fig4a problem) [| 0; 0 |] in
-  let run =
-    Redundancy_opt.run ~cache:(fresh_cache ()) ~config:Config.default problem
-      base
-  in
-  let probe, best_len =
-    Redundancy_opt.probe ~cache:(fresh_cache ()) ~config:Config.default
-      problem base
-  in
-  (match (run, probe) with
-  | Some a, Some b ->
-      Alcotest.(check (float 1e-9)) "same cost" a.Redundancy_opt.cost b.Redundancy_opt.cost
-  | None, None -> ()
-  | _ -> Alcotest.fail "probe and run disagree on feasibility");
-  Alcotest.(check bool) "best-effort length is finite" true (Float.is_finite best_len)
-
 let test_best_effort_length () =
   let problem = fig3 () in
   let design =
     Design.make problem ~members:[| 0 |] ~levels:[| 1 |] ~reexecs:[| 0 |]
       ~mapping:[| 0 |]
   in
-  let len =
-    Redundancy_opt.best_effort_length ~cache:(fresh_cache ())
-      ~config:Config.default problem design
+  let best_effort config =
+    snd (Redundancy_opt.probe ~cache:(fresh_cache ()) ~config problem design)
   in
+  let len = best_effort Config.default in
   Alcotest.(check (float 1e-9)) "shortest reachable worst case" 340.0 len;
-  let len_min =
-    Redundancy_opt.best_effort_length ~cache:(fresh_cache ())
-      ~config:Config.min_strategy problem design
-  in
+  let len_min = best_effort Config.min_strategy in
   Alcotest.(check (float 1e-9)) "MIN best effort is 680" 680.0 len_min
 
 (* --- MappingAlgorithm --- *)
@@ -574,7 +545,6 @@ let () =
           Alcotest.test_case "fixed MIN" `Quick test_redundancy_fixed_min;
           Alcotest.test_case "fixed MAX" `Quick test_redundancy_fixed_max;
           Alcotest.test_case "result feasible" `Quick test_redundancy_result_is_feasible;
-          Alcotest.test_case "probe matches run" `Quick test_probe_matches_run;
           Alcotest.test_case "best-effort length" `Quick test_best_effort_length ] );
       ( "mapping_opt",
         [ Alcotest.test_case "initial mapping total" `Quick test_initial_mapping_total;

@@ -299,42 +299,6 @@ let test_length_only_allocation_is_size_independent () =
     (Printf.sprintf "minor words per call at n = 80 (n = 20: %d)" small)
     small large
 
-(* A single fully-hardened unschedulable mapping: the first Optimize
-   probe memoizes the (None, best_len) outcome, and the next escalation
-   over the same mapping must short-circuit without any fresh
-   evaluation. *)
-let test_escalate_short_circuits_on_memoized_unschedulable_probe () =
-  (* 10 ms WCETs against a 5 ms deadline: never schedulable. *)
-  let problem = two_node_problem ~deadline_ms:5.0 ~pfail:1e-6 in
-  let design =
-    Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
-      ~reexecs:[| 0; 0 |] ~mapping:[| 0; 1 |]
-  in
-  let config = Config.default in
-  let cache = Redundancy_opt.create_cache () in
-  let outcome, best_len = Redundancy_opt.probe ~cache ~config problem design in
-  Alcotest.(check bool) "mapping is unschedulable" true (outcome = None);
-  let shortcuts_before = counter_value "kernel.probe_shortcuts" in
-  let fresh_before = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
-  let len2 = Redundancy_opt.best_effort_length ~cache ~config problem design in
-  let shortcuts_after = counter_value "kernel.probe_shortcuts" in
-  let fresh_after = (Redundancy_opt.eval_stats ()).Redundancy_opt.fresh in
-  Alcotest.(check bool) "escalation short-circuited" true
-    (shortcuts_after > shortcuts_before);
-  Alcotest.(check int) "no fresh evaluation" fresh_before fresh_after;
-  Alcotest.(check bool) "memoized best-effort length served" true
-    (feq len2 best_len);
-  (* A fresh cache holds no memoized probe, so no shortcut can fire:
-     the full climb must reach the same length. *)
-  let shortcuts_before = counter_value "kernel.probe_shortcuts" in
-  let len_fresh =
-    Redundancy_opt.best_effort_length ~cache:(Redundancy_opt.create_cache ())
-      ~config problem design
-  in
-  Alcotest.(check int) "no shortcut on a fresh cache" shortcuts_before
-    (counter_value "kernel.probe_shortcuts");
-  Alcotest.(check bool) "full climb agrees" true (feq len_fresh best_len)
-
 let () =
   Alcotest.run "kernels"
     [ ( "scheduler",
@@ -353,8 +317,4 @@ let () =
           Alcotest.test_case "saturation skips fire and preserve the vector"
             `Quick test_grow_skips_saturated_member ] );
       ( "bound",
-        [ QCheck_alcotest.to_alcotest prop_required_k_matches_scan ] );
-      ( "redundancy",
-        [ Alcotest.test_case "memoized unschedulable probe short-circuits"
-            `Quick test_escalate_short_circuits_on_memoized_unschedulable_probe
-        ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_required_k_matches_scan ] ) ]

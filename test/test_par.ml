@@ -142,23 +142,6 @@ let prop_memo_migrate_paths_agree =
       && fst copied_counts + snd copied_counts = List.length source
       && bindings memo = source)
 
-let test_memo_peek_uncounted () =
-  let memo = Int_memo.create memo_family in
-  Alcotest.(check int) "add stores" 10 (Int_memo.add memo 1 10);
-  let lookups () = Metrics.counter_value memo_family.Memo.lookups in
-  let before = lookups () in
-  Alcotest.(check (option int)) "peek sees the binding" (Some 10)
-    (Int_memo.peek memo 1);
-  Alcotest.(check (option int)) "peek misses quietly" None
-    (Int_memo.peek memo 2);
-  Alcotest.(check int) "peek leaves lookups alone" before (lookups ());
-  Alcotest.(check int) "no instance hit" 0 (Int_memo.hits memo);
-  Alcotest.(check int) "no instance miss" 0 (Int_memo.misses memo);
-  Alcotest.(check (option int)) "find sees the binding" (Some 10)
-    (Int_memo.find memo 1);
-  Alcotest.(check int) "find is counted" (before + 1) (lookups ());
-  Alcotest.(check int) "one instance hit" 1 (Int_memo.hits memo)
-
 let test_memo_capacity_zero () =
   let family = Memo.family "test.memo_zero" in
   let memo = Int_memo.create ~capacity:0 family in
@@ -250,17 +233,13 @@ let unmemoized () = Redundancy_opt.create_cache ~capacity:0 ()
    pooled walk must read exactly what a sequential one reads. *)
 let walk_counters =
   List.map Metrics.counter
-    [ "strategy.explored"; "strategy.pruned"; "analyze.pruned_architectures" ]
+    [ "strategy.explored"; "strategy.pruned" ]
 
-(* A pre-flight-pruned walk's fingerprint together with the deltas of
-   the walk counters it moved. *)
+(* A walk's fingerprint together with the deltas of the walk counters
+   it moved. *)
 let walk ?pool ?cache ~config problem =
-  let preflight =
-    Ftes_analyze.Preflight.run ~kmax:config.Config.kmax
-      ~slack:config.Config.slack problem
-  in
   let before = List.map Metrics.counter_value walk_counters in
-  let solution = Design_strategy.run ?pool ?cache ~preflight ~config problem in
+  let solution = Design_strategy.run ?pool ?cache ~config problem in
   ( fingerprint solution,
     List.map2 (fun c b -> Metrics.counter_value c - b) walk_counters before )
 
@@ -282,8 +261,7 @@ let prop_strategy_parallel_identical =
   QCheck.Test.make ~count:3
     ~name:
       "parallel memoized Design_strategy.run = sequential unmemoized, walk \
-       counters included (cc + 20-process apps, pre-flight on, all slack x \
-       bus policies)"
+       counters included (cc + 20-process apps, all slack x bus policies)"
     QCheck.(int_bound 10_000)
     (fun seed ->
       Lazy.force cc_parallel_identical
@@ -363,11 +341,10 @@ let () =
            test_sfp_cache_matches_fresh ]);
       ("memo",
        [ q prop_memo_migrate_paths_agree;
-         Alcotest.test_case "peek is uncounted" `Quick test_memo_peek_uncounted;
-         Alcotest.test_case "capacity 0 stores nothing" `Quick
-           test_memo_capacity_zero;
          Alcotest.test_case "capacity validation" `Quick
            test_memo_capacity_validation;
+         Alcotest.test_case "capacity 0 stores nothing" `Quick
+           test_memo_capacity_zero;
          Alcotest.test_case "concurrent add shares one value" `Quick
            test_memo_concurrent_add_shares;
          Alcotest.test_case "reset_eval_stats clears capacity drops" `Quick

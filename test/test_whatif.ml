@@ -11,7 +11,6 @@ module Design = Ftes_model.Design
 module Config = Ftes_core.Config
 module Design_strategy = Ftes_core.Design_strategy
 module Redundancy_opt = Ftes_core.Redundancy_opt
-module Preflight = Ftes_analyze.Preflight
 module Delta = Ftes_whatif.Delta
 module Reuse = Ftes_whatif.Reuse
 module Request = Ftes_driver.Request
@@ -28,14 +27,12 @@ let ok_exn = function
 
 let hex = Printf.sprintf "%h"
 
-(* The cruise controller's base walk, pre-flight attached, shared by
-   every delta class's warm rerun: a rerun leaves its base intact. *)
+(* The cruise controller's base walk, shared by every delta class's
+   warm rerun: a rerun leaves its base intact. *)
 let cc_base =
   lazy
     (let cc = Ftes_cc.Cruise_control.problem () in
-     let config = Config.default in
-     let preflight = Preflight.run ~kmax:config.Config.kmax cc in
-     (cc, Design_strategy.run_recorded ~preflight ~config cc))
+     (cc, Design_strategy.run_recorded ~config:Config.default cc))
 
 let ints a = String.concat "," (Array.to_list (Array.map string_of_int a))
 
@@ -83,8 +80,7 @@ let reuse_sane name (r : Reuse.t) =
       ("evals_kept", r.Reuse.evals_kept);
       ("evals_dropped", r.Reuse.evals_dropped);
       ("probes_kept", r.Reuse.probes_kept);
-      ("probes_dropped", r.Reuse.probes_dropped);
-      ("witnesses_rechecked", r.Reuse.witnesses_rechecked) ];
+      ("probes_dropped", r.Reuse.probes_dropped) ];
   Alcotest.(check bool)
     (name ^ ": replayed prefix within trail")
     true
@@ -92,9 +88,7 @@ let reuse_sane name (r : Reuse.t) =
 
 (* The property: rerun from a recorded base = cold run on the perturbed
    problem, bit for bit (solution, trail, explored).  [base], when
-   given, is the base walk recorded beforehand; when it carries a
-   pre-flight report, the cold run derives a fresh one on the perturbed
-   problem. *)
+   given, is the base walk recorded beforehand. *)
 let check_bit_identity ?base name config problem delta =
   let base =
     match base with
@@ -110,14 +104,7 @@ let check_bit_identity ?base name config problem delta =
         | Some k -> Config.with_kmax k config
         | None -> config
       in
-      let preflight =
-        Option.map
-          (fun _ -> Preflight.run ~kmax:config'.Config.kmax perturbed)
-          base.Design_strategy.rec_preflight
-      in
-      let cold =
-        Design_strategy.run_recorded ?preflight ~config:config' perturbed
-      in
+      let cold = Design_strategy.run_recorded ~config:config' perturbed in
       Alcotest.(check string)
         (name ^ ": solution bits")
         (solution_sig cold.Design_strategy.rec_solution)
@@ -136,8 +123,8 @@ let check_bit_identity ?base name config problem delta =
 
 (* One alcotest case per delta class: every slack mode (including the
    randomized per-process and checkpointed ones) crossed with every bus
-   policy, fresh deltas per cell — then the cruise controller, whose
-   base walk carries its pre-flight report. *)
+   policy, fresh deltas per cell — then the cruise controller, from its
+   shared recorded base walk. *)
 let test_class cls () =
   let prng = Prng.create (0xC0FFEE + Hashtbl.hash cls) in
   let problem = Helpers.small_problem ~n:5 ~lib:2 ~levels:2 (Hashtbl.hash cls) in
@@ -388,72 +375,6 @@ let test_migration_stats () =
     (mig_w.Redundancy_opt.mig_sfp_dropped > 0
     || mig_w.Redundancy_opt.mig_evals_dropped > 0)
 
-(* --- pre-flight reuse (recheck / retarget) --- *)
-
-let test_preflight_recheck () =
-  let problem = Helpers.small_problem 10 in
-  let kmax = Config.default.Config.kmax in
-  (* Feasible report: no witnesses, recheck is vacuously true. *)
-  let pf = Preflight.run ~kmax problem in
-  Alcotest.(check bool) "small problem pre-flight feasible" true
-    (Preflight.feasible pf);
-  Alcotest.(check bool) "vacuous recheck" true (Preflight.recheck pf problem);
-  (* Crush the deadline: the report must carry witnesses that hold on
-     their own problem but fail against the original, loose one. *)
-  let tight = ok_exn (Delta.apply problem (Delta.Deadline_scale 1e-4)) in
-  let pf_tight = Preflight.run ~kmax tight in
-  Alcotest.(check bool) "crushed deadline proven infeasible" false
-    (Preflight.feasible pf_tight);
-  Alcotest.(check bool) "witnesses hold on their own problem" true
-    (Preflight.recheck pf_tight tight);
-  Alcotest.(check bool) "witnesses fail against the loose problem" false
-    (Preflight.recheck pf_tight problem);
-  (* Retarget rebinds the report to the perturbed problem. *)
-  let tighter = ok_exn (Delta.apply tight (Delta.Deadline_scale 0.5)) in
-  let pf' = Preflight.retarget pf_tight tighter in
-  Alcotest.(check bool) "retargeted report reads the new problem" true
-    (pf'.Preflight.problem == tighter)
-
-let test_preflight_reuse_bit_identity () =
-  let problem = Helpers.small_problem 12 in
-  let config = Config.default in
-  let kmax = config.Config.kmax in
-  let pf = Preflight.run ~kmax problem in
-  let base = Design_strategy.run_recorded ~preflight:pf ~config problem in
-  (* Tightening delta: the recorded pre-flight is retargeted, not
-     re-derived, and the walk stays bit-identical to a cold run with a
-     fresh pre-flight on the perturbed problem. *)
-  let delta = Delta.Deadline_scale 0.9 in
-  Alcotest.(check bool) "deadline tightening cannot weaken" true
-    (Delta.cannot_weaken problem delta);
-  (match Design_strategy.rerun ~from:base delta with
-  | Error e -> Alcotest.failf "tightening rerun rejected: %s" e
-  | Ok (warm, reuse) ->
-      Alcotest.(check bool) "pre-flight reused" true reuse.Reuse.preflight_reused;
-      let perturbed = ok_exn (Delta.apply problem delta) in
-      let cold =
-        Design_strategy.run_recorded
-          ~preflight:(Preflight.run ~kmax perturbed)
-          ~config perturbed
-      in
-      Alcotest.(check string) "pruned warm walk bit-identical"
-        (solution_sig cold.Design_strategy.rec_solution)
-        (solution_sig warm.Design_strategy.rec_solution);
-      Alcotest.(check string) "pruned warm trail bit-identical"
-        (trail_sig cold.Design_strategy.rec_trail)
-        (trail_sig warm.Design_strategy.rec_trail));
-  (* Widening delta: reuse would be unsound, so it must not happen. *)
-  let widen = Delta.Deadline_scale 1.1 in
-  Alcotest.(check bool) "deadline widening can weaken" false
-    (Delta.cannot_weaken problem widen);
-  match Design_strategy.rerun ~from:base widen with
-  | Error e -> Alcotest.failf "widening rerun rejected: %s" e
-  | Ok (_, reuse) ->
-      Alcotest.(check bool) "pre-flight not reused on widening" false
-        reuse.Reuse.preflight_reused;
-      Alcotest.(check int) "no witnesses re-checked without reuse" 0
-        reuse.Reuse.witnesses_rechecked
-
 (* --- wire codec --- *)
 
 let test_delta_json_roundtrip () =
@@ -493,13 +414,19 @@ let test_reuse_json_roundtrip () =
       sfp_kept = 12; sfp_dropped = 3;
       evals_kept = 40; evals_dropped = 2;
       probes_kept = 0; probes_dropped = 7;
-      steps_replayed = 2; steps_total = 3;
-      preflight_reused = true; witnesses_rechecked = 1 }
+      steps_replayed = 2; steps_total = 3 }
   in
   let bytes = Json.to_string ~minify:true (Reuse.to_json r) in
-  let r' = ok_exn (Reuse.of_json (ok_exn (Json.of_string bytes))) in
+  let decode text = ok_exn (Reuse.of_json (ok_exn (Json.of_string text))) in
   Alcotest.(check string) "reuse codec round-trips" bytes
-    (Json.to_string ~minify:true (Reuse.to_json r'))
+    (Json.to_string ~minify:true (Reuse.to_json (decode bytes)));
+  (* Blocks written before the pre-flight reuse fields were dropped
+     still carry them; a reader ignores both. *)
+  let older =
+    {|{"class":"wcet-scale","sfp":{"kept":12,"dropped":3},"evals":{"kept":40,"dropped":2},"probes":{"kept":0,"dropped":7},"steps":{"replayed":2,"total":3},"preflight_reused":true,"witnesses_rechecked":1}|}
+  in
+  Alcotest.(check string) "older block with pre-flight fields decodes" bytes
+    (Json.to_string ~minify:true (Reuse.to_json (decode older)))
 
 (* --- generator sanity (Helpers.small_delta / perturbed_problem) --- *)
 
@@ -604,13 +531,6 @@ let test_rule_mutations () =
           (Json.Object
              [ ("replayed", Json.Number 9.); ("total", Json.Number 1.) ]))
        stream);
-  check_fires "witnesses re-checked without pre-flight reuse" "whatif/reuse"
-    (mutate_nth 0
-       (fun json ->
-         json
-         |> set_in_reuse "preflight_reused" (Json.Bool false)
-         |> set_in_reuse "witnesses_rechecked" (Json.Number 2.))
-       stream);
   check_fires "undecodable reuse block" "whatif/reuse"
     (mutate_nth 0
        (fun json ->
@@ -640,10 +560,6 @@ let () =
       ( "footprint",
         [ Alcotest.test_case "classifier" `Quick test_footprint;
           Alcotest.test_case "migration stats" `Quick test_migration_stats ] );
-      ( "preflight",
-        [ Alcotest.test_case "recheck/retarget" `Quick test_preflight_recheck;
-          Alcotest.test_case "reuse bit-identity" `Quick
-            test_preflight_reuse_bit_identity ] );
       ( "wire",
         [ Alcotest.test_case "delta round-trip" `Quick test_delta_json_roundtrip;
           Alcotest.test_case "delta rejects" `Quick test_delta_json_rejects;
