@@ -143,9 +143,9 @@ let wrote_to oc path = Printf.fprintf oc "wrote %s\n%!" path
    certificate of analyze and exact, the --csv/--json frontier of
    pareto) and return their paths. *)
 let exports ~cert ~csv ~frontier = function
-  | Exec.Analyzed { certificate; _ } ->
+  | Exec.Analyzed preflight ->
       Option.iter
-        (fun path -> Ftes_analyze.Certificate_io.save path certificate)
+        (fun path -> Ftes_analyze.Certificate_io.save path preflight)
         cert;
       Option.to_list cert
   | Exec.Proved { outcome; _ } ->
@@ -187,7 +187,7 @@ let analysis_text (req : Request.t) (pf : Ftes_analyze.Preflight.t) =
   in
   add "analyze %s (strategy %s)\n" req.Request.source req.Request.strategy;
   add "premises: deadline %.2f ms, kmax %d, %s slack accounting\n"
-    pf.P.deadline_ms pf.P.kmax
+    pf.P.summary.P.deadline_ms pf.P.kmax
     (if pf.P.reexec then "re-execution" else "non-re-execution");
   add "critical path   %.2f ms (%s)\n" pf.P.critical_path_ms
     (String.concat " -> " (List.map name pf.P.critical_path));
@@ -325,7 +325,7 @@ let pareto_text (req : Request.t) (frontier : Design_strategy.frontier)
 
 (* The text report of one outcome: the counterpart of [Exec.payload]. *)
 let text_of ~gantt (req : Request.t) = function
-  | Exec.Analyzed { preflight; _ } -> analysis_text req preflight
+  | Exec.Analyzed preflight -> analysis_text req preflight
   | Exec.Optimized { solution; report; reuse; _ } ->
       (match req.Request.whatif with
       | None -> optimize_text ~gantt req solution

@@ -34,7 +34,7 @@ type counters = {
 }
 
 type t = {
-  summary : Certificate.summary;
+  summary : Preflight.summary;
   kmax : int;
   search_space : float;
   represented_subsets : float;
@@ -47,7 +47,7 @@ type t = {
 
 let of_run ~problem ~kmax ~search_space ~represented_subsets ~heuristic_cost
     ~incumbent ~counters ~prunes =
-  { summary = Certificate.summary_of_problem problem;
+  { summary = Preflight.summary_of_problem problem;
     kmax;
     search_space;
     represented_subsets;

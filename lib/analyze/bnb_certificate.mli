@@ -79,7 +79,7 @@ type counters = {
 }
 
 type t = {
-  summary : Certificate.summary;  (** the analyzed problem's shape. *)
+  summary : Preflight.summary;  (** the analyzed problem's shape. *)
   kmax : int;  (** re-execution cap the search ran under. *)
   search_space : float;
       (** total (architecture, levels, mapping) candidates. *)

@@ -30,49 +30,49 @@ let witness_to_json (w : Preflight.witness) =
           ("work_ms", Number work_ms);
           ("capacity_ms", Number capacity_ms) ]
 
-let summary_to_json (s : Certificate.summary) =
+let summary_to_json (s : Preflight.summary) =
   Object
-    [ ("name", String s.Certificate.name);
-      ("n_processes", int s.Certificate.n_processes);
-      ("n_library", int s.Certificate.n_library);
-      ("deadline_ms", Number s.Certificate.deadline_ms);
-      ("period_ms", Number s.Certificate.period_ms);
-      ("gamma", Number s.Certificate.gamma);
-      ("mu_ms", Number s.Certificate.mu_ms) ]
+    [ ("name", String s.Preflight.name);
+      ("n_processes", int s.Preflight.n_processes);
+      ("n_library", int s.Preflight.n_library);
+      ("deadline_ms", Number s.Preflight.deadline_ms);
+      ("period_ms", Number s.Preflight.period_ms);
+      ("gamma", Number s.Preflight.gamma);
+      ("mu_ms", Number s.Preflight.mu_ms) ]
 
-let to_json (c : Certificate.t) =
+let to_json (c : Preflight.t) =
   let task proc =
     Object
-      [ ("min_wcet_ms", Number c.Certificate.min_wcets.(proc));
-        ("min_length_ms", number_or_null c.Certificate.task_min_length.(proc));
-        ("cheapest_cost", number_or_null c.Certificate.task_cheapest.(proc));
+      [ ("min_wcet_ms", Number c.Preflight.min_wcets.(proc));
+        ("min_length_ms", number_or_null c.Preflight.task_min_length.(proc));
+        ("cheapest_cost", number_or_null c.Preflight.task_cheapest.(proc));
         ( "kneed",
-          List (Array.to_list (Array.map ints c.Certificate.kneed.(proc))) ) ]
+          List (Array.to_list (Array.map ints c.Preflight.kneed.(proc))) ) ]
   in
   Object
     [ Ftes_util.Versioned_json.field schema_version;
-      ("problem", summary_to_json c.Certificate.summary);
+      ("problem", summary_to_json c.Preflight.summary);
       ( "premises",
         Object
-          [ ("kmax", int c.Certificate.kmax);
-            ("reexec", Bool c.Certificate.reexec);
-            ("threshold", Number c.Certificate.threshold);
-            ("budget", Number c.Certificate.budget) ] );
+          [ ("kmax", int c.Preflight.kmax);
+            ("reexec", Bool c.Preflight.reexec);
+            ("threshold", Number c.Preflight.threshold);
+            ("budget", Number c.Preflight.budget) ] );
       ( "bounds",
         Object
-          [ ("critical_path_ms", Number c.Certificate.critical_path_ms);
+          [ ("critical_path_ms", Number c.Preflight.critical_path_ms);
             ( "critical_path",
-              ints (Array.of_list c.Certificate.critical_path) );
-            ("total_work_ms", Number c.Certificate.total_work_ms);
-            ("capacity_ms", Number c.Certificate.capacity_ms);
-            ("cost_lower_bound", number_or_null c.Certificate.cost_lower_bound);
+              ints (Array.of_list c.Preflight.critical_path) );
+            ("total_work_ms", Number c.Preflight.total_work_ms);
+            ("capacity_ms", Number c.Preflight.capacity_ms);
+            ("cost_lower_bound", number_or_null c.Preflight.cost_lower_bound);
             ( "sfp_cost_lower_bound",
-              number_or_null c.Certificate.sfp_cost_lower_bound ) ] );
+              number_or_null c.Preflight.sfp_cost_lower_bound ) ] );
       ( "tasks",
-        List (List.init (Array.length c.Certificate.min_wcets) task) );
-      ("feasible", Bool c.Certificate.feasible);
+        List (List.init (Array.length c.Preflight.min_wcets) task) );
+      ("feasible", Bool c.Preflight.feasible);
       ( "witnesses",
-        List (List.map witness_to_json c.Certificate.witnesses) ) ]
+        List (List.map witness_to_json c.Preflight.witnesses) ) ]
 
 let witness_of_json json =
   let* kind = field "kind" to_string_value json in
@@ -108,7 +108,7 @@ let summary_of_json json =
   let* gamma = field "gamma" to_float json in
   let* mu_ms = field "mu_ms" to_float json in
   Ok
-    { Certificate.name;
+    { Preflight.name;
       n_processes;
       n_library;
       deadline_ms;
@@ -148,13 +148,13 @@ let of_json ?on_warning json =
       let tasks = Array.of_list tasks in
       let* feasible = field "feasible" to_bool json in
       let* witnesses = field "witnesses" (list_of witness_of_json) json in
-      if Array.length tasks <> summary.Certificate.n_processes then
+      if Array.length tasks <> summary.Preflight.n_processes then
         Error
           (Printf.sprintf "tasks: %d entries for %d processes"
-             (Array.length tasks) summary.Certificate.n_processes)
+             (Array.length tasks) summary.Preflight.n_processes)
       else
         Ok
-          { Certificate.summary;
+          { Preflight.summary;
             kmax;
             reexec;
             threshold;

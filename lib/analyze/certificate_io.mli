@@ -1,4 +1,5 @@
-(** JSON (de)serialization of pre-flight certificates.
+(** JSON (de)serialization of pre-flight reports — a {!Preflight.t}
+    is its own certificate, encoded field for field.
 
     {v
     {
@@ -18,33 +19,37 @@
     v}
 
     Unbounded values ([infinity], meaning "no admissible assignment")
-    are encoded as JSON [null].  Versioning follows
-    {!Ftes_util.Versioned_json} with [accept_v0 = false]. *)
+    are encoded as JSON [null].  Decoding never recomputes anything: a
+    decoded report carries exactly the claims the [analyze/*] audit
+    re-derives and checks, [feasible] included, and its indices are
+    not range-checked here — the audit does that against the problem.
+    Versioning follows {!Ftes_util.Versioned_json} with
+    [accept_v0 = false]. *)
 
 val schema_version : int
 
-val to_json : Certificate.t -> Ftes_util.Json.t
+val to_json : Preflight.t -> Ftes_util.Json.t
 
-val summary_to_json : Certificate.summary -> Ftes_util.Json.t
+val summary_to_json : Preflight.summary -> Ftes_util.Json.t
 (** The ["problem"] object, shared with {!Bnb_certificate_io}. *)
 
 val summary_of_json :
-  Ftes_util.Json.t -> (Certificate.summary, string) result
+  Ftes_util.Json.t -> (Preflight.summary, string) result
 
 val of_json :
   ?on_warning:(string -> unit) ->
   Ftes_util.Json.t ->
-  (Certificate.t, string) result
+  (Preflight.t, string) result
 
-val to_string : Certificate.t -> string
+val to_string : Preflight.t -> string
 
 val of_string :
-  ?on_warning:(string -> unit) -> string -> (Certificate.t, string) result
+  ?on_warning:(string -> unit) -> string -> (Preflight.t, string) result
 
-val save : string -> Certificate.t -> unit
+val save : string -> Preflight.t -> unit
 (** Write to a file (overwrites). *)
 
 val load :
-  ?on_warning:(string -> unit) -> string -> (Certificate.t, string) result
+  ?on_warning:(string -> unit) -> string -> (Preflight.t, string) result
 (** Read and parse a file; I/O and decode errors are reported as
     [Error] naming the file. *)

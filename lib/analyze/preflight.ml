@@ -13,12 +13,30 @@ type witness =
   | Critical_path of { length_ms : float; path : int list }
   | Total_work of { work_ms : float; capacity_ms : float }
 
+type summary = {
+  name : string;
+  n_processes : int;
+  n_library : int;
+  deadline_ms : float;
+  period_ms : float;
+  gamma : float;
+  mu_ms : float;
+}
+
+let summary_of_problem problem =
+  let app = problem.Problem.app in
+  { name = app.Application.name;
+    n_processes = Problem.n_processes problem;
+    n_library = Problem.n_library problem;
+    deadline_ms = app.Application.deadline_ms;
+    period_ms = app.Application.period_ms;
+    gamma = app.Application.gamma;
+    mu_ms = app.Application.recovery_overhead_ms }
+
 type t = {
-  problem : Problem.t;
+  summary : summary;
   kmax : int;
   reexec : bool;
-  deadline_ms : float;
-  mu_ms : float;
   threshold : float;
   budget : float;
   min_wcets : float array;
@@ -31,6 +49,7 @@ type t = {
   capacity_ms : float;
   cost_lower_bound : float;
   sfp_cost_lower_bound : float;
+  feasible : bool;
   witnesses : witness list;
 }
 
@@ -51,7 +70,7 @@ let c_infeasible = Ftes_obs.Metrics.counter "analyze.infeasible"
    margin. *)
 let overruns t ~deadline = t -. prove_eps_ms > deadline +. Tolerance.time_eps_ms
 
-let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
+let run ?(kmax = Sfp.default_kmax) ~reexec problem =
   Ftes_obs.Span.with_ ~name:"analyze/preflight" @@ fun () ->
   Ftes_obs.Metrics.incr c_runs;
   let app = problem.Problem.app in
@@ -75,6 +94,7 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
   let min_wcets = Array.make n infinity in
   let task_min_length = Array.make n infinity in
   let task_cheapest = Array.make n infinity in
+  let task_reliable_cheapest = Array.make n infinity in
   for proc = 0 to n - 1 do
     for node = 0 to lib - 1 do
       for level = 1 to Problem.levels problem node do
@@ -82,6 +102,9 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
         if t < min_wcets.(proc) then min_wcets.(proc) <- t;
         let k = kneed.(proc).(node).(level - 1) in
         if k >= 0 then begin
+          let c = Problem.cost problem ~node ~level in
+          task_reliable_cheapest.(proc) <-
+            Float.min task_reliable_cheapest.(proc) c;
           let len =
             if reexec then t +. (float_of_int k *. (t +. mu)) else t
           in
@@ -90,10 +113,8 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
              inclusion is generous (the same slop the witness test
              proves against), so a workable assignment is never
              dropped from the cost bound. *)
-          if not (overruns len ~deadline) then begin
-            let c = Problem.cost problem ~node ~level in
-            if c < task_cheapest.(proc) then task_cheapest.(proc) <- c
-          end
+          if not (overruns len ~deadline) && c < task_cheapest.(proc) then
+            task_cheapest.(proc) <- c
         end
       done
     done
@@ -128,9 +149,16 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
     else []
   in
   let cost_lower_bound =
-    Array.fold_left (fun acc c -> Float.max acc c) 0.0 task_cheapest
+    Array.fold_left Float.max 0.0 task_cheapest
   in
-  let sfp_cost_lower_bound = Bound.cost_lower_bound ~kmax problem in
+  (* Any feasible design hosts each process on a member whose
+     h-version admits the goal within kmax re-executions — its
+     singleton exceedance is below the node's (adding processes only
+     adds fault scenarios) — so the architecture pays at least the
+     cheapest admissible version of the most demanding process. *)
+  let sfp_cost_lower_bound =
+    Array.fold_left Float.max 0.0 task_reliable_cheapest
+  in
   let derived =
     Array.fold_left
       (fun acc rows ->
@@ -140,11 +168,9 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
   in
   Ftes_obs.Metrics.add c_bounds derived;
   if witnesses <> [] then Ftes_obs.Metrics.incr c_infeasible;
-  { problem;
+  { summary = summary_of_problem problem;
     kmax;
     reexec;
-    deadline_ms = deadline;
-    mu_ms = mu;
     threshold;
     budget;
     min_wcets;
@@ -157,16 +183,12 @@ let run_with ?(kmax = Sfp.default_kmax) ~reexec problem =
     capacity_ms;
     cost_lower_bound;
     sfp_cost_lower_bound;
+    feasible = witnesses = [];
     witnesses }
 
 let reexec_of_slack = function
   | Scheduler.Shared | Scheduler.Conservative | Scheduler.Dedicated -> true
   | Scheduler.Per_process _ | Scheduler.Checkpointed _ -> false
-
-let run ?kmax ?(slack = Scheduler.Shared) problem =
-  run_with ?kmax ~reexec:(reexec_of_slack slack) problem
-
-let feasible t = t.witnesses = []
 
 let witness_to_string problem w =
   let app = problem.Problem.app in
@@ -201,8 +223,7 @@ let witness_to_string problem w =
 
 (* --- pruning oracles --- *)
 
-let architecture_check t ~members =
-  let problem = t.problem in
+let architecture_check t problem ~members =
   let n = Problem.n_processes problem in
   let m = Array.length members in
   let min_t = Array.make n infinity in
@@ -219,7 +240,8 @@ let architecture_check t ~members =
              let k = t.kneed.(p).(node).(level - 1) in
              if k >= 0 then begin
                let len =
-                 if t.reexec then tq +. (float_of_int k *. (tq +. t.mu_ms))
+                 if t.reexec then
+                   tq +. (float_of_int k *. (tq +. t.summary.mu_ms))
                  else tq
                in
                if len < !best_len then best_len := len
@@ -243,7 +265,8 @@ let architecture_check t ~members =
       in
       let work = Array.fold_left ( +. ) 0.0 min_t in
       let lb = Float.max !worst_len (Float.max cp (work /. float_of_int m)) in
-      if overruns lb ~deadline:t.deadline_ms then `Deadline lb else `Feasible
+      if overruns lb ~deadline:t.summary.deadline_ms then `Deadline lb
+      else `Feasible
 
 (* Two library nodes are interchangeable exactly when every table the
    rest of the stack ever reads agrees: same number of h-versions and,
@@ -266,8 +289,7 @@ let canonical_nodes problem =
       let rec find j' = if keys.(j') = keys.(j) then j' else find (j' + 1) in
       find 0)
 
-let completion_cost_lower_bound t ~prefix ~first_open =
-  let problem = t.problem in
+let completion_cost_lower_bound t problem ~prefix ~first_open =
   let lib = Problem.n_library problem in
   if first_open < 0 || first_open > lib then
     invalid_arg "Preflight.completion_cost_lower_bound: first_open out of range";

@@ -14,9 +14,10 @@
       reach the goal within [kmax] re-executions
       ({!Ftes_sfp.Bound.required_k_exact} at the pessimistic
       {!Ftes_sfp.Bound.admissible_budget}, which never excludes a
-      workable assignment);
-    - a cost lower bound: the cheapest deadline- and
-      reliability-admissible h-version of the most demanding process.
+      workable assignment) — the [kneed] table;
+    - two cost lower bounds folded out of the same tables: the cheapest
+      reliability-admissible h-version of the most demanding process,
+      and the cheapest one that also fits the deadline.
 
     Every violated condition carries a concrete {!witness}.  The same
     tables double as sound pruning oracles for the exact search
@@ -26,8 +27,11 @@
     The heuristic Fig. 5 walk ({!Ftes_core.Design_strategy}) takes no
     report.
 
-    A report is emitted as a machine-checkable {!Certificate} and
-    re-derived offline by the [analyze/*] rules of [Ftes_verify]. *)
+    A report is its own machine-checkable certificate: it records the
+    premises it was derived under (the problem {!summary}, the
+    re-execution cap, the slack-policy bucket, the admissibility
+    budget), {!Certificate_io} encodes it, and the [analyze/*] rules of
+    [Ftes_verify] re-derive it offline from the problem alone. *)
 
 type witness =
   | Task_wcet of { proc : int; min_wcet_ms : float }
@@ -47,15 +51,29 @@ type witness =
       (** the summed minimum WCETs exceed what the full library can
           execute within the deadline. *)
 
+type summary = {
+  name : string;
+  n_processes : int;
+  n_library : int;
+  deadline_ms : float;
+  period_ms : float;
+  gamma : float;
+  mu_ms : float;  (** the application's recovery overhead. *)
+}
+(** Identifying premises of the analyzed problem; the audit refuses to
+    check a report against a problem with a different shape. *)
+
+val summary_of_problem : Ftes_model.Problem.t -> summary
+(** The summary {!run} records — also what the audit expects to find
+    when checking a report against a problem. *)
+
 type t = {
-  problem : Ftes_model.Problem.t;
+  summary : summary;
   kmax : int;
   reexec : bool;
       (** whether the slack policy re-runs whole processes
           ([Shared] / [Conservative] / [Dedicated]), enabling the
           [t + k * (t + mu)] task bounds. *)
-  deadline_ms : float;
-  mu_ms : float;
   threshold : float;  (** {!Ftes_sfp.Sfp.max_admissible_failure}. *)
   budget : float;  (** {!Ftes_sfp.Bound.admissible_budget} at [kmax]. *)
   min_wcets : float array;
@@ -82,10 +100,20 @@ type t = {
         hence at least {!t.sfp_cost_lower_bound}; [infinity] when the
         problem is proven infeasible through a task witness. *)
   sfp_cost_lower_bound : float;
-      (** {!Ftes_sfp.Bound.cost_lower_bound}: the reliability-only
-          bound, recorded for the certificate. *)
+      (** the reliability-only bound: max over processes of the
+          cheapest [Cjh] with [kneed >= 0]; [infinity] when some
+          process has no admissible pair. *)
+  feasible : bool;
+      (** [witnesses = []] on a fresh report — no necessary condition
+          is violated (the problem may still be infeasible; the
+          analysis is one-sided).  Stored rather than derived: it is
+          the claim the [analyze/verdict] audit checks against the
+          witnesses of a decoded report. *)
   witnesses : witness list;  (** empty iff no condition is violated. *)
 }
+(** One pre-flight report.  It is pure data — the problem itself is
+    not kept, only its {!summary} — so the report doubles as the
+    machine-checkable certificate {!Certificate_io} encodes. *)
 
 val prove_eps_ms : float
 (** Absolute margin (1e-6 ms) subtracted from every derived length
@@ -94,39 +122,33 @@ val prove_eps_ms : float
     float crumbs must never turn a tight instance into a false
     infeasibility proof. *)
 
-val run :
-  ?kmax:int -> ?slack:Ftes_sched.Scheduler.slack_mode ->
-  Ftes_model.Problem.t -> t
-(** Analyze a problem under the config's [kmax] (default
-    {!Ftes_sfp.Sfp.default_kmax}) and slack policy (default [Shared]).
+val run : ?kmax:int -> reexec:bool -> Ftes_model.Problem.t -> t
+(** Analyze a problem under [kmax] (default {!Ftes_sfp.Sfp.default_kmax})
+    in the slack-policy bucket [reexec] (see {!reexec_of_slack}).
     Emits the [analyze/preflight] span and bumps
     [analyze.bounds_derived] / [analyze.infeasible]. *)
 
-val run_with : ?kmax:int -> reexec:bool -> Ftes_model.Problem.t -> t
-(** Policy-bucket entry used by the offline audit: {!run} forwards
-    here with [reexec] set for the whole-process re-execution slack
-    modes. *)
-
 val reexec_of_slack : Ftes_sched.Scheduler.slack_mode -> bool
-(** The policy bucket {!run} analyzes a slack mode under: [true] for
-    the whole-process re-execution policies ([Shared] / [Conservative]
-    / [Dedicated]).  The [bnb/*] audit re-derives a report under the
-    subject's slack mode through this. *)
-
-val feasible : t -> bool
-(** [witnesses = []] — no necessary condition is violated.  (The
-    problem may still be infeasible; the analysis is one-sided.) *)
+(** The policy bucket a slack mode is analyzed under: [true] for the
+    whole-process re-execution policies ([Shared] / [Conservative] /
+    [Dedicated]). *)
 
 val witness_to_string : Ftes_model.Problem.t -> witness -> string
+(** Renders process names, so every process index in the witness must
+    lie within the problem. *)
 
 (** {2 Pruning oracles}
 
     Sound one-sided tests the exact search ({!Ftes_bnb}) consults while
     it enumerates architectures; every "dead" answer means the full
-    evaluation provably fails. *)
+    evaluation provably fails.  Each takes the problem the report was
+    derived from, whose tables the report does not keep. *)
 
 val architecture_check :
-  t -> members:int array -> [ `Feasible | `Unreliable of int | `Deadline of float ]
+  t ->
+  Ftes_model.Problem.t ->
+  members:int array ->
+  [ `Feasible | `Unreliable of int | `Deadline of float ]
 (** Necessary conditions specialized to one architecture (library
     subset): [`Unreliable p] when process [p] has no admissible
     [(member, level)] pair, [`Deadline lb] when a schedule-length
@@ -147,7 +169,7 @@ val canonical_nodes : Ftes_model.Problem.t -> int array
     the [bnb/*] audit re-derives the classes through this function. *)
 
 val completion_cost_lower_bound :
-  t -> prefix:int array -> first_open:int -> float
+  t -> Ftes_model.Problem.t -> prefix:int array -> first_open:int -> float
 (** Lower bound on the architecture cost of any reliability-feasible
     design whose members include all of [prefix] plus, optionally, nodes
     [>= first_open]: each chosen member costs at least its cheapest

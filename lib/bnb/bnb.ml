@@ -224,7 +224,8 @@ let solve ?pool ?(limit = max_int) ~config problem =
   Ftes_obs.Span.with_ ~name:"bnb/solve" (fun () ->
       let lib = Problem.n_library problem in
       let preflight =
-        Preflight.run ~kmax:config.Config.kmax ~slack:config.Config.slack
+        Preflight.run ~kmax:config.Config.kmax
+          ~reexec:(Preflight.reexec_of_slack config.Config.slack)
           problem
       in
       let cache = Ftes_par.Sfp_cache.create () in
@@ -273,7 +274,8 @@ let solve ?pool ?(limit = max_int) ~config problem =
       let push prefix first_open =
         incr seq;
         let lb =
-          Preflight.completion_cost_lower_bound preflight ~prefix ~first_open
+          Preflight.completion_cost_lower_bound preflight problem ~prefix
+            ~first_open
         in
         Frontier.push frontier { Frontier.lb; seq = !seq; prefix; first_open }
       in
@@ -333,7 +335,9 @@ let solve ?pool ?(limit = max_int) ~config problem =
                  prunes :=
                    Cert.Arch_infeasible { prefix; subtree; verdict } :: !prunes
                in
-               match Preflight.architecture_check preflight ~members:full with
+               match
+                 Preflight.architecture_check preflight problem ~members:full
+               with
                | `Unreliable p -> record_arch true (Cert.Unreliable p)
                | `Deadline lb_ms -> record_arch true (Cert.Deadline lb_ms)
                | `Feasible ->
@@ -342,7 +346,7 @@ let solve ?pool ?(limit = max_int) ~config problem =
                      if first_open >= lib then close prefix
                      else begin
                        match
-                         Preflight.architecture_check preflight
+                         Preflight.architecture_check preflight problem
                            ~members:prefix
                        with
                        | `Feasible -> close prefix

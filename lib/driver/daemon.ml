@@ -47,8 +47,8 @@ let registry_misses t = String_memo.misses t.recorded
 (* A Redundancy_opt.cache may be shared by runs over the same problem
    whose configs agree except in the hardening policy, so the bucket
    key is (problem, slack, bus, kmax) with the strategy excluded.  The
-   problem travels as its minified v1 document — inline and built-in
-   spellings of the same instance land in the same bucket. *)
+   problem travels as its [Problem_io.canonical_key] — inline and
+   built-in spellings of the same instance land in the same bucket. *)
 let bucket_key (req : Request.t) =
   let config = req.Request.config in
   let slack =
@@ -68,7 +68,7 @@ let bucket_key (req : Request.t) =
         | Bus.Tdma { slot_ms } -> Printf.sprintf "tdma:%h" slot_ms
       in
       Printf.sprintf "%s|%s|%d|%s" slack bus config.Config.kmax
-        (Json.to_string ~minify:true (Problem_io.to_json req.Request.problem)))
+        (Problem_io.canonical_key req.Request.problem))
     slack
 
 let shared_cache caches (req : Request.t) =

@@ -3,7 +3,6 @@ module Config = Ftes_core.Config
 module Design_strategy = Ftes_core.Design_strategy
 module Redundancy_opt = Ftes_core.Redundancy_opt
 module Preflight = Ftes_analyze.Preflight
-module Certificate = Ftes_analyze.Certificate
 module Certificate_io = Ftes_analyze.Certificate_io
 module Bnb = Ftes_bnb.Bnb
 module Bnb_certificate = Ftes_analyze.Bnb_certificate
@@ -18,10 +17,7 @@ module Subject = Ftes_verify.Subject
 exception Rejected of string
 
 type outcome =
-  | Analyzed of {
-      preflight : Preflight.t;
-      certificate : Certificate.t;
-    }
+  | Analyzed of Preflight.t
   | Optimized of {
       solution : Design_strategy.solution option;
       report : Report.t option;
@@ -73,14 +69,12 @@ let default_reference problem =
 
 (* A warm start is only sound against a base walk over the same
    problem under the same config: anything else would splice a foreign
-   cache into the walk.  Problems compare by their canonical v1 wire
-   bytes (same convention as the daemon's cache bucket key). *)
-let problem_bytes p =
-  Json.to_string ~minify:true (Ftes_model.Problem_io.to_json p)
-
+   cache into the walk.  Problems compare by their canonical key (the
+   daemon's cache buckets use the same one). *)
 let base_matches (base : Design_strategy.recorded) ~config ~problem =
   base.Design_strategy.rec_config = config
-  && problem_bytes base.Design_strategy.rec_problem = problem_bytes problem
+  && Ftes_model.Problem_io.canonical_key base.Design_strategy.rec_problem
+     = Ftes_model.Problem_io.canonical_key problem
 
 (* The walk a what-if request reruns from: walked cold in the same
    request (one-shot what-if) or resolved by [base_id] in the resident
@@ -129,11 +123,10 @@ let run ?cache ?recorded_of (req : Request.t) =
   let problem = req.Request.problem in
   match req.Request.command with
   | Request.Analyze ->
-      let preflight =
-        Preflight.run ~kmax:config.Config.kmax ~slack:config.Config.slack
-          problem
-      in
-      Analyzed { preflight; certificate = Certificate.of_preflight preflight }
+      Analyzed
+        (Preflight.run ~kmax:config.Config.kmax
+           ~reexec:(Preflight.reexec_of_slack config.Config.slack)
+           problem)
   | Request.Optimize ->
       let recorded, reuse =
         match req.Request.whatif with
@@ -202,8 +195,8 @@ let run ?cache ?recorded_of (req : Request.t) =
 (* --- verdict --- *)
 
 let verdict = function
-  | Analyzed { preflight; _ } ->
-      if Preflight.feasible preflight then Response.Feasible
+  | Analyzed preflight ->
+      if preflight.Preflight.feasible then Response.Feasible
       else Response.Infeasible
   | Optimized { solution = None; _ } -> Response.No_solution
   | Optimized { report = Some report; _ } when not (Report.ok report) ->
@@ -243,10 +236,10 @@ let payload (req : Request.t) outcome =
   let source = req.Request.source in
   let strategy = req.Request.strategy in
   match outcome with
-  | Analyzed { preflight; certificate } ->
+  | Analyzed preflight ->
       report_json ~source ~strategy
-        [ ("feasible", Json.Bool (Preflight.feasible preflight));
-          ("analysis", Certificate_io.to_json certificate) ]
+        [ ("feasible", Json.Bool preflight.Preflight.feasible);
+          ("analysis", Certificate_io.to_json preflight) ]
   | Optimized { solution = None; _ } ->
       report_json ~source ~strategy [ ("feasible", Json.Bool false) ]
   | Optimized { solution = Some s; report; _ } ->

@@ -27,10 +27,9 @@ exception Rejected of string
     error response, exactly like a parse failure. *)
 
 type outcome =
-  | Analyzed of {
-      preflight : Ftes_analyze.Preflight.t;
-      certificate : Ftes_analyze.Certificate.t;
-    }
+  | Analyzed of Ftes_analyze.Preflight.t
+      (** the pre-flight report — also the certificate [--cert]
+          writes. *)
   | Optimized of {
       solution : Ftes_core.Design_strategy.solution option;
       report : Ftes_verify.Report.t option;

@@ -98,6 +98,8 @@ let of_json ?on_warning json =
 
 let to_string problem = Json.to_string (to_json problem)
 
+let canonical_key problem = Json.to_string ~minify:true (to_json problem)
+
 let of_string ?on_warning text =
   let* json = Json.of_string text in
   of_json ?on_warning json

@@ -47,6 +47,12 @@ val of_json :
 
 val to_string : Problem.t -> string
 
+val canonical_key : Problem.t -> string
+(** The minified v1 document: two problems have equal keys exactly
+    when they encode to the same document, so inline and built-in
+    spellings of one instance share a key.  What the daemon buckets
+    its warm caches by and a what-if base is matched against. *)
+
 val of_string :
   ?on_warning:(string -> unit) -> string -> (Problem.t, string) result
 

@@ -73,44 +73,6 @@ let required_k_exact p ~budget ~kmax =
     Some !lo
   end
 
-(* Any feasible design hosts process [i] on some member whose h-version
-   admits the goal within kmax re-executions — its singleton exceedance
-   is below the node's (adding processes only adds fault scenarios), so
-   the architecture pays at least the cheapest admissible version for
-   the most demanding process.  Restricting [members] restricts the
-   designs the bound quantifies over: designs whose architecture is a
-   subset of [members]. *)
-let cost_lower_bound ?(kmax = Sfp.default_kmax) ?members
-    (problem : Ftes_model.Problem.t) =
-  let budget = admissible_budget ~kmax problem.Ftes_model.Problem.app in
-  let nodes =
-    match members with
-    | Some m -> m
-    | None ->
-        Array.init (Ftes_model.Problem.n_library problem) (fun j -> j)
-  in
-  Array.iter
-    (fun node ->
-      if node < 0 || node >= Ftes_model.Problem.n_library problem then
-        invalid_arg "Bound.cost_lower_bound: member outside the library")
-    nodes;
-  let bound = ref 0.0 in
-  for proc = 0 to Ftes_model.Problem.n_processes problem - 1 do
-    let cheapest = ref infinity in
-    Array.iter
-      (fun node ->
-        for level = 1 to Ftes_model.Problem.levels problem node do
-          let pf = Ftes_model.Problem.pfail problem ~node ~level ~proc in
-          if required_k_exact [| pf |] ~budget ~kmax <> None then
-            cheapest :=
-              Float.min !cheapest
-                (Ftes_model.Problem.cost problem ~node ~level)
-        done)
-      nodes;
-    bound := Float.max !bound !cheapest
-  done;
-  !bound
-
 (* Soundness is a statement about the underlying probabilities, so it is
    checked against the unrounded exact value: the grain-rounded analysis
    of [Sfp] floors each recovery term and can therefore sit above the

@@ -58,22 +58,3 @@ val required_k_exact : float array -> budget:float -> kmax:int -> int option
     node above the budget).  The rounded exceedance is exactly
     non-increasing in [k] (the recovery partial sums only grow and the
     directed rounding is monotone), so the answer is bisected. *)
-
-val cost_lower_bound :
-  ?kmax:int -> ?members:int array -> Ftes_model.Problem.t -> float
-(** A reliability-only lower bound on the cost of any feasible
-    architecture: every process must be hosted by some node whose
-    hardening level admits the reliability goal within [kmax]
-    (default {!Sfp.default_kmax}) re-executions, so the architecture
-    pays at least the cheapest such h-version for the most demanding
-    process — [max] over processes of [min] over admissible [(j, h)] of
-    [Cjh].  Admissibility is {!required_k_exact} at
-    {!admissible_budget}, which never excludes a workable assignment.
-    Returns [infinity] when some process has no admissible pair (no
-    feasible design exists at all).
-
-    [members] restricts the quantification to designs whose
-    architecture draws only from the given library subset — the
-    branch-and-bound of [Ftes_bnb] prunes a subtree whenever the bound
-    over its reachable members already exceeds the incumbent.  Raises
-    [Invalid_argument] on an out-of-range member. *)

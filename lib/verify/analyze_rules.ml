@@ -13,7 +13,6 @@ module Bound = Ftes_sfp.Bound
 module Archive = Ftes_pareto.Archive
 module Tolerance = Ftes_util.Tolerance
 module Preflight = Ftes_analyze.Preflight
-module Certificate = Ftes_analyze.Certificate
 module D = Diagnostic
 
 let audit_eps = 1e-6
@@ -44,52 +43,52 @@ let check_schema subject =
   let rule = "analyze/schema" in
   let cert = certificate_exn subject in
   let problem = subject.Subject.problem in
-  let s = cert.Certificate.summary in
-  let expect = Certificate.summary_of_problem problem in
+  let s = cert.Preflight.summary in
+  let expect = Preflight.summary_of_problem problem in
   let acc = ref [] in
   let fail fmt = Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt in
-  if s.Certificate.n_processes <> expect.Certificate.n_processes then
+  if s.Preflight.n_processes <> expect.Preflight.n_processes then
     fail "summary claims %d processes; the problem has %d"
-      s.Certificate.n_processes expect.Certificate.n_processes;
-  if s.Certificate.n_library <> expect.Certificate.n_library then
+      s.Preflight.n_processes expect.Preflight.n_processes;
+  if s.Preflight.n_library <> expect.Preflight.n_library then
     fail "summary claims a library of %d nodes; the problem has %d"
-      s.Certificate.n_library expect.Certificate.n_library;
-  if not (feq s.Certificate.deadline_ms expect.Certificate.deadline_ms) then
+      s.Preflight.n_library expect.Preflight.n_library;
+  if not (feq s.Preflight.deadline_ms expect.Preflight.deadline_ms) then
     fail "summary deadline %g ms; the problem's is %g ms"
-      s.Certificate.deadline_ms expect.Certificate.deadline_ms;
-  if not (feq s.Certificate.period_ms expect.Certificate.period_ms) then
+      s.Preflight.deadline_ms expect.Preflight.deadline_ms;
+  if not (feq s.Preflight.period_ms expect.Preflight.period_ms) then
     fail "summary period %g ms; the problem's is %g ms"
-      s.Certificate.period_ms expect.Certificate.period_ms;
-  if not (feq s.Certificate.gamma expect.Certificate.gamma) then
-    fail "summary gamma %g; the problem's is %g" s.Certificate.gamma
-      expect.Certificate.gamma;
-  if not (feq s.Certificate.mu_ms expect.Certificate.mu_ms) then
+      s.Preflight.period_ms expect.Preflight.period_ms;
+  if not (feq s.Preflight.gamma expect.Preflight.gamma) then
+    fail "summary gamma %g; the problem's is %g" s.Preflight.gamma
+      expect.Preflight.gamma;
+  if not (feq s.Preflight.mu_ms expect.Preflight.mu_ms) then
     fail "summary recovery overhead %g ms; the problem's is %g ms"
-      s.Certificate.mu_ms expect.Certificate.mu_ms;
-  if cert.Certificate.kmax < 0 then
-    fail "premise kmax = %d is negative" cert.Certificate.kmax
+      s.Preflight.mu_ms expect.Preflight.mu_ms;
+  if cert.Preflight.kmax < 0 then
+    fail "premise kmax = %d is negative" cert.Preflight.kmax
   else begin
     let app = problem.Problem.app in
     let threshold = Sfp.max_admissible_failure app in
-    let budget = Bound.admissible_budget ~kmax:cert.Certificate.kmax app in
-    if not (feq_rel cert.Certificate.threshold threshold) then
+    let budget = Bound.admissible_budget ~kmax:cert.Preflight.kmax app in
+    if not (feq_rel cert.Preflight.threshold threshold) then
       fail "premise threshold %.17g differs from the re-derived %.17g"
-        cert.Certificate.threshold threshold;
-    if not (feq_rel cert.Certificate.budget budget) then
+        cert.Preflight.threshold threshold;
+    if not (feq_rel cert.Preflight.budget budget) then
       fail "premise budget %.17g differs from the re-derived %.17g"
-        cert.Certificate.budget budget
+        cert.Preflight.budget budget
   end;
   let n = Problem.n_processes problem and m = Problem.n_library problem in
   let shaped name len = function
     | arr when Array.length arr = len -> ()
     | arr -> fail "%s has %d entries for %d processes" name (Array.length arr) len
   in
-  shaped "min_wcets" n cert.Certificate.min_wcets;
-  shaped "task_min_length" n cert.Certificate.task_min_length;
-  shaped "task_cheapest" n cert.Certificate.task_cheapest;
-  if Array.length cert.Certificate.kneed <> n then
+  shaped "min_wcets" n cert.Preflight.min_wcets;
+  shaped "task_min_length" n cert.Preflight.task_min_length;
+  shaped "task_cheapest" n cert.Preflight.task_cheapest;
+  if Array.length cert.Preflight.kneed <> n then
     fail "kneed has %d entries for %d processes"
-      (Array.length cert.Certificate.kneed) n
+      (Array.length cert.Preflight.kneed) n
   else
     Array.iteri
       (fun proc rows ->
@@ -103,15 +102,15 @@ let check_schema subject =
                 fail "kneed.(%d).(%d) has %d levels; the node offers %d" proc
                   node (Array.length levels) (Problem.levels problem node))
             rows)
-      cert.Certificate.kneed;
+      cert.Preflight.kneed;
   List.rev !acc
 
 (* Re-derive the whole analysis under the certificate's premises.  The
    bounds and verdict rules both compare against this. *)
 let rederive subject =
   let cert = certificate_exn subject in
-  Preflight.run_with ~kmax:(max 0 cert.Certificate.kmax)
-    ~reexec:cert.Certificate.reexec subject.Subject.problem
+  Preflight.run ~kmax:(max 0 cert.Preflight.kmax)
+    ~reexec:cert.Preflight.reexec subject.Subject.problem
 
 (* analyze/bounds: every recorded table and aggregate bound equals the
    re-derived one — kneed exactly, floats up to the audit slop. *)
@@ -132,17 +131,17 @@ let check_bounds subject =
               name v derived.(proc))
         claimed
   in
-  per_task "min_wcet_ms" cert.Certificate.min_wcets fresh.Preflight.min_wcets;
-  per_task "min_length_ms" cert.Certificate.task_min_length
+  per_task "min_wcet_ms" cert.Preflight.min_wcets fresh.Preflight.min_wcets;
+  per_task "min_length_ms" cert.Preflight.task_min_length
     fresh.Preflight.task_min_length;
-  per_task "cheapest_cost" cert.Certificate.task_cheapest
+  per_task "cheapest_cost" cert.Preflight.task_cheapest
     fresh.Preflight.task_cheapest;
   if
-    Array.length cert.Certificate.kneed
+    Array.length cert.Preflight.kneed
     = Array.length fresh.Preflight.kneed
     && Array.for_all2
          (fun a b -> Array.length a = Array.length b)
-         cert.Certificate.kneed fresh.Preflight.kneed
+         cert.Preflight.kneed fresh.Preflight.kneed
   then
     Array.iteri
       (fun proc rows ->
@@ -159,47 +158,64 @@ let check_bounds subject =
                       proc node l k derived.(l))
                 levels)
           rows)
-      cert.Certificate.kneed;
-  if not (feq cert.Certificate.critical_path_ms fresh.Preflight.critical_path_ms)
+      cert.Preflight.kneed;
+  if not (feq cert.Preflight.critical_path_ms fresh.Preflight.critical_path_ms)
   then
     fail "critical path %g ms differs from the re-derived %g ms"
-      cert.Certificate.critical_path_ms fresh.Preflight.critical_path_ms;
-  if cert.Certificate.critical_path <> fresh.Preflight.critical_path then
+      cert.Preflight.critical_path_ms fresh.Preflight.critical_path_ms;
+  if cert.Preflight.critical_path <> fresh.Preflight.critical_path then
     fail "critical path [%s] differs from the re-derived [%s]"
       (String.concat ";"
-         (List.map string_of_int cert.Certificate.critical_path))
+         (List.map string_of_int cert.Preflight.critical_path))
       (String.concat ";"
          (List.map string_of_int fresh.Preflight.critical_path));
-  if not (feq cert.Certificate.total_work_ms fresh.Preflight.total_work_ms)
+  if not (feq cert.Preflight.total_work_ms fresh.Preflight.total_work_ms)
   then
     fail "total work %g ms differs from the re-derived %g ms"
-      cert.Certificate.total_work_ms fresh.Preflight.total_work_ms;
-  if not (feq cert.Certificate.capacity_ms fresh.Preflight.capacity_ms) then
+      cert.Preflight.total_work_ms fresh.Preflight.total_work_ms;
+  if not (feq cert.Preflight.capacity_ms fresh.Preflight.capacity_ms) then
     fail "capacity %g ms differs from the re-derived %g ms"
-      cert.Certificate.capacity_ms fresh.Preflight.capacity_ms;
+      cert.Preflight.capacity_ms fresh.Preflight.capacity_ms;
   if
     not
-      (feq cert.Certificate.cost_lower_bound fresh.Preflight.cost_lower_bound)
+      (feq cert.Preflight.cost_lower_bound fresh.Preflight.cost_lower_bound)
   then
     fail "cost lower bound %g differs from the re-derived %g"
-      cert.Certificate.cost_lower_bound fresh.Preflight.cost_lower_bound;
+      cert.Preflight.cost_lower_bound fresh.Preflight.cost_lower_bound;
   if
     not
-      (feq cert.Certificate.sfp_cost_lower_bound
+      (feq cert.Preflight.sfp_cost_lower_bound
          fresh.Preflight.sfp_cost_lower_bound)
   then
     fail "SFP cost lower bound %g differs from the re-derived %g"
-      cert.Certificate.sfp_cost_lower_bound
+      cert.Preflight.sfp_cost_lower_bound
       fresh.Preflight.sfp_cost_lower_bound;
   List.rev !acc
 
 let witness_key (w : Preflight.witness) =
   match w with
-  | Preflight.Task_wcet { proc; _ } -> ("task-wcet", proc)
-  | Preflight.Task_slack { proc; _ } -> ("task-slack", proc)
-  | Preflight.Task_unreliable { proc } -> ("task-unreliable", proc)
-  | Preflight.Critical_path _ -> ("critical-path", -1)
-  | Preflight.Total_work _ -> ("total-work", -1)
+  | Preflight.Task_wcet { proc; _ } -> ("task-wcet", Some proc)
+  | Preflight.Task_slack { proc; _ } -> ("task-slack", Some proc)
+  | Preflight.Task_unreliable { proc } -> ("task-unreliable", Some proc)
+  | Preflight.Critical_path _ -> ("critical-path", None)
+  | Preflight.Total_work _ -> ("total-work", None)
+
+let key_to_string = function
+  | kind, Some proc -> Printf.sprintf "%s(process %d)" kind proc
+  | kind, None -> kind
+
+(* Rendering names processes, so a decoded witness is rendered only
+   once every process index it carries is known to lie within the
+   problem. *)
+let processes_in_range n (w : Preflight.witness) =
+  let ok p = p >= 0 && p < n in
+  match w with
+  | Preflight.Task_wcet { proc; _ }
+  | Preflight.Task_slack { proc; _ }
+  | Preflight.Task_unreliable { proc } ->
+      ok proc
+  | Preflight.Critical_path { path; _ } -> List.for_all ok path
+  | Preflight.Total_work _ -> true
 
 let witness_agrees (a : Preflight.witness) (b : Preflight.witness) =
   match (a, b) with
@@ -224,24 +240,25 @@ let witness_agrees (a : Preflight.witness) (b : Preflight.witness) =
 let check_verdict subject =
   let rule = "analyze/verdict" in
   let cert = certificate_exn subject in
+  let problem = subject.Subject.problem in
   let fresh = rederive subject in
   let acc = ref [] in
   let fail fmt =
     Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt
   in
-  if cert.Certificate.feasible <> (cert.Certificate.witnesses = []) then
+  if cert.Preflight.feasible <> (cert.Preflight.witnesses = []) then
     fail "feasible = %b but the certificate carries %d witnesses"
-      cert.Certificate.feasible
-      (List.length cert.Certificate.witnesses);
-  if cert.Certificate.feasible <> Preflight.feasible fresh then
+      cert.Preflight.feasible
+      (List.length cert.Preflight.witnesses);
+  if cert.Preflight.feasible <> fresh.Preflight.feasible then
     fail "verdict feasible = %b; the re-derived analysis says %b"
-      cert.Certificate.feasible (Preflight.feasible fresh);
-  let claimed = List.map witness_key cert.Certificate.witnesses in
+      cert.Preflight.feasible fresh.Preflight.feasible;
+  let claimed = List.map witness_key cert.Preflight.witnesses in
   let derived = List.map witness_key fresh.Preflight.witnesses in
   if List.sort compare claimed <> List.sort compare derived then
     fail "witness set {%s} differs from the re-derived {%s}"
-      (String.concat ", " (List.map fst claimed))
-      (String.concat ", " (List.map fst derived))
+      (String.concat ", " (List.map key_to_string claimed))
+      (String.concat ", " (List.map key_to_string derived))
   else
     List.iter
       (fun w ->
@@ -252,12 +269,18 @@ let check_verdict subject =
             fresh.Preflight.witnesses
         with
         | Some w' when witness_agrees w w' -> ()
+        | Some _ when not (processes_in_range (Problem.n_processes problem) w)
+          ->
+            fail
+              "witness %s: recorded evidence names a process index outside \
+               the problem's %d processes"
+              (key_to_string key) (Problem.n_processes problem)
         | Some w' ->
-            fail "witness %s: recorded %s; re-derived %s" (fst key)
-              (Preflight.witness_to_string subject.Subject.problem w)
-              (Preflight.witness_to_string subject.Subject.problem w')
+            fail "witness %s: recorded %s; re-derived %s" (key_to_string key)
+              (Preflight.witness_to_string problem w)
+              (Preflight.witness_to_string problem w')
         | None -> ())
-      cert.Certificate.witnesses;
+      cert.Preflight.witnesses;
   List.rev !acc
 
 (* analyze/lower-bound: the certified cost lower bound is consistent
@@ -268,18 +291,18 @@ let check_lower_bound subject =
   let rule = "analyze/lower-bound" in
   let cert = certificate_exn subject in
   let problem = subject.Subject.problem in
-  let lb = cert.Certificate.cost_lower_bound in
+  let lb = cert.Preflight.cost_lower_bound in
   let acc = ref [] in
   let fail fmt =
     Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt
   in
   if
     Float.is_finite lb
-    && lb +. Tolerance.cost_eps < cert.Certificate.sfp_cost_lower_bound
+    && lb +. Tolerance.cost_eps < cert.Preflight.sfp_cost_lower_bound
   then
     fail
       "deadline-aware lower bound %g is below the reliability-only bound %g"
-      lb cert.Certificate.sfp_cost_lower_bound;
+      lb cert.Preflight.sfp_cost_lower_bound;
   let check_cost what cost =
     if lb -. Tolerance.cost_eps > cost then
       fail "lower bound %g exceeds the %s cost %g" lb what cost

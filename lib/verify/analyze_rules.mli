@@ -4,7 +4,7 @@
     the certificate's recorded premises — no optimizer runs and nothing
     from the certificate feeds its own check — and compares claim by
     claim: summary and premises against the problem, bound tables
-    against a fresh {!Ftes_analyze.Preflight.run_with}, the feasibility
+    against a fresh {!Ftes_analyze.Preflight.run}, the feasibility
     verdict and witnesses against the re-derivation, and the cost lower
     bound against every cost the subject actually achieved (attached
     design, recorded OPT, frontier points).

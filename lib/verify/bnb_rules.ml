@@ -11,7 +11,6 @@ module Scheduler = Ftes_sched.Scheduler
 module Sfp = Ftes_sfp.Sfp
 module Tolerance = Ftes_util.Tolerance
 module Preflight = Ftes_analyze.Preflight
-module Certificate = Ftes_analyze.Certificate
 module Cert = Ftes_analyze.Bnb_certificate
 module D = Diagnostic
 
@@ -32,7 +31,7 @@ let certificate_exn subject =
 
 let rederive subject =
   let cert = certificate_exn subject in
-  Preflight.run_with
+  Preflight.run
     ~kmax:(max 0 cert.Cert.kmax)
     ~reexec:(Preflight.reexec_of_slack subject.Subject.slack)
     subject.Subject.problem
@@ -86,19 +85,19 @@ let check_schema subject =
     Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt
   in
   let s = cert.Cert.summary in
-  let expect = Certificate.summary_of_problem problem in
-  if s.Certificate.n_processes <> expect.Certificate.n_processes then
+  let expect = Preflight.summary_of_problem problem in
+  if s.Preflight.n_processes <> expect.Preflight.n_processes then
     fail "summary claims %d processes; the problem has %d"
-      s.Certificate.n_processes expect.Certificate.n_processes;
-  if s.Certificate.n_library <> expect.Certificate.n_library then
+      s.Preflight.n_processes expect.Preflight.n_processes;
+  if s.Preflight.n_library <> expect.Preflight.n_library then
     fail "summary claims a library of %d nodes; the problem has %d"
-      s.Certificate.n_library expect.Certificate.n_library;
-  if not (feq s.Certificate.deadline_ms expect.Certificate.deadline_ms) then
+      s.Preflight.n_library expect.Preflight.n_library;
+  if not (feq s.Preflight.deadline_ms expect.Preflight.deadline_ms) then
     fail "summary deadline %g ms; the problem's is %g ms"
-      s.Certificate.deadline_ms expect.Certificate.deadline_ms;
-  if not (feq s.Certificate.gamma expect.Certificate.gamma) then
-    fail "summary gamma %g; the problem's is %g" s.Certificate.gamma
-      expect.Certificate.gamma;
+      s.Preflight.deadline_ms expect.Preflight.deadline_ms;
+  if not (feq s.Preflight.gamma expect.Preflight.gamma) then
+    fail "summary gamma %g; the problem's is %g" s.Preflight.gamma
+      expect.Preflight.gamma;
   if cert.Cert.kmax < 0 then fail "premise kmax = %d is negative" cert.Cert.kmax;
   if lib <= 30 && not (feq_rel cert.Cert.search_space (rederive_search_space problem))
   then
@@ -229,7 +228,7 @@ let check_prune_premises subject =
           match prune with
           | Cert.Cost_bound { lower_bound; incumbent_cost; _ } ->
               let derived =
-                Preflight.completion_cost_lower_bound fresh ~prefix
+                Preflight.completion_cost_lower_bound fresh problem ~prefix
                   ~first_open
               in
               if not (feq lower_bound derived) then
@@ -260,7 +259,7 @@ let check_prune_premises subject =
                   index
               else
                 match
-                  (Preflight.architecture_check fresh ~members, verdict)
+                  (Preflight.architecture_check fresh problem ~members, verdict)
                 with
                 | `Unreliable p, Cert.Unreliable q when p = q -> ()
                 | `Deadline lb, Cert.Deadline lb' when feq lb lb' -> ()

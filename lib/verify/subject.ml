@@ -20,7 +20,7 @@ type t = {
   metrics : Ftes_obs.Metrics.snapshot option;
   archive : Ftes_pareto.Archive.t option;
   opt_cost : float option;
-  certificate : Ftes_analyze.Certificate.t option;
+  certificate : Ftes_analyze.Preflight.t option;
   bnb_certificate : Ftes_analyze.Bnb_certificate.t option;
   responses : Ftes_util.Json.t list option;
   campaign : campaign_docs option;

@@ -42,10 +42,11 @@ type t = {
       (** the single-objective OPT cost {!Ftes_core.Design_strategy}
           found for the same problem and config, when known — enables
           the [pareto/min-cost] cross-check. *)
-  certificate : Ftes_analyze.Certificate.t option;
-      (** a pre-flight analysis certificate to audit against the
-          subject's problem (and, when present, its design / archive /
-          OPT cost), enabling the [analyze/*] rules. *)
+  certificate : Ftes_analyze.Preflight.t option;
+      (** a pre-flight report — fresh or decoded from a certificate —
+          to audit against the subject's problem (and, when present,
+          its design / archive / OPT cost), enabling the [analyze/*]
+          rules. *)
   bnb_certificate : Ftes_analyze.Bnb_certificate.t option;
       (** a branch-and-bound optimality certificate to audit, enabling
           the [bnb/*] rules.  The subject's [slack] and [bus] must be
@@ -90,10 +91,10 @@ val with_archive : ?opt_cost:float -> t -> Ftes_pareto.Archive.t -> t
     [bus] must be the policies the frontier was explored under: the
     feasibility rules re-derive each point's schedule against them. *)
 
-val with_certificate : t -> Ftes_analyze.Certificate.t -> t
-(** Attach a pre-flight certificate, enabling the [analyze/*] audit
-    rules — they re-derive the whole analysis from the subject's
-    problem and compare it against the certificate's claims. *)
+val with_certificate : t -> Ftes_analyze.Preflight.t -> t
+(** Attach a pre-flight report, enabling the [analyze/*] audit rules —
+    they re-derive the whole analysis from the subject's problem and
+    compare it against the report's claims. *)
 
 val with_bnb_certificate : t -> Ftes_analyze.Bnb_certificate.t -> t
 (** Attach a branch-and-bound optimality certificate, enabling the

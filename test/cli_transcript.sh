@@ -17,7 +17,8 @@ unset FTES_CAMPAIGN_KILL_AFTER FTES_CAMPAIGN_KILL_SHARD OCAMLRUNPARAM
 rm -rf cli-transcript.d
 mkdir cli-transcript.d
 cd cli-transcript.d || exit 1
-cp "$golden/infeasible-fig1.json" "$golden/certificate-cc.json" .
+cp "$golden/infeasible-fig1.json" "$golden/certificate-cc.json" \
+  "$golden/certificate-infeasible-fig1-tampered.json" .
 printf '{"class": "wcet-scale", "node": 0, "factor": 1.1}\n' > delta.json
 
 run() {
@@ -69,6 +70,7 @@ run pareto --example cc --csv frontier.csv --json frontier.json
 run analyze --example cc --audit certificate-cc.json --frontier frontier.json
 
 run analyze --file infeasible-fig1.json
+run analyze --file infeasible-fig1.json --audit certificate-infeasible-fig1-tampered.json
 run lint --file infeasible-fig1.json
 run lint --file infeasible-fig1.json --format json
 

@@ -4,9 +4,7 @@
    matching analyze/* audit rule. *)
 
 module Preflight = Ftes_analyze.Preflight
-module Certificate = Ftes_analyze.Certificate
 module Certificate_io = Ftes_analyze.Certificate_io
-module Bound = Ftes_sfp.Bound
 module Problem = Ftes_model.Problem
 module Application = Ftes_model.Application
 module Config = Ftes_core.Config
@@ -33,6 +31,9 @@ let with_deadline_factor problem factor =
   in
   Problem.make ~app:scaled ~library:problem.Problem.library
 
+(* The default (shared-slack) policy bucket. *)
+let preflight problem = Preflight.run ~reexec:true problem
+
 (* Toy instances small enough for [Exhaustive.run]. *)
 let small_problem ?(n = 5) seed = Helpers.small_problem ~n seed
 
@@ -41,10 +42,10 @@ let small_problem ?(n = 5) seed = Helpers.small_problem ~n seed
 let test_feasible_examples () =
   List.iter
     (fun (name, problem) ->
-      let pf = Preflight.run problem in
+      let pf = preflight problem in
       Alcotest.(check bool)
         (name ^ ": no witness on a solvable instance")
-        true (Preflight.feasible pf);
+        true pf.Preflight.feasible;
       Alcotest.(check bool)
         (name ^ ": finite cost lower bound")
         true
@@ -56,9 +57,9 @@ let test_infeasible_by_deadline () =
   let problem =
     with_deadline_factor (Ftes_cc.Fig_examples.fig1_problem ()) 0.05
   in
-  let pf = Preflight.run problem in
+  let pf = preflight problem in
   Alcotest.(check bool) "witnesses found" true (pf.Preflight.witnesses <> []);
-  Alcotest.(check bool) "not feasible" false (Preflight.feasible pf);
+  Alcotest.(check bool) "not feasible" false pf.Preflight.feasible;
   (* The proof must be real: no design can exist. *)
   Alcotest.(check bool) "strategy agrees" true
     (Design_strategy.run ~config:Config.default problem = None);
@@ -70,7 +71,7 @@ let test_infeasible_by_deadline () =
 let test_counters_move () =
   let c = Ftes_obs.Metrics.counter "analyze.bounds_derived" in
   let before = Ftes_obs.Metrics.counter_value c in
-  ignore (Preflight.run (Ftes_cc.Fig_examples.fig1_problem ()));
+  ignore (preflight (Ftes_cc.Fig_examples.fig1_problem ()));
   Alcotest.(check bool) "bounds_derived bumped" true
     (Ftes_obs.Metrics.counter_value c > before)
 
@@ -80,8 +81,8 @@ let test_cost_lb_vs_exhaustive () =
   List.iter
     (fun seed ->
       let problem = small_problem seed in
-      let sfp_lb = Bound.cost_lower_bound problem in
-      let pf = Preflight.run problem in
+      let sfp_lb = Ftes_oracle.Bound.cost_lower_bound problem in
+      let pf = preflight problem in
       match Exhaustive.run ~config:Config.default problem with
       | None -> ()
       | Some e ->
@@ -103,8 +104,8 @@ let test_cost_lb_on_cc () =
   (* cc is far beyond Exhaustive; the heuristic cost still upper-bounds
      the true optimum, so the bound must stay below it. *)
   let problem = Ftes_cc.Cruise_control.problem () in
-  let lb = Bound.cost_lower_bound problem in
-  let pf = Preflight.run problem in
+  let lb = Ftes_oracle.Bound.cost_lower_bound problem in
+  let pf = preflight problem in
   match Design_strategy.run ~config:Config.default problem with
   | None -> Alcotest.fail "cc has a feasible design"
   | Some s ->
@@ -127,8 +128,8 @@ let qcheck_infeasible_sound =
     (fun (seed, tenths) ->
       let factor = 0.3 +. (0.1 *. float_of_int tenths) in
       let problem = with_deadline_factor (small_problem ~n:4 seed) factor in
-      let pf = Preflight.run problem in
-      Preflight.feasible pf
+      let pf = preflight problem in
+      pf.Preflight.feasible
       || Exhaustive.run ~config:Config.default problem = None)
 
 let qcheck_lb_below_frontier =
@@ -137,7 +138,7 @@ let qcheck_lb_below_frontier =
     QCheck.(int_bound 1000)
     (fun seed ->
       let problem = small_problem seed in
-      let pf = Preflight.run problem in
+      let pf = preflight problem in
       let frontier =
         Design_strategy.run_frontier ~config:Config.default problem
       in
@@ -151,7 +152,7 @@ let qcheck_lb_below_frontier =
 let test_certificate_roundtrip () =
   List.iter
     (fun problem ->
-      let cert = Certificate.of_preflight (Preflight.run problem) in
+      let cert = preflight problem in
       let s = Certificate_io.to_string cert in
       match Certificate_io.of_string s with
       | Error e -> Alcotest.failf "round-trip failed: %s" e
@@ -163,10 +164,7 @@ let test_certificate_roundtrip () =
       Ftes_cc.Cruise_control.problem () ]
 
 let test_certificate_versioning () =
-  let cert =
-    Certificate.of_preflight
-      (Preflight.run (Ftes_cc.Fig_examples.fig1_problem ()))
-  in
+  let cert = preflight (Ftes_cc.Fig_examples.fig1_problem ()) in
   let json = Certificate_io.to_json cert in
   let strip = function
     | Ftes_util.Json.Object fields ->
@@ -210,7 +208,7 @@ let fired report = Report.fired_rules report
 let test_audit_accepts () =
   List.iter
     (fun problem ->
-      let cert = Certificate.of_preflight (Preflight.run problem) in
+      let cert = preflight problem in
       let report = audit problem cert in
       Alcotest.(check bool) "clean audit" true (Report.ok report);
       Alcotest.(check bool) "analyze rules ran" true
@@ -228,7 +226,7 @@ let test_audit_skipped_without_certificate () =
 (* Mutation harness: corrupt one certificate field, expect exactly the
    matching rule family to fire. *)
 let expect_rule problem mutate rule_id label =
-  let cert = Certificate.of_preflight (Preflight.run problem) in
+  let cert = preflight problem in
   let report = audit problem (mutate cert) in
   Alcotest.(check bool) (label ^ ": audit fails") false (Report.ok report);
   Alcotest.(check bool)
@@ -242,14 +240,14 @@ let test_mutation_lower_bound () =
     (Ftes_cc.Fig_examples.fig1_problem ())
     (fun cert ->
       { cert with
-        Certificate.cost_lower_bound =
-          cert.Certificate.cost_lower_bound +. 7.0 })
+        Preflight.cost_lower_bound =
+          cert.Preflight.cost_lower_bound +. 7.0 })
     "analyze/bounds" "inflated cost lower bound"
 
 let test_mutation_verdict () =
   expect_rule
     (with_deadline_factor (Ftes_cc.Fig_examples.fig1_problem ()) 0.05)
-    (fun cert -> { cert with Certificate.feasible = true })
+    (fun cert -> { cert with Preflight.feasible = true })
     "analyze/verdict" "flipped verdict"
 
 let test_mutation_critical_path () =
@@ -257,24 +255,24 @@ let test_mutation_critical_path () =
     (Ftes_cc.Fig_examples.fig1_problem ())
     (fun cert ->
       { cert with
-        Certificate.critical_path_ms =
-          cert.Certificate.critical_path_ms /. 2.0 })
+        Preflight.critical_path_ms =
+          cert.Preflight.critical_path_ms /. 2.0 })
     "analyze/bounds" "halved critical path"
 
 let test_mutation_threshold () =
   expect_rule
     (Ftes_cc.Fig_examples.fig1_problem ())
     (fun cert ->
-      { cert with Certificate.threshold = cert.Certificate.threshold *. 10.0 })
+      { cert with Preflight.threshold = cert.Preflight.threshold *. 10.0 })
     "analyze/schema" "inflated threshold premise"
 
 let test_mutation_kneed () =
   expect_rule
     (Ftes_cc.Fig_examples.fig1_problem ())
     (fun cert ->
-      let kneed = Array.map (Array.map Array.copy) cert.Certificate.kneed in
+      let kneed = Array.map (Array.map Array.copy) cert.Preflight.kneed in
       kneed.(0).(0).(0) <- kneed.(0).(0).(0) + 1;
-      { cert with Certificate.kneed })
+      { cert with Preflight.kneed })
     "analyze/bounds" "tampered kneed table"
 
 let test_mutation_witness_evidence () =
@@ -282,15 +280,58 @@ let test_mutation_witness_evidence () =
     (with_deadline_factor (Ftes_cc.Fig_examples.fig1_problem ()) 0.05)
     (fun cert ->
       { cert with
-        Certificate.witnesses =
+        Preflight.witnesses =
           List.map
             (function
               | Preflight.Critical_path { length_ms; path } ->
                   Preflight.Critical_path
                     { length_ms = length_ms /. 2.0; path }
               | w -> w)
-            cert.Certificate.witnesses })
+            cert.Preflight.witnesses })
     "analyze/verdict" "tampered witness evidence"
+
+(* Out-of-range process indices in decoded witnesses are reported, not
+   rendered: a critical path through process 999 used to escape the
+   audit as an index exception. *)
+let test_mutation_witness_index () =
+  let problem =
+    with_deadline_factor (Ftes_cc.Fig_examples.fig1_problem ()) 0.05
+  in
+  let retarget f cert =
+    { cert with Preflight.witnesses = List.map f cert.Preflight.witnesses }
+  in
+  expect_rule problem
+    (retarget (function
+      | Preflight.Critical_path { length_ms; _ } ->
+          Preflight.Critical_path { length_ms; path = [ 0; 999 ] }
+      | w -> w))
+    "analyze/verdict" "critical path through an unknown process";
+  (* A task witness moved to an unknown process: the set diagnostic
+     names the process, so the two sets read differently. *)
+  let moved = ref false in
+  let report =
+    audit problem
+      (retarget
+         (function
+           | Preflight.Task_wcet { min_wcet_ms; _ } when not !moved ->
+               moved := true;
+               Preflight.Task_wcet { proc = 999; min_wcet_ms }
+           | w -> w)
+         (preflight problem))
+  in
+  Alcotest.(check bool) "a task witness was moved" true !moved;
+  let messages =
+    List.map
+      (fun d -> d.Ftes_verify.Diagnostic.detail)
+      (Report.errors report)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "set diagnostic names process 999 (got: %s)"
+       (String.concat " | " messages))
+    true
+    (List.exists
+       (fun m -> Helpers.contains m "task-wcet(process 999)")
+       messages)
 
 let test_lower_bound_vs_design () =
   (* A certificate claiming a bound above an achieved design cost must
@@ -302,8 +343,8 @@ let test_lower_bound_vs_design () =
   | Some s ->
       let design = s.Design_strategy.result.Redundancy_opt.design in
       let cost = s.Design_strategy.result.Redundancy_opt.cost in
-      let cert = Certificate.of_preflight (Preflight.run problem) in
-      let lying = { cert with Certificate.cost_lower_bound = cost +. 5.0 } in
+      let cert = preflight problem in
+      let lying = { cert with Preflight.cost_lower_bound = cost +. 5.0 } in
       let report = audit ~design problem lying in
       Alcotest.(check bool) "audit fails" false (Report.ok report);
       Alcotest.(check bool) "analyze/lower-bound fired" true
@@ -343,5 +384,7 @@ let () =
             test_mutation_kneed;
           Alcotest.test_case "mutation: witness evidence" `Quick
             test_mutation_witness_evidence;
+          Alcotest.test_case "mutation: witness index" `Quick
+            test_mutation_witness_index;
           Alcotest.test_case "lower bound vs design" `Quick
             test_lower_bound_vs_design ] ) ]

@@ -80,7 +80,9 @@ let gap_rows () =
   let config = Config.default in
   let cc = Ftes_cc.Cruise_control.problem () in
   let cc_lb =
-    (Preflight.run ~kmax:config.Config.kmax ~slack:config.Config.slack cc)
+    (Preflight.run ~kmax:config.Config.kmax
+       ~reexec:(Preflight.reexec_of_slack config.Config.slack)
+       cc)
       .Preflight.cost_lower_bound
   in
   let cc_heuristic = heuristic config cc in
@@ -162,7 +164,9 @@ let prop_differential =
               let outcome = Bnb.solve ~config problem in
               let cert = outcome.Bnb.certificate in
               let lb =
-                (Preflight.run ~kmax:config.Config.kmax ~slack problem)
+                (Preflight.run ~kmax:config.Config.kmax
+                   ~reexec:(Preflight.reexec_of_slack slack)
+                   problem)
                   .Preflight.cost_lower_bound
               in
               if cost_of ex <> cost_of outcome.Bnb.best then

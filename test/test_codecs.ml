@@ -1,17 +1,20 @@
-(* One structural fuzzer over every document decoder.
+(* One structural fuzzer over every document decoder, and over the
+   audits of the certificates they decode.
 
    Each format contributes one valid document.  The property mutates it
    (truncation at a random byte, a random subtree replaced by a value
    of another type, a duplicated key, a number swapped for 1e999, 1e300
-   or -0, a subtree nested 10k levels deep) and requires the decoder to
-   answer [Ok] or [Error]: an exception fails the property. *)
+   or -0, a subtree nested 10k levels deep, an integer swapped for an
+   out-of-range index) and requires the decoder to answer [Ok] or
+   [Error]: an exception fails the property.  A certificate that still
+   decodes is then audited against the problem it was derived from, and
+   the audit must answer with a report. *)
 
 module Json = Ftes_util.Json
 module Problem = Ftes_model.Problem
 module Problem_io = Ftes_model.Problem_io
 module Archive = Ftes_pareto.Archive
 module Frontier_io = Ftes_pareto.Frontier_io
-module Certificate = Ftes_analyze.Certificate
 module Certificate_io = Ftes_analyze.Certificate_io
 module Bnb_certificate_io = Ftes_analyze.Bnb_certificate_io
 module Manifest = Ftes_campaign.Manifest
@@ -20,6 +23,8 @@ module Request = Ftes_driver.Request
 module Response = Ftes_driver.Response
 module Delta = Ftes_whatif.Delta
 module Config = Ftes_core.Config
+module Verify = Ftes_verify.Verify
+module Subject = Ftes_verify.Subject
 
 let ok_exn label = function
   | Ok v -> v
@@ -33,6 +38,36 @@ let point prng problem i =
     slack = 1.0 -. float_of_int i;
     margin = 0.5 }
 
+let quiet = ignore
+
+(* (name, valid document, decoder to an auditable subject): each
+   certificate is audited against the problem it was derived from, the
+   B&B one under the policies its search ran with. *)
+let certificates =
+  lazy
+    (let fig1 = Ftes_cc.Fig_examples.fig1_problem () in
+     (* The proven-infeasible instance, so the certificate carries
+        witnesses. *)
+     let tight =
+       ok_exn "tight" (Problem_io.load "golden/infeasible-fig1.json")
+     in
+     let config = Config.default in
+     let bnb = (Ftes_bnb.Bnb.solve ~config fig1).Ftes_bnb.Bnb.certificate in
+     [ ("certificate",
+        Certificate_io.to_json (Ftes_analyze.Preflight.run ~reexec:true tight),
+        fun j ->
+          Result.map
+            (Subject.with_certificate (Subject.of_problem tight))
+            (Certificate_io.of_json ~on_warning:quiet j));
+       ("bnb-certificate", Bnb_certificate_io.to_json bnb,
+        fun j ->
+          Result.map
+            (Subject.with_bnb_certificate
+               { (Subject.of_problem fig1) with
+                 Subject.slack = config.Config.slack;
+                 bus = config.Config.bus })
+            (Bnb_certificate_io.of_json ~on_warning:quiet j)) ])
+
 (* (name, valid document, decoder): the decoders run with their
    context (problem, manifest, base resolver) fixed. *)
 let formats =
@@ -41,9 +76,6 @@ let formats =
      let cc = Ftes_cc.Cruise_control.problem () in
      let prng = Ftes_util.Prng.create 7 in
      let archive = Archive.of_points (List.init 3 (point prng fig1)) in
-     let bnb =
-       (Ftes_bnb.Bnb.solve ~config:Config.default fig1).Ftes_bnb.Bnb.certificate
-     in
      let manifest =
        Manifest.make ~policies:[ Config.Fixed_min ] ~apps:2 ~seed:5 ~shards:1
          ()
@@ -84,35 +116,31 @@ let formats =
                registry_misses = 1;
                reuse = None } }
      in
-     let quiet = ignore in
-     [ ("problem", Problem_io.to_json fig1,
-        fun j -> ignore_result (Problem_io.of_json ~on_warning:quiet j));
-       ("frontier", Frontier_io.to_json archive,
-        fun j ->
-          ignore_result (Frontier_io.of_json ~on_warning:quiet ~problem:fig1 j));
-       ("certificate",
-        (* Infeasible, so the certificate carries witnesses. *)
-        Certificate_io.to_json
-          (Certificate.of_preflight
-             (Ftes_analyze.Preflight.run
-                (ok_exn "tight" (Delta.apply fig1 (Delta.Deadline_set 18.0))))),
-        fun j -> ignore_result (Certificate_io.of_json ~on_warning:quiet j));
-       ("bnb-certificate", Bnb_certificate_io.to_json bnb,
-        fun j -> ignore_result (Bnb_certificate_io.of_json ~on_warning:quiet j));
-       ("manifest", Manifest.to_json manifest,
-        fun j -> ignore_result (Manifest.of_json j));
-       ("checkpoint", Checkpoint.to_json checkpoint,
-        fun j -> ignore_result (Checkpoint.of_json ~manifest j));
-       ("request", Request.to_json request,
-        fun j ->
-          ignore_result
-            (Request.of_json ~on_warning:quiet
-               ~resolve_base:(fun _ -> Some fig1)
-               j));
-       ("response", Response.to_json response,
-        fun j -> ignore_result (Response.of_json ~on_warning:quiet j));
-       ("delta", Delta.to_json node_add, fun j -> ignore_result (Delta.of_json j))
-     ])
+     List.map
+       (fun (name, doc, subject) ->
+         (name, doc, fun j -> ignore_result (subject j)))
+       (Lazy.force certificates)
+     @ [ ("problem", Problem_io.to_json fig1,
+          fun j -> ignore_result (Problem_io.of_json ~on_warning:quiet j));
+         ("frontier", Frontier_io.to_json archive,
+          fun j ->
+            ignore_result
+              (Frontier_io.of_json ~on_warning:quiet ~problem:fig1 j));
+         ("manifest", Manifest.to_json manifest,
+          fun j -> ignore_result (Manifest.of_json j));
+         ("checkpoint", Checkpoint.to_json checkpoint,
+          fun j -> ignore_result (Checkpoint.of_json ~manifest j));
+         ("request", Request.to_json request,
+          fun j ->
+            ignore_result
+              (Request.of_json ~on_warning:quiet
+                 ~resolve_base:(fun _ -> Some fig1)
+                 j));
+         ("response", Response.to_json response,
+          fun j -> ignore_result (Response.of_json ~on_warning:quiet j));
+         ("delta", Delta.to_json node_add,
+          fun j -> ignore_result (Delta.of_json j))
+       ])
 
 (* Every format's pristine document decodes. *)
 let test_pristine () =
@@ -188,6 +216,29 @@ let splice k literal doc =
   String.sub text 0 at ^ literal
   ^ String.sub text (at + m) (String.length text - at - m)
 
+(* Pre-order positions of the integer-valued numbers: where indices,
+   counts and re-execution caps live. *)
+let integer_leaves doc =
+  let i = ref (-1) and acc = ref [] in
+  let rec go json =
+    incr i;
+    match json with
+    | Json.Number x when Float.is_integer x -> acc := !i :: !acc
+    | Json.List items -> List.iter go items
+    | Json.Object fields -> List.iter (fun (_, v) -> go v) fields
+    | _ -> ()
+  in
+  go doc;
+  Array.of_list (List.rev !acc)
+
+(* One integer swapped for an index no problem here has (or a negative
+   one): every decoded index must be range-checked before it is used. *)
+let out_of_range_index prng doc =
+  let leaves = integer_leaves doc in
+  let k = leaves.(Ftes_util.Prng.int prng (Array.length leaves)) in
+  let index = if Ftes_util.Prng.bool prng then 999 else -1 in
+  Json.to_string ~minify:true (map_nth k (fun _ -> Json.int index) doc)
+
 let mutate prng mutation doc =
   let k = Ftes_util.Prng.int prng (size doc) in
   match mutation with
@@ -199,9 +250,10 @@ let mutate prng mutation doc =
   | 3 -> splice k "1e999" doc
   | 4 -> splice k "1e300" doc
   | 5 -> splice k "-0" doc
-  | _ -> splice k deep_nest doc
+  | 6 -> splice k deep_nest doc
+  | _ -> out_of_range_index prng doc
 
-let n_mutations = 7
+let n_mutations = 8
 
 (* A line nested a million levels deep is refused at the nesting bound,
    not after recursing through the whole line, and the daemon goes on to
@@ -248,10 +300,32 @@ let fuzz =
                 mutation (String.sub text 0 (min 200 (String.length text)))
                 (Printexc.to_string e)))
 
+(* A case lands an out-of-range index on one of the three witness path
+   entries among the pre-flight certificate's 60 integer leaves about
+   once in 320; 3000 cases miss that class with probability ~1e-4. *)
+let audit_fuzz =
+  QCheck.Test.make ~count:3000
+    ~name:"every decoded certificate's audit returns a report"
+    QCheck.(
+      triple (int_bound 1) (int_bound (n_mutations - 1)) (int_bound 1_000_000))
+    (fun (format, mutation, seed) ->
+      let name, doc, subject = List.nth (Lazy.force certificates) format in
+      let text = mutate (Ftes_util.Prng.create seed) mutation doc in
+      match Result.bind (Json.of_string text) subject with
+      | Error _ -> true
+      | Ok subject -> (
+          match Verify.run subject with
+          | _report -> true
+          | exception e ->
+              QCheck.Test.fail_reportf "%s, mutation %d: audit of %s raised %s"
+                name mutation (String.sub text 0 (min 200 (String.length text)))
+                (Printexc.to_string e)))
+
 let () =
   Alcotest.run "ftes_codecs"
     [ ( "fuzz",
         [ Alcotest.test_case "pristine documents decode" `Quick test_pristine;
           QCheck_alcotest.to_alcotest fuzz;
+          QCheck_alcotest.to_alcotest audit_fuzz;
           Alcotest.test_case "over-deep nesting is refused" `Quick
             test_deep_nesting_rejected ] ) ]

@@ -1,8 +1,9 @@
 (* Equivalence suite for the evaluation kernels (the heap scheduler,
-   the incremental SFP ascent and the bisected k-search): each must be
-   bit-identical to its reference in the test-only [Ftes_oracle], the
-   delta paths must demonstrably fire, and the length-only schedule
-   must allocate the same per call whatever the graph size. *)
+   the incremental SFP ascent, the bisected k-search and the pre-flight
+   reliability-only cost bound): each must be bit-identical to its
+   reference in the test-only [Ftes_oracle], the delta paths must
+   demonstrably fire, and the length-only schedule must allocate the
+   same per call whatever the graph size. *)
 
 module Oracle = Ftes_oracle
 module Prng = Ftes_util.Prng
@@ -219,6 +220,22 @@ let prop_required_k_matches_scan =
       done;
       !ok)
 
+(* --- Pre-flight: the reliability-only bound folded out of kneed =
+   the per-singleton reference --- *)
+
+let prop_sfp_cost_lower_bound_matches_reference =
+  QCheck.Test.make ~count:100
+    ~name:"Preflight sfp_cost_lower_bound = cost_lower_bound reference"
+    QCheck.(quad (int_bound 1_000_000) (int_bound 20) (int_bound 8) bool)
+    (fun (seed, kmax, cell, reexec) ->
+      (* One of the section 7 SER x HPD cells. *)
+      let ser = List.nth [ 1e-12; 1e-11; 1e-10 ] (cell / 3) in
+      let hpd = List.nth [ 0.05; 0.25; 0.5 ] (cell mod 3) in
+      let problem = Helpers.synthetic_problem ~seed ~n:10 ~ser ~hpd () in
+      let pf = Ftes_analyze.Preflight.run ~kmax ~reexec problem in
+      feq pf.Ftes_analyze.Preflight.sfp_cost_lower_bound
+        (Oracle.Bound.cost_lower_bound ~kmax problem))
+
 (* --- Delta paths demonstrably fire --- *)
 
 (* Two members, every process mapped on the second: the empty member's
@@ -317,4 +334,6 @@ let () =
           Alcotest.test_case "saturation skips fire and preserve the vector"
             `Quick test_grow_skips_saturated_member ] );
       ( "bound",
-        [ QCheck_alcotest.to_alcotest prop_required_k_matches_scan ] ) ]
+        [ QCheck_alcotest.to_alcotest prop_required_k_matches_scan;
+          QCheck_alcotest.to_alcotest
+            prop_sfp_cost_lower_bound_matches_reference ] ) ]
