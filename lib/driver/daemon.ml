@@ -19,8 +19,45 @@ module String_memo = Ftes_par.Memo.Make (struct
   let hash = Hashtbl.hash
 end)
 
+(* A Redundancy_opt.cache may be shared by runs over the same problem
+   whose configs agree except in the hardening policy, so a bucket is
+   keyed on (slack, bus, kmax, problem) with the strategy excluded.
+   The problem compares by {!Problem_io.equal} — equal minified
+   documents, decided without rendering either — so inline and
+   built-in spellings of one instance land in the same bucket.  Only
+   the wire-reachable slack policies get a key. *)
+type bucket = {
+  slack : Scheduler.slack_mode;  (* Shared, Conservative or Dedicated *)
+  bus : Bus.policy;
+  kmax : int;
+  problem : Ftes_model.Problem.t;
+}
+
+let same_bus a b =
+  match (a, b) with
+  | Bus.Fcfs, Bus.Fcfs -> true
+  | Bus.Tdma { slot_ms = x }, Bus.Tdma { slot_ms = y } ->
+      Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | (Bus.Fcfs | Bus.Tdma _), _ -> false
+
+module Bucket_memo = Ftes_par.Memo.Make (struct
+  type t = bucket
+
+  let equal a b =
+    a.slack = b.slack && a.kmax = b.kmax && same_bus a.bus b.bus
+    && Problem_io.equal a.problem b.problem
+
+  let hash k =
+    let bus =
+      match k.bus with
+      | Bus.Fcfs -> 0
+      | Bus.Tdma { slot_ms } -> Int64.to_int (Int64.bits_of_float slot_ms)
+    in
+    Hashtbl.hash (k.slack, bus, k.kmax, Problem_io.hash k.problem)
+end)
+
 type caches = {
-  buckets : Redundancy_opt.cache String_memo.t;
+  buckets : Redundancy_opt.cache Bucket_memo.t;
   recorded : Design_strategy.recorded String_memo.t;
       (* recorded optimize walks by request id — the base registry
          what-if requests warm-start from via "base_id". *)
@@ -31,45 +68,32 @@ let buckets_family = Ftes_par.Memo.family "serve.buckets"
 let registry_family = Ftes_par.Memo.family "serve.registry"
 
 let create_caches ?(max_problems = 64) () =
-  { buckets = String_memo.create ~capacity:max_problems buckets_family;
+  { buckets = Bucket_memo.create ~capacity:max_problems buckets_family;
     recorded = String_memo.create ~capacity:max_problems registry_family }
 
-let cache_problems t = String_memo.length t.buckets
+let cache_problems t = Bucket_memo.length t.buckets
 
-let cache_hits t = String_memo.hits t.buckets
+let cache_hits t = Bucket_memo.hits t.buckets
 
-let cache_misses t = String_memo.misses t.buckets
+let cache_misses t = Bucket_memo.misses t.buckets
 
 let registry_hits t = String_memo.hits t.recorded
 
 let registry_misses t = String_memo.misses t.recorded
 
-(* A Redundancy_opt.cache may be shared by runs over the same problem
-   whose configs agree except in the hardening policy, so the bucket
-   key is (problem, slack, bus, kmax) with the strategy excluded.  The
-   problem travels as its [Problem_io.canonical_key] — inline and
-   built-in spellings of the same instance land in the same bucket. *)
 let bucket_key (req : Request.t) =
   let config = req.Request.config in
-  let slack =
-    match config.Config.slack with
-    | Scheduler.Shared -> Some "shared"
-    | Scheduler.Conservative -> Some "conservative"
-    | Scheduler.Dedicated -> Some "dedicated"
-    | Scheduler.Per_process _ | Scheduler.Checkpointed _ ->
-        (* Not wire-reachable; never share rather than mis-share. *)
-        None
-  in
-  Option.map
-    (fun slack ->
-      let bus =
-        match config.Config.bus with
-        | Bus.Fcfs -> "fcfs"
-        | Bus.Tdma { slot_ms } -> Printf.sprintf "tdma:%h" slot_ms
-      in
-      Printf.sprintf "%s|%s|%d|%s" slack bus config.Config.kmax
-        (Problem_io.canonical_key req.Request.problem))
-    slack
+  match config.Config.slack with
+  | (Scheduler.Shared | Scheduler.Conservative | Scheduler.Dedicated) as slack
+    ->
+      Some
+        { slack;
+          bus = config.Config.bus;
+          kmax = config.Config.kmax;
+          problem = req.Request.problem }
+  | Scheduler.Per_process _ | Scheduler.Checkpointed _ ->
+      (* Not wire-reachable; never share rather than mis-share. *)
+      None
 
 let shared_cache caches (req : Request.t) =
   match caches with
@@ -82,13 +106,13 @@ let shared_cache caches (req : Request.t) =
       | Request.Optimize | Request.Pareto _ ->
           Option.map
             (fun key ->
-              match String_memo.find t.buckets key with
+              match Bucket_memo.find t.buckets key with
               | Some cache -> cache
               | None ->
                   (* Built outside the lock: concurrent first requests
                      may each build one, and all but the stored one are
                      dropped unused. *)
-                  String_memo.add t.buckets key (Redundancy_opt.create_cache ()))
+                  Bucket_memo.add t.buckets key (Redundancy_opt.create_cache ()))
             (bucket_key req))
 
 (* --- one batch --- *)

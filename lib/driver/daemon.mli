@@ -17,7 +17,9 @@
 
 type caches
 (** The daemon's shared state: a registry of evaluation caches keyed
-    on (problem fingerprint, slack, bus, kmax) — the exact bucket
+    on (slack, bus, kmax, problem), the problem compared by
+    {!Ftes_model.Problem_io.equal} (equal minified documents, decided
+    without rendering) — the exact bucket
     {!Ftes_core.Redundancy_opt.cache} sharing is sound for (hardening
     strategy deliberately excluded: probe outcomes are segregated by
     policy inside each cache) — plus a registry of recorded optimize

@@ -69,12 +69,11 @@ let default_reference problem =
 
 (* A warm start is only sound against a base walk over the same
    problem under the same config: anything else would splice a foreign
-   cache into the walk.  Problems compare by their canonical key (the
-   daemon's cache buckets use the same one). *)
+   cache into the walk.  Problems compare by {!Problem_io.equal}, the
+   identity the daemon's cache buckets use too. *)
 let base_matches (base : Design_strategy.recorded) ~config ~problem =
   base.Design_strategy.rec_config = config
-  && Ftes_model.Problem_io.canonical_key base.Design_strategy.rec_problem
-     = Ftes_model.Problem_io.canonical_key problem
+  && Ftes_model.Problem_io.equal base.Design_strategy.rec_problem problem
 
 (* The walk a what-if request reruns from: walked cold in the same
    request (one-shot what-if) or resolved by [base_id] in the resident

@@ -98,7 +98,92 @@ let of_json ?on_warning json =
 
 let to_string problem = Json.to_string (to_json problem)
 
-let canonical_key problem = Json.to_string ~minify:true (to_json problem)
+(* --- identity --- *)
+
+(* The renderer spells distinct finite floats differently ([-0.0] as
+   ["-0"]), and no checked constructor admits a NaN, so equal bits are
+   exactly equal rendered bytes. *)
+let same_float a b =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_array same a b =
+  let n = Array.length a in
+  n = Array.length b
+  &&
+  let rec go i = i = n || (same a.(i) b.(i) && go (i + 1)) in
+  go 0
+
+let same_edge (a : Task_graph.edge) (b : Task_graph.edge) =
+  a.src = b.src && a.dst = b.dst
+  && same_float a.transmission_ms b.transmission_ms
+
+let same_version (a : Platform.hversion) (b : Platform.hversion) =
+  a.level = b.level && same_float a.cost b.cost
+  && same_array same_float a.wcet_ms b.wcet_ms
+  && same_array same_float a.pfail b.pfail
+
+let same_node (a : Platform.node_type) (b : Platform.node_type) =
+  String.equal a.node_name b.node_name
+  && same_array same_version a.versions b.versions
+
+(* Field for field what [to_json] renders, in its order; the graph's
+   derived tables are never looked at. *)
+let equal (a : Problem.t) (b : Problem.t) =
+  a == b
+  ||
+  let x = a.Problem.app and y = b.Problem.app in
+  String.equal x.Application.name y.Application.name
+  && same_float x.Application.deadline_ms y.Application.deadline_ms
+  && same_float x.Application.period_ms y.Application.period_ms
+  && same_float x.Application.gamma y.Application.gamma
+  && same_float x.Application.recovery_overhead_ms
+       y.Application.recovery_overhead_ms
+  && same_array String.equal x.Application.process_names
+       y.Application.process_names
+  && List.equal same_edge
+       (Task_graph.edges x.Application.graph)
+       (Task_graph.edges y.Application.graph)
+  && same_array same_node a.Problem.library b.Problem.library
+
+(* FNV-style mixing over everything [equal] compares.  A float enters
+   with all 64 bits (the sign folded onto bit 31), so [-0.0] and [0.0]
+   usually hash apart. *)
+let mix h x = (h lxor x) * 0x100000001b3
+
+let mix_float h f =
+  let bits = Int64.bits_of_float f in
+  mix h
+    (Int64.to_int bits lxor Int64.to_int (Int64.shift_right_logical bits 32))
+
+let mix_floats h a = Array.fold_left mix_float (mix h (Array.length a)) a
+
+let mix_string h s = mix h (Hashtbl.hash s)
+
+let hash (p : Problem.t) =
+  let app = p.Problem.app in
+  let h = mix_string 0 app.Application.name in
+  let h = mix_float h app.Application.deadline_ms in
+  let h = mix_float h app.Application.period_ms in
+  let h = mix_float h app.Application.gamma in
+  let h = mix_float h app.Application.recovery_overhead_ms in
+  let h = Array.fold_left mix_string h app.Application.process_names in
+  let h =
+    List.fold_left
+      (fun h (e : Task_graph.edge) ->
+        mix_float (mix (mix h e.src) e.dst) e.transmission_ms)
+      h
+      (Task_graph.edges app.Application.graph)
+  in
+  let mix_version h (v : Platform.hversion) =
+    mix_floats (mix_floats (mix_float (mix h v.level) v.cost) v.wcet_ms) v.pfail
+  in
+  let h =
+    Array.fold_left
+      (fun h (nt : Platform.node_type) ->
+        Array.fold_left mix_version (mix_string h nt.node_name) nt.versions)
+      h p.Problem.library
+  in
+  h land max_int
 
 let of_string ?on_warning text =
   let* json = Json.of_string text in

@@ -47,11 +47,18 @@ val of_json :
 
 val to_string : Problem.t -> string
 
-val canonical_key : Problem.t -> string
-(** The minified v1 document: two problems have equal keys exactly
-    when they encode to the same document, so inline and built-in
-    spellings of one instance share a key.  What the daemon buckets
-    its warm caches by and a what-if base is matched against. *)
+val equal : Problem.t -> Problem.t -> bool
+(** Problem identity: [equal a b] holds exactly when the minified
+    {!to_json} documents of [a] and [b] are the same bytes, so inline
+    and built-in spellings of one instance are equal.  Decided without
+    rendering: it walks the fields {!to_json} renders, in its order,
+    and compares floats by bit pattern ([-0.0], rendered ["-0"], is not
+    [0.0]).  Derived tables of the graph are never compared.  What the
+    daemon buckets its warm caches by and a what-if base is matched
+    against. *)
+
+val hash : Problem.t -> int
+(** A non-negative hash consistent with {!equal}. *)
 
 val of_string :
   ?on_warning:(string -> unit) -> string -> (Problem.t, string) result

@@ -8,30 +8,65 @@ type t =
 
 (* --- rendering --- *)
 
+(* Each byte is written once and without Printf: a string that needs
+   no escape goes out in one [Buffer.add_string], and numbers take the
+   two paths of [number_to_string].  The bytes are exactly Printf's:
+   [%.0f] for integers, [%.17g] for other numbers and [\\u%04x] for
+   control characters (test_codecs checks the kernel against a Printf
+   reference). *)
+
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let hex_digit d = "0123456789abcdef".[d]
+
+let add_escaped buf c =
+  match c with
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | c ->
+      Buffer.add_string buf "\\u00";
+      Buffer.add_char buf (hex_digit (Char.code c lsr 4));
+      Buffer.add_char buf (hex_digit (Char.code c land 15))
+
 let escape_string buf s =
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  (* [run] is the start of the pending stretch of plain bytes. *)
+  let run = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !run (i - !run);
+      add_escaped buf c;
+      run := i + 1
+    end
+  done;
+  if !run = 0 then Buffer.add_string buf s
+  else Buffer.add_substring buf s !run (n - !run);
   Buffer.add_char buf '"'
 
+(* What [Printf.sprintf "%.17g"] calls underneath. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Integers below 1e15 are exact in an [int], where [string_of_int]
+   spells them as [%.0f] does — except [-0.0], which [%.0f] spells
+   ["-0"]. *)
 let number_to_string x =
   if Float.is_integer x && Float.abs x < 1e15 then
-    Printf.sprintf "%.0f" x
-  else Printf.sprintf "%.17g" x
+    if x = 0.0 && Float.sign_bit x then "-0" else string_of_int (int_of_float x)
+  else format_float "%.17g" x
 
 let to_string ?(minify = false) t =
   let buf = Buffer.create 256 in
-  let pad depth = if not minify then Buffer.add_string buf (String.make (2 * depth) ' ') in
+  let pad depth =
+    if not minify then
+      for _ = 1 to depth do
+        Buffer.add_string buf "  "
+      done
+  in
   let newline () = if not minify then Buffer.add_char buf '\n' in
   let rec emit depth = function
     | Null -> Buffer.add_string buf "null"
@@ -86,98 +121,134 @@ exception Parse_error of int * string
    error. *)
 let max_depth = 512
 
+(* The scanners index the input directly.  A string without escapes is
+   one [String.sub], and a number of at most 15 digits (below 2^53, so
+   exact) is read as an [int]; everything else takes the general path.
+   Both fast paths return what the general path would. *)
 let of_string input =
   let n = String.length input in
   let pos = ref 0 in
   let error msg = raise (Parse_error (!pos, msg)) in
-  let peek () = if !pos < n then Some input.[!pos] else None in
   let advance () = incr pos in
+  let at c = !pos < n && String.unsafe_get input !pos = c in
   let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | Some _ | None -> ()
+    if !pos < n then
+      match String.unsafe_get input !pos with
+      | ' ' | '\t' | '\n' | '\r' ->
+          advance ();
+          skip_ws ()
+      | _ -> ()
   in
   let expect c =
-    match peek () with
-    | Some d when d = c -> advance ()
-    | Some d -> error (Printf.sprintf "expected %c, found %c" c d)
-    | None -> error (Printf.sprintf "expected %c, found end of input" c)
+    if !pos >= n then error (Printf.sprintf "expected %c, found end of input" c)
+    else
+      let d = String.unsafe_get input !pos in
+      if d = c then advance ()
+      else error (Printf.sprintf "expected %c, found %c" c d)
   in
   let literal word value =
     let len = String.length word in
-    if !pos + len <= n && String.sub input !pos len = word then begin
+    let rec same i =
+      i = len || (String.unsafe_get input (!pos + i) = word.[i] && same (i + 1))
+    in
+    if !pos + len <= n && same 0 then begin
       pos := !pos + len;
       value
     end
     else error ("invalid literal, expected " ^ word)
   in
+  (* First index at or after [i] holding a quote or a backslash, or [n]. *)
+  let rec plain_until i =
+    if i < n then
+      match String.unsafe_get input i with
+      | '"' | '\\' -> i
+      | _ -> plain_until (i + 1)
+    else n
+  in
+  let parse_escape buf =
+    if !pos >= n then error "unterminated escape";
+    let c = String.unsafe_get input !pos in
+    advance ();
+    match c with
+    | '"' -> Buffer.add_char buf '"'
+    | '\\' -> Buffer.add_char buf '\\'
+    | '/' -> Buffer.add_char buf '/'
+    | 'n' -> Buffer.add_char buf '\n'
+    | 'r' -> Buffer.add_char buf '\r'
+    | 't' -> Buffer.add_char buf '\t'
+    | 'b' -> Buffer.add_char buf '\b'
+    | 'f' -> Buffer.add_char buf '\012'
+    | 'u' ->
+        if !pos + 4 > n then error "truncated \\u escape";
+        let hex = String.sub input !pos 4 in
+        pos := !pos + 4;
+        let code =
+          match int_of_string_opt ("0x" ^ hex) with
+          | Some c -> c
+          | None -> error "invalid \\u escape"
+        in
+        if code < 0x80 then Buffer.add_char buf (Char.chr code)
+        else error "non-ASCII \\u escapes are not supported"
+    | _ -> error "invalid escape character"
+  in
   let parse_string () =
     expect '"';
-    let buf = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | None -> error "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | None -> error "unterminated escape"
-          | Some c ->
-              advance ();
-              (match c with
-              | '"' -> Buffer.add_char buf '"'
-              | '\\' -> Buffer.add_char buf '\\'
-              | '/' -> Buffer.add_char buf '/'
-              | 'n' -> Buffer.add_char buf '\n'
-              | 'r' -> Buffer.add_char buf '\r'
-              | 't' -> Buffer.add_char buf '\t'
-              | 'b' -> Buffer.add_char buf '\b'
-              | 'f' -> Buffer.add_char buf '\012'
-              | 'u' ->
-                  if !pos + 4 > n then error "truncated \\u escape";
-                  let hex = String.sub input !pos 4 in
-                  pos := !pos + 4;
-                  let code =
-                    match int_of_string_opt ("0x" ^ hex) with
-                    | Some c -> c
-                    | None -> error "invalid \\u escape"
-                  in
-                  if code < 0x80 then Buffer.add_char buf (Char.chr code)
-                  else error "non-ASCII \\u escapes are not supported"
-              | _ -> error "invalid escape character");
-              loop ())
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          loop ()
-    in
-    loop ();
-    Buffer.contents buf
+    let start = !pos in
+    let stop = plain_until start in
+    if stop < n && String.unsafe_get input stop = '"' then begin
+      pos := stop + 1;
+      String.sub input start (stop - start)
+    end
+    else begin
+      let buf = Buffer.create (stop - start + 16) in
+      let rec loop stop =
+        Buffer.add_substring buf input !pos (stop - !pos);
+        pos := stop;
+        if stop >= n then error "unterminated string";
+        advance ();
+        if String.unsafe_get input stop = '\\' then begin
+          parse_escape buf;
+          loop (plain_until !pos)
+        end
+      in
+      loop stop;
+      Buffer.contents buf
+    end
   in
   let parse_number () =
     let start = !pos in
-    let is_number_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
     let rec eat () =
-      match peek () with
-      | Some c when is_number_char c ->
-          advance ();
-          eat ()
-      | Some _ | None -> ()
+      if !pos < n then
+        match String.unsafe_get input !pos with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' ->
+            advance ();
+            eat ()
+        | _ -> ()
     in
     eat ();
-    let text = String.sub input start (!pos - start) in
-    match float_of_string_opt text with
-    | Some x when Float.is_finite x -> x
-    | Some _ ->
-        (* 1e999 would read as infinity, which has no JSON spelling:
-           infinity travels as null (see {!number_or_null}). *)
-        raise (Parse_error (start, "number out of range " ^ text))
-    | None -> error ("invalid number " ^ text)
+    let negative = String.unsafe_get input start = '-' in
+    let first = if negative then start + 1 else start in
+    (* The value of the digits in [first, !pos), or -1 if another
+       character is among them. *)
+    let rec digits i acc =
+      if i = !pos then acc
+      else
+        match String.unsafe_get input i with
+        | '0' .. '9' as c -> digits (i + 1) ((acc * 10) + Char.code c - 48)
+        | _ -> -1
+    in
+    let width = !pos - first in
+    let v = if width >= 1 && width <= 15 then digits first 0 else -1 in
+    if v >= 0 then if negative then -.float_of_int v else float_of_int v
+    else
+      let text = String.sub input start (!pos - start) in
+      match float_of_string_opt text with
+      | Some x when Float.is_finite x -> x
+      | Some _ ->
+          (* 1e999 would read as infinity, which has no JSON spelling:
+             infinity travels as null (see {!number_or_null}). *)
+          raise (Parse_error (start, "number out of range " ^ text))
+      | None -> error ("invalid number " ^ text)
   in
   let nest depth =
     if depth >= max_depth then
@@ -188,15 +259,15 @@ let of_string input =
   in
   let rec parse_value depth =
     skip_ws ();
-    match peek () with
-    | None -> error "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> String (parse_string ())
-    | Some '[' ->
+    if !pos >= n then error "unexpected end of input";
+    match String.unsafe_get input !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> String (parse_string ())
+    | '[' ->
         let depth = nest depth in
-        if peek () = Some ']' then begin
+        if at ']' then begin
           advance ();
           List []
         end
@@ -204,21 +275,21 @@ let of_string input =
           let rec items acc =
             let v = parse_value depth in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
+            if !pos >= n then error "unterminated list";
+            match String.unsafe_get input !pos with
+            | ',' ->
                 advance ();
                 items (v :: acc)
-            | Some ']' ->
+            | ']' ->
                 advance ();
                 List.rev (v :: acc)
-            | Some c -> error (Printf.sprintf "expected , or ] in list, found %c" c)
-            | None -> error "unterminated list"
+            | c -> error (Printf.sprintf "expected , or ] in list, found %c" c)
           in
           List (items [])
         end
-    | Some '{' ->
+    | '{' ->
         let depth = nest depth in
-        if peek () = Some '}' then begin
+        if at '}' then begin
           advance ();
           Object []
         end
@@ -234,20 +305,20 @@ let of_string input =
           let rec fields acc =
             let f = parse_field () in
             skip_ws ();
-            match peek () with
-            | Some ',' ->
+            if !pos >= n then error "unterminated object";
+            match String.unsafe_get input !pos with
+            | ',' ->
                 advance ();
                 fields (f :: acc)
-            | Some '}' ->
+            | '}' ->
                 advance ();
                 List.rev (f :: acc)
-            | Some c -> error (Printf.sprintf "expected , or } in object, found %c" c)
-            | None -> error "unterminated object"
+            | c -> error (Printf.sprintf "expected , or } in object, found %c" c)
           in
           Object (fields [])
         end
-    | Some ('-' | '0' .. '9') -> Number (parse_number ())
-    | Some c -> error (Printf.sprintf "unexpected character %c" c)
+    | '-' | '0' .. '9' -> Number (parse_number ())
+    | c -> error (Printf.sprintf "unexpected character %c" c)
   in
   match
     let v = parse_value 0 in

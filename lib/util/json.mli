@@ -17,7 +17,11 @@ type t =
   | Object of (string * t) list
 
 val to_string : ?minify:bool -> t -> string
-(** Render; two-space indentation unless [minify]. *)
+(** Render; two-space indentation unless [minify].  Integer-valued
+    numbers below 1e15 are written as [Printf]'s [%.0f] writes them,
+    other numbers as [%.17g] (so every finite float reads back
+    exactly), control characters as [\u%04x] — without going through
+    [Printf]. *)
 
 val of_string : string -> (t, string) result
 (** Parse a complete document; trailing garbage is an error, and so is

@@ -34,19 +34,13 @@ let certificate_exn subject =
   | Some c -> c
   | None -> invalid_arg "verifier: analyze rule run without a certificate"
 
-(* analyze/schema: the certificate's problem summary and premises
-   describe the subject's problem — same application constants, a
-   threshold equal to the re-derived admissible failure probability and
-   a budget equal to the re-derived one-sided slop at the recorded
-   kmax, and tables shaped like the library. *)
-let check_schema subject =
-  let rule = "analyze/schema" in
-  let cert = certificate_exn subject in
-  let problem = subject.Subject.problem in
-  let s = cert.Preflight.summary in
+(* The problem summary a certificate records, against the one the
+   subject's problem yields: one message per differing field.  Shared
+   by analyze/schema and bnb/schema. *)
+let summary_mismatches (s : Preflight.summary) problem =
   let expect = Preflight.summary_of_problem problem in
   let acc = ref [] in
-  let fail fmt = Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt in
+  let fail fmt = Printf.ksprintf (fun d -> acc := d :: !acc) fmt in
   if s.Preflight.n_processes <> expect.Preflight.n_processes then
     fail "summary claims %d processes; the problem has %d"
       s.Preflight.n_processes expect.Preflight.n_processes;
@@ -65,6 +59,20 @@ let check_schema subject =
   if not (feq s.Preflight.mu_ms expect.Preflight.mu_ms) then
     fail "summary recovery overhead %g ms; the problem's is %g ms"
       s.Preflight.mu_ms expect.Preflight.mu_ms;
+  List.rev !acc
+
+(* analyze/schema: the certificate's problem summary and premises
+   describe the subject's problem — same application constants, a
+   threshold equal to the re-derived admissible failure probability and
+   a budget equal to the re-derived one-sided slop at the recorded
+   kmax, and tables shaped like the library. *)
+let check_schema subject =
+  let rule = "analyze/schema" in
+  let cert = certificate_exn subject in
+  let problem = subject.Subject.problem in
+  let acc = ref [] in
+  let fail fmt = Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt in
+  List.iter (fail "%s") (summary_mismatches cert.Preflight.summary problem);
   if cert.Preflight.kmax < 0 then
     fail "premise kmax = %d is negative" cert.Preflight.kmax
   else begin

@@ -13,3 +13,11 @@
     [analyze/lower-bound]. *)
 
 val all : Rule.t list
+
+val summary_mismatches :
+  Ftes_analyze.Preflight.summary -> Ftes_model.Problem.t -> string list
+(** One message per field of a certificate's problem summary (process
+    and library counts, deadline, period, gamma, recovery overhead)
+    that differs from the subject problem's: the comparison
+    [analyze/schema] and [bnb/schema] share.  The name is not
+    compared. *)

@@ -84,20 +84,8 @@ let check_schema subject =
   let fail fmt =
     Printf.ksprintf (fun d -> acc := D.error ~rule "%s" d :: !acc) fmt
   in
-  let s = cert.Cert.summary in
-  let expect = Preflight.summary_of_problem problem in
-  if s.Preflight.n_processes <> expect.Preflight.n_processes then
-    fail "summary claims %d processes; the problem has %d"
-      s.Preflight.n_processes expect.Preflight.n_processes;
-  if s.Preflight.n_library <> expect.Preflight.n_library then
-    fail "summary claims a library of %d nodes; the problem has %d"
-      s.Preflight.n_library expect.Preflight.n_library;
-  if not (feq s.Preflight.deadline_ms expect.Preflight.deadline_ms) then
-    fail "summary deadline %g ms; the problem's is %g ms"
-      s.Preflight.deadline_ms expect.Preflight.deadline_ms;
-  if not (feq s.Preflight.gamma expect.Preflight.gamma) then
-    fail "summary gamma %g; the problem's is %g" s.Preflight.gamma
-      expect.Preflight.gamma;
+  List.iter (fail "%s")
+    (Analyze_rules.summary_mismatches cert.Cert.summary problem);
   if cert.Cert.kmax < 0 then fail "premise kmax = %d is negative" cert.Cert.kmax;
   if lib <= 30 && not (feq_rel cert.Cert.search_space (rederive_search_space problem))
   then

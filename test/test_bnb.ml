@@ -454,6 +454,17 @@ let test_mutation_schema () =
       { cert with
         Cert.counters = { cert.Cert.counters with Cert.evaluated = -1 } })
 
+(* The summary premises analyze/schema checks, bnb/schema checks too. *)
+let test_mutation_summary_period () =
+  check_mutation "summary period" "bnb/schema" (fun cert ->
+      { cert with
+        Cert.summary = { cert.Cert.summary with Preflight.period_ms = 1.0 } })
+
+let test_mutation_summary_mu () =
+  check_mutation "summary recovery overhead" "bnb/schema" (fun cert ->
+      { cert with
+        Cert.summary = { cert.Cert.summary with Preflight.mu_ms = 999.0 } })
+
 let test_mutation_incumbent_cost () =
   check_mutation "corrupted incumbent cost" "bnb/incumbent" (fun cert ->
       match cert.Cert.incumbent with
@@ -545,6 +556,9 @@ let () =
         ] );
       ( "mutations",
         [ Alcotest.test_case "schema" `Quick test_mutation_schema;
+          Alcotest.test_case "summary period" `Quick
+            test_mutation_summary_period;
+          Alcotest.test_case "summary mu" `Quick test_mutation_summary_mu;
           Alcotest.test_case "incumbent cost" `Quick
             test_mutation_incumbent_cost;
           Alcotest.test_case "incumbent feasibility" `Quick

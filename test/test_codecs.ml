@@ -8,7 +8,11 @@
    out-of-range index) and requires the decoder to answer [Ok] or
    [Error]: an exception fails the property.  A certificate that still
    decodes is then audited against the problem it was derived from, and
-   the audit must answer with a report. *)
+   the audit must answer with a report.
+
+   The JSON kernel is checked byte for byte against its Printf
+   reference (test/oracle), problem identity against the rendered
+   document, and the daemon's stdin against hostile lines. *)
 
 module Json = Ftes_util.Json
 module Problem = Ftes_model.Problem
@@ -25,6 +29,9 @@ module Delta = Ftes_whatif.Delta
 module Config = Ftes_core.Config
 module Verify = Ftes_verify.Verify
 module Subject = Ftes_verify.Subject
+module Daemon = Ftes_driver.Daemon
+module Prng = Ftes_util.Prng
+module Reference = Ftes_oracle.Json_reference
 
 let ok_exn label = function
   | Ok v -> v
@@ -321,6 +328,340 @@ let audit_fuzz =
                 name mutation (String.sub text 0 (min 200 (String.length text)))
                 (Printexc.to_string e)))
 
+(* --- JSON kernel: byte-identical to the Printf reference --- *)
+
+let edge_floats =
+  [ 0.0; -0.0; 0.1; -0.1; 1.0; -1.0; 1e15 -. 1.0; 1e15; -1e15;
+    Float.pred 1e15; Float.succ 1e15; 1e14 +. 0.5; 999999999999999.0;
+    -999999999999999.0; 2. ** 53.; -.(2. ** 53.); (2. ** 53.) +. 2.0;
+    5e-324; -5e-324; 1e-310; 2.2250738585072009e-308; Float.min_float;
+    max_float; -.max_float; 1e-7; 0.30000000000000004; 4503599627370495.5;
+    1e300; 123.456 ]
+
+let random_float prng =
+  match Prng.int prng 5 with
+  | 0 -> List.nth edge_floats (Prng.int prng (List.length edge_floats))
+  | 1 -> float_of_int (Prng.int_in prng (-1_000_000) 1_000_000)
+  | 2 ->
+      (* Integers on both sides of the 1e15 switch to [%.17g]. *)
+      Float.of_int (Prng.int_in prng 0 (1 lsl 52))
+      *. if Prng.bool prng then 1.0 else 1000.0
+  | 3 ->
+      let x = Int64.float_of_bits (Prng.bits64 prng) in
+      if Float.is_finite x then x else 0.5
+  | _ -> Prng.float_in prng (-1e6) 1e6 /. 1000.0
+
+(* Bytes from the whole range, control characters and the two escaped
+   printables over-represented. *)
+let random_string prng =
+  String.init (Prng.int prng 12) (fun _ ->
+      match Prng.int prng 4 with
+      | 0 -> Char.chr (Prng.int prng 0x20)
+      | 1 -> if Prng.bool prng then '"' else '\\'
+      | 2 -> Char.chr (Prng.int prng 256)
+      | _ -> Char.chr (0x20 + Prng.int prng 0x5f))
+
+let rec random_doc prng depth =
+  match Prng.int prng (if depth >= 4 then 4 else 6) with
+  | 0 -> Json.Null
+  | 1 -> Json.Bool (Prng.bool prng)
+  | 2 -> Json.Number (random_float prng)
+  | 3 -> Json.String (random_string prng)
+  | 4 ->
+      Json.List
+        (List.init (Prng.int prng 5) (fun _ -> random_doc prng (depth + 1)))
+  | _ ->
+      Json.Object
+        (List.init (Prng.int prng 5) (fun _ ->
+             (random_string prng, random_doc prng (depth + 1))))
+
+(* Same verdict, same error message and offset, and values that render
+   to the same bytes (the renderer tells [-0.0] from [0.0]). *)
+let same_parse text =
+  match (Json.of_string text, Reference.of_string text) with
+  | Ok a, Ok b -> Reference.to_string a = Reference.to_string b
+  | Error a, Error b -> a = b
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+let check_same_parse text =
+  if not (same_parse text) then
+    Alcotest.failf "kernel and reference parse %S differently" text
+
+(* A byte a parser could trip over, dropped at a random offset. *)
+let tricky_bytes = "\"\\u0-+eE.,:[]{} \000\255\n9"
+
+let prop_kernel_identity =
+  QCheck.Test.make ~count:2000
+    ~name:"JSON kernel renders, parses and fingerprints like its reference"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let doc = random_doc prng 0 in
+      let minified = Json.to_string ~minify:true doc in
+      let pretty = Json.to_string doc in
+      let cut = Prng.int prng (String.length minified + 1) in
+      let flipped = Bytes.of_string minified in
+      if Bytes.length flipped > 0 then
+        Bytes.set flipped (Prng.int prng (Bytes.length flipped))
+          tricky_bytes.[Prng.int prng (String.length tricky_bytes)];
+      let texts =
+        [ minified; pretty; String.sub minified 0 cut;
+          Bytes.to_string flipped ]
+      in
+      minified = Reference.to_string ~minify:true doc
+      && pretty = Reference.to_string doc
+      && List.for_all same_parse texts
+      && List.for_all
+           (fun t -> Ftes_util.Fingerprint.of_string t = Reference.fingerprint t)
+           texts)
+
+let test_kernel_edges () =
+  List.iter
+    (fun x ->
+      let doc = Json.List [ Json.Number x; Json.Number (-.x) ] in
+      Alcotest.(check string)
+        (Printf.sprintf "render %h" x)
+        (Reference.to_string ~minify:true doc)
+        (Json.to_string ~minify:true doc);
+      check_same_parse (Json.to_string ~minify:true doc))
+    edge_floats;
+  let every_byte = String.init 128 Char.chr in
+  Alcotest.(check string) "every control character and escape"
+    (Reference.to_string (Json.String every_byte))
+    (Json.to_string (Json.String every_byte));
+  check_same_parse (Json.to_string (Json.String every_byte));
+  List.iter check_same_parse
+    [ (* integer texts with a sign or leading zeros *)
+      "0"; "-0"; "-00"; "007"; "-007"; "+5"; "1+2"; "-"; "--1"; "-a";
+      "999999999999999"; "-999999999999999"; "0000000000000001";
+      "1234567890123456"; "9007199254740993"; "12345678901234567890123";
+      "-99999999999999999999"; "18446744073709551617"; "9223372036854775809";
+      "[-0,0,-0.0]"; "1e5"; "1E-5";
+      "0."; ".5"; "1_000"; "1e999"; "-1e999";
+      (* escapes, complete and cut short *)
+      {|"\u0000\u001f\n\t\/\b\f\"\\"|}; {|"A"|}; {|"é"|};
+      {|"\u12"|}; {|"\uzzzz"|}; {|"\x"|}; {|"abc|}; {|"abc\|}; {|"a\u00|};
+      {|"plain"|}; {|["a","b\n",""]|}; {|{"k\"":1}|}; "\"nul\000\255\"" ]
+
+(* --- problem identity: equal documents, decided without rendering --- *)
+
+let decode_problem json =
+  ok_exn "problem" (Problem_io.of_json ~on_warning:quiet json)
+
+let update key f = function
+  | Json.Object fields ->
+      Json.Object
+        (List.map (fun (k, v) -> if k = key then (k, f v) else (k, v)) fields)
+  | other -> other
+
+let update_nth i f = function
+  | Json.List items ->
+      Json.List (List.mapi (fun j v -> if j = i then f v else v) items)
+  | other -> other
+
+let last_index = function Json.List items -> List.length items - 1 | _ -> 0
+
+let set v _ = v
+
+(* (label, a, b, the expected verdict when the edit decides it). *)
+let identity_pairs prng =
+  let a =
+    Helpers.synthetic_problem ~seed:(Prng.int prng 1_000_000)
+      ~n:(3 + Prng.int prng 10) ()
+  in
+  let doc = Problem_io.to_json a in
+  let edit f = decode_problem (f doc) in
+  let app f = update "application" f in
+  let node = Prng.int prng (Problem.n_library a) in
+  let proc = Prng.int prng (Problem.n_processes a) in
+  let n_edges = Ftes_model.Task_graph.n_edges (Problem.graph a) in
+  (* The three places a zero may sit: a top-level pfail (which keeps
+     pfail non-increasing in the level), a transmission time and the
+     recovery overhead. *)
+  let zero_sites =
+    [ ("pfail",
+       fun z ->
+         update "library"
+           (update_nth node (fun nt ->
+                update "versions"
+                  (fun vs ->
+                    update_nth (last_index vs)
+                      (update "pfail" (update_nth proc (set (Json.Number z))))
+                      vs)
+                  nt)));
+      ("recovery overhead",
+       fun z -> app (update "recovery_overhead_ms" (set (Json.Number z)))) ]
+    @
+    if n_edges = 0 then []
+    else
+      let edge = Prng.int prng n_edges in
+      [ ("transmission",
+         fun z ->
+           app
+             (update "edges"
+                (update_nth edge
+                   (update "transmission_ms" (set (Json.Number z)))))) ]
+  in
+  let deltas =
+    List.map
+      (fun cls ->
+        let d = Helpers.delta_of_class prng a cls in
+        (cls, a, ok_exn cls (Delta.apply a d), None))
+      Delta.class_names
+  in
+  let rename = function Json.String s -> Json.String (s ^ "'") | v -> v in
+  let reverse = function Json.List items -> Json.List (List.rev items) | v -> v in
+  [ ("itself", a, a, Some true);
+    ("decoded copy", a, edit Fun.id, Some true);
+    ("renamed process", a,
+     edit (app (update "processes" (update_nth proc rename))), Some false);
+    ("renamed node", a,
+     edit (update "library" (update_nth node (update "name" rename))),
+     Some false);
+    ("reordered edges", a, edit (app (update "edges" reverse)),
+     Some (n_edges < 2)) ]
+  @ deltas
+  @ List.concat_map
+      (fun (site, at) ->
+        let plus = edit (at 0.0) and minus = edit (at (-0.0)) in
+        [ (site ^ ": 0 vs -0", plus, minus, Some false);
+          (site ^ ": -0 vs -0", minus, edit (at (-0.0)), Some true);
+          (site ^ ": 0 vs 0", plus, edit (at 0.0), Some true) ])
+      zero_sites
+
+let prop_problem_identity =
+  QCheck.Test.make ~count:200
+    ~name:"Problem_io.equal is equality of minified documents; hash agrees"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (label, a, b, expected) ->
+          let eq = Problem_io.equal a b in
+          let same_doc =
+            Reference.canonical_key a = Reference.canonical_key b
+          in
+          if eq <> same_doc then
+            QCheck.Test.fail_reportf "%s: equal says %b, documents %b" label
+              eq same_doc;
+          (match expected with
+          | Some e when e <> eq ->
+              QCheck.Test.fail_reportf "%s: equal says %b, expected %b" label
+                eq e
+          | _ -> ());
+          Problem_io.equal b a = eq
+          && ((not eq) || Problem_io.hash a = Problem_io.hash b))
+        (identity_pairs (Prng.create seed)))
+
+(* --- the daemon's stdin under hostile lines --- *)
+
+(* An unknown command keeps every mutation an error, whatever the
+   mutation leaves of the rest of the request. *)
+let fuzz_bases =
+  lazy
+    (let inline_cc =
+       Request.to_string
+         (ok_exn "request"
+            (Request.make ~id:"fuzz-cc" Request.Optimize
+               (`Problem (Ftes_cc.Cruise_control.problem ()))))
+     in
+     let frobnicate line =
+       let key = {|"command":"optimize"|} in
+       let k = String.length key in
+       let rec find i =
+         if String.sub line i k = key then i else find (i + 1)
+       in
+       let at = find 0 in
+       String.sub line 0 at ^ {|"command":"frobnicate"|}
+       ^ String.sub line (at + k) (String.length line - at - k)
+     in
+     [| {|{"schema_version":1,"id":"fuzz-small","command":"frobnicate","example":"fig1"}|};
+        frobnicate inline_cc |])
+
+let max_line = 2 * 1024 * 1024
+
+(* [line] with one to four bytes drawn by [pick] inserted at random
+   offsets. *)
+let insert_bytes prng line pick =
+  let n = String.length line in
+  let cuts = List.init (1 + Prng.int prng 4) (fun _ -> Prng.int prng n) in
+  let b = Buffer.create (n + 4) in
+  String.iteri
+    (fun i c ->
+      if List.mem i cuts then Buffer.add_char b (pick ());
+      Buffer.add_char b c)
+    line;
+  Buffer.contents b
+
+let hostile_line prng =
+  let bases = Lazy.force fuzz_bases in
+  let line = bases.(Prng.int prng (Array.length bases)) in
+  let prefix () = String.sub line 0 (Prng.int prng (String.length line + 1)) in
+  match Prng.int prng 7 with
+  | 0 ->
+      let depth = 1 + Prng.int prng 200_000 in
+      String.make depth (if Prng.bool prng then '[' else '{') ^ line
+  | 1 ->
+      let size = Prng.int prng (max_line - 200) in
+      let pad =
+        match Prng.int prng 3 with
+        | 0 -> "\"" ^ String.make size 'x' ^ "\""
+        | 1 -> "[" ^ String.concat "," (List.init (size / 2) (fun _ -> "1")) ^ "]"
+        | _ -> String.make (max 1 size) '7'
+      in
+      {|{"schema_version":1,"id":"fuzz-huge","command":"frobnicate","pad":|}
+      ^ pad ^ "}"
+  | 2 -> prefix ()
+  | 3 -> insert_bytes prng line (fun () -> '\000')
+  | 4 -> insert_bytes prng line (fun () -> Char.chr (0x80 + Prng.int prng 0x80))
+  | 5 -> prefix () ^ "\"unterminated"
+  | _ ->
+      prefix ()
+      ^ [| "\"esc\\"; "\"esc\\u00"; "\"esc\\u" |].(Prng.int prng 3)
+
+(* What [Daemon] may answer as the id: the reference parser's reading
+   of the line's top-level "id", or nothing. *)
+let best_effort_id line =
+  match Reference.of_string line with
+  | Ok json -> (
+      match Json.field "id" Json.to_string_value json with
+      | Ok id -> id
+      | Error _ -> "")
+  | Error _ -> ""
+
+let prop_daemon_stdin =
+  QCheck.Test.make ~count:150
+    ~name:"hostile stdin lines: one error per line, in order, in bounded time"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let lines = List.init (1 + Prng.int prng 4) (fun _ -> hostile_line prng) in
+      let started = Unix.gettimeofday () in
+      let responses = Daemon.run_lines ~telemetry:false lines in
+      let elapsed = Unix.gettimeofday () -. started in
+      if elapsed > 10.0 then
+        QCheck.Test.fail_reportf "%d lines took %.1f s" (List.length lines)
+          elapsed;
+      List.length responses = List.length lines
+      && List.for_all2
+           (fun (i, line) (r : Response.t) ->
+             let expected = best_effort_id line in
+             if r.Response.seq <> i
+                || r.Response.verdict <> Response.Failed
+                || r.Response.error = None
+                || r.Response.id <> expected
+             then
+               QCheck.Test.fail_reportf
+                 "line %d (%d bytes, %S...): seq %d, verdict %s, id %S \
+                  (expected %S)"
+                 i (String.length line)
+                 (String.sub line 0 (min 80 (String.length line)))
+                 r.Response.seq
+                 (Response.verdict_name r.Response.verdict)
+                 r.Response.id expected;
+             true)
+           (List.mapi (fun i l -> (i, l)) lines)
+           responses)
+
 let () =
   Alcotest.run "ftes_codecs"
     [ ( "fuzz",
@@ -328,4 +669,13 @@ let () =
           QCheck_alcotest.to_alcotest fuzz;
           QCheck_alcotest.to_alcotest audit_fuzz;
           Alcotest.test_case "over-deep nesting is refused" `Quick
-            test_deep_nesting_rejected ] ) ]
+            test_deep_nesting_rejected;
+          QCheck_alcotest.to_alcotest prop_daemon_stdin ] );
+      (* Group labels stay within the four letters of "fuzz": Alcotest
+         pads every label to the longest, and a wider column truncates
+         the printed names of the cases above. *)
+      ( "json",
+        [ Alcotest.test_case "edge numbers, escapes and integer texts" `Quick
+            test_kernel_edges;
+          QCheck_alcotest.to_alcotest prop_kernel_identity;
+          QCheck_alcotest.to_alcotest prop_problem_identity ] ) ]

@@ -446,6 +446,48 @@ let test_warm_cache_fingerprints () =
   Alcotest.(check bool) "registry hits observed" true
     (Daemon.cache_hits caches >= 2)
 
+(* Buckets are keyed on problem identity: the inline spelling of cc
+   lands in the bucket "example": "cc" opened, and a copy that differs
+   from a resident problem only in the sign of a zero (rendered "-0" on
+   the wire) opens a bucket of its own. *)
+let test_bucket_problem_identity () =
+  let caches = Daemon.create_caches () in
+  let cc = Ftes_cc.Cruise_control.problem () in
+  let optimize id problem =
+    ignore (daemon_once ~caches (ok_exn (Request.make ~id Request.Optimize problem)))
+  in
+  let check_buckets label ~problems ~hits =
+    Alcotest.(check (pair int int))
+      (label ^ ": buckets, hits")
+      (problems, hits)
+      (Daemon.cache_problems caches, Daemon.cache_hits caches)
+  in
+  let with_mu mu =
+    let set key v fields =
+      List.map (fun (k, x) -> if k = key then (k, v) else (k, x)) fields
+    in
+    match Problem_io.to_json cc with
+    | Json.Object fields ->
+        let app =
+          match List.assoc "application" fields with
+          | Json.Object app ->
+              Json.Object (set "recovery_overhead_ms" (Json.Number mu) app)
+          | _ -> Alcotest.fail "application is not an object"
+        in
+        ok_exn (Problem_io.of_json (Json.Object (set "application" app fields)))
+    | _ -> Alcotest.fail "problem is not an object"
+  in
+  optimize "by-name" (`Example "cc");
+  check_buckets "example cc" ~problems:1 ~hits:0;
+  optimize "inline" (`Problem cc);
+  check_buckets "inline cc" ~problems:1 ~hits:1;
+  optimize "mu+0" (`Problem (with_mu 0.0));
+  check_buckets "mu = 0" ~problems:2 ~hits:1;
+  optimize "mu-0" (`Problem (with_mu (-0.0)));
+  check_buckets "mu = -0" ~problems:3 ~hits:1;
+  optimize "mu+0 again" (`Problem (with_mu 0.0));
+  check_buckets "mu = 0 again" ~problems:3 ~hits:2
+
 (* Two problems that differ only in their deadline must not share a
    registry bucket: the eval and probe memos are keyed on the design
    alone.  Sent one after the other through one registry, each payload
@@ -740,6 +782,8 @@ let () =
             test_warm_cache_fingerprints;
           Alcotest.test_case "one bucket per problem" `Quick
             test_registry_separates_problems;
+          Alcotest.test_case "buckets keyed on problem identity" `Quick
+            test_bucket_problem_identity;
           Alcotest.test_case "base_id warm start through the registry" `Quick
             test_whatif_daemon_warm;
           Alcotest.test_case "what-if rejections are structured" `Quick
