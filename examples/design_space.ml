@@ -63,7 +63,7 @@ let () =
     done
   done;
   Printf.printf "Hardening-level sweep on two nodes (deadline %.1f ms):\n" deadline;
-  Text_table.print table;
+  print_endline (Text_table.render table);
   (match !best with
   | None -> print_endline "no feasible hardening vector for this mapping"
   | Some (cost, (h1, h2), _) ->

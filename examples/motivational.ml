@@ -41,7 +41,7 @@ let () =
               Printf.sprintf "%.0f" sl;
               (if sl <= 360.0 then "yes" else "no") ])
     [ 1; 2; 3 ];
-  Text_table.print table;
+  print_endline (Text_table.render table);
   print_endline
     "The paper's Fig. 3: 6 re-executions at h=1 miss the deadline; h=2 needs\n\
      only 2 and fits; h=3 costs twice as much for the same worst case, so\n\
@@ -71,7 +71,7 @@ let () =
           (if sl <= 360.0 then "yes" else "no");
           (if v.Sfp.meets_goal then "yes" else "no") ])
     alternatives;
-  Text_table.print table;
+  print_endline (Text_table.render table);
 
   print_endline "Schedule of alternative 4a (the paper's choice):";
   let design = Ftes_cc.Fig_examples.fig4a problem in

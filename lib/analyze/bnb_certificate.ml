@@ -63,25 +63,3 @@ let gap t =
      && t.optimal_cost > 0.0
   then Some ((t.heuristic_cost -. t.optimal_cost) /. t.optimal_cost)
   else None
-
-let members_to_string prefix =
-  "{"
-  ^ String.concat "," (List.map string_of_int (Array.to_list prefix))
-  ^ "}"
-
-let prune_to_string = function
-  | Cost_bound { prefix; lower_bound; incumbent_cost } ->
-      Printf.sprintf "cost-bound below %s: completions cost >= %g > incumbent %g"
-        (members_to_string prefix) lower_bound incumbent_cost
-  | Arch_infeasible { prefix; subtree; verdict = Unreliable proc } ->
-      Printf.sprintf "%s %s: process %d has no admissible assignment"
-        (if subtree then "subtree below" else "architecture")
-        (members_to_string prefix) proc
-  | Arch_infeasible { prefix; subtree; verdict = Deadline lb } ->
-      Printf.sprintf "%s %s: schedule length >= %g ms exceeds the deadline"
-        (if subtree then "subtree below" else "architecture")
-        (members_to_string prefix) lb
-  | Symmetry { prefix; skipped; canonical } ->
-      Printf.sprintf
-        "subtree %s+{%d} dominated: node %d is identical to unchosen node %d"
-        (members_to_string prefix) skipped skipped canonical

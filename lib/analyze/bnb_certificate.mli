@@ -115,6 +115,3 @@ val gap : t -> float option
     [(heuristic - optimal) / optimal] — [None] when either side is
     unbounded (no heuristic solution / proven infeasible), [Some 0.]
     when the heuristic was optimal. *)
-
-val prune_to_string : prune -> string
-(** One-line rendering for reports. *)

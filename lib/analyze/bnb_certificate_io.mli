@@ -21,8 +21,6 @@
     versioning follows {!Ftes_util.Versioned_json} with
     [accept_v0 = false]. *)
 
-val schema_version : int
-
 val to_json : Bnb_certificate.t -> Ftes_util.Json.t
 
 val counters_to_json : Bnb_certificate.counters -> Ftes_util.Json.t

@@ -26,8 +26,6 @@
     Versioning follows {!Ftes_util.Versioned_json} with
     [accept_v0 = false]. *)
 
-val schema_version : int
-
 val to_json : Preflight.t -> Ftes_util.Json.t
 
 val summary_to_json : Preflight.summary -> Ftes_util.Json.t

@@ -3,8 +3,6 @@ module Design = Ftes_model.Design
 module Application = Ftes_model.Application
 module Scheduler = Ftes_sched.Scheduler
 module Sfp = Ftes_sfp.Sfp
-module Pool = Ftes_par.Pool
-module Exhaustive = Ftes_core.Exhaustive
 module Redundancy_opt = Ftes_core.Redundancy_opt
 module Re_execution_opt = Ftes_core.Re_execution_opt
 module Design_strategy = Ftes_core.Design_strategy
@@ -15,7 +13,66 @@ module Symmetric = Ftes_util.Symmetric
 
 exception Budget_exhausted of int
 
-let search_space = Exhaustive.search_space
+(* Every non-empty subset of [0 .. lib-1] as a strictly increasing
+   array, in canonical order: the order ties between equally good
+   architectures are broken in. *)
+let subsets lib =
+  let rec go i =
+    if i = lib then [ [] ]
+    else begin
+      let rest = go (i + 1) in
+      List.map (fun s -> i :: s) rest @ rest
+    end
+  in
+  List.filter (fun s -> s <> []) (go 0) |> List.map Array.of_list
+
+let search_space problem =
+  let n = float_of_int (Problem.n_processes problem) in
+  List.fold_left
+    (fun acc members ->
+      let m = Array.length members in
+      let levels =
+        Array.fold_left
+          (fun acc j -> acc *. float_of_int (Problem.levels problem j))
+          1.0 members
+      in
+      acc +. (levels *. (float_of_int m ** n)))
+    0.0
+    (subsets (Problem.n_library problem))
+
+(* Odometer over the hardening-level vectors (1-based, bounded by each
+   member's available h-versions) of one architecture; the callback
+   receives the same mutable array every time. *)
+let iter_levels problem members f =
+  let m = Array.length members in
+  let levels = Array.make m 1 in
+  let rec bump i =
+    if i < 0 then false
+    else if levels.(i) < Problem.levels problem members.(i) then begin
+      levels.(i) <- levels.(i) + 1;
+      true
+    end
+    else begin
+      levels.(i) <- 1;
+      bump (i - 1)
+    end
+  in
+  let rec loop () =
+    f levels;
+    if bump (m - 1) then loop ()
+  in
+  loop ()
+
+(* The incumbent comparison: strictly cheaper (beyond the 1e-9 crumb
+   budget) wins, a cost tie breaks towards the strictly shorter
+   schedule. *)
+let better ~best (cost, sl) =
+  match best with
+  | None -> true
+  | Some (r : Redundancy_opt.result) ->
+      cost < r.Redundancy_opt.cost -. 1e-9
+      || (Float.abs (cost -. r.Redundancy_opt.cost) <= 1e-9
+          && sl < r.Redundancy_opt.schedule_length -. 1e-9)
 
 type outcome = {
   best : Redundancy_opt.result option;
@@ -96,17 +153,19 @@ let pow_int base e =
   !r
 
 (* The level x mapping search of one closed architecture.  The
-   candidate stream, the local incumbent and the acceptance test are
-   exactly [Exhaustive.run]'s per-subset search; on top of it, three
-   one-sided cuts skip only candidates that search would reject anyway:
-   hardening vectors costlier than the global incumbent (soundness
-   needs candidate costs to be either equal or separated by more than
-   the 1e-9 crumb budget, which every modeled instance satisfies and
-   the differential suite checks), hardening vectors under which some
-   process is admissible on no slot, and — digit by digit, in
-   [Exhaustive.iter_mappings] order — mapping prefixes whose slot is
-   already reliability-dead for the process or whose accumulated raw
-   WCET load provably overruns what acceptance would need. *)
+   candidate stream is exhaustive enumeration's: every level vector in
+   [iter_levels] order, every mapping in lexicographic order (last
+   process fastest), each re-executed greedily and accepted by
+   [better] under the deadline.  On top of it, three one-sided cuts
+   skip only candidates that enumeration would reject anyway: hardening
+   vectors costlier than the global incumbent (soundness needs
+   candidate costs to be either equal or separated by more than the
+   1e-9 crumb budget, which every modeled instance satisfies and the
+   differential suite checks), hardening vectors under which some
+   process is admissible on no slot, and — digit by digit — mapping
+   prefixes whose slot is already reliability-dead for the process or
+   whose accumulated raw WCET load provably overruns what acceptance
+   would need. *)
 let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
     problem members =
   let n = Problem.n_processes problem in
@@ -120,7 +179,7 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
   let wcets = Array.make_matrix n m 0.0 in
   let admissible = Array.make_matrix n m false in
   let zero_reexecs = Array.make m 0 in
-  Exhaustive.iter_levels problem members (fun levels ->
+  iter_levels problem members (fun levels ->
       let cost = ref 0.0 in
       Array.iteri
         (fun slot j ->
@@ -128,8 +187,8 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
         members;
       let cost = !cost in
       if
-        (not (Exhaustive.better ~best:!best (cost, 0.0)))
-        || cost > prune_cost () +. 1e-9
+        (not (better ~best:!best (cost, 0.0)))
+        || cost > prune_cost +. 1e-9
       then incr pruned_levels
       else begin
         let dead = ref false in
@@ -175,7 +234,7 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
                     Scheduler.schedule_length ~slack:config.Config.slack
                       ~bus:config.Config.bus problem design
                   in
-                  if sl <= d +. 1e-9 && Exhaustive.better ~best:!best (cost, sl)
+                  if sl <= d +. 1e-9 && better ~best:!best (cost, sl)
                   then begin
                     let verdict = Sfp.evaluate problem design in
                     best :=
@@ -220,7 +279,7 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
     arch_pruned_levels = !pruned_levels;
     arch_pruned_mappings = !pruned_mappings }
 
-let solve ?pool ?(limit = max_int) ~config problem =
+let solve ?(limit = max_int) ~config problem =
   Ftes_obs.Span.with_ ~name:"bnb/solve" (fun () ->
       let lib = Problem.n_library problem in
       let preflight =
@@ -230,23 +289,12 @@ let solve ?pool ?(limit = max_int) ~config problem =
       in
       let cache = Ftes_par.Sfp_cache.create () in
       let heuristic_cost =
-        match Design_strategy.run ?pool ~config problem with
+        match Design_strategy.run ~config problem with
         | Some s -> s.Design_strategy.result.Redundancy_opt.cost
         | None -> infinity
       in
-      let parallel =
-        match pool with
-        | Some p -> Pool.domains p > 1 && not (Pool.in_worker ())
-        | None -> false
-      in
-      (* In parallel mode both the walk and the leaf evaluations prune
-         against the static greedy cost, so the premises, the counters
-         and the per-leaf work are independent of the leaf schedule;
-         sequentially the incumbent tightens as architectures close. *)
+      (* The incumbent tightens as architectures close. *)
       let prune_cost = ref heuristic_cost in
-      let current_prune =
-        if parallel then fun () -> heuristic_cost else fun () -> !prune_cost
-      in
       let canonical = Preflight.canonical_nodes problem in
       let class_total = Array.make lib 0 in
       Array.iter (fun c -> class_total.(c) <- class_total.(c) + 1) canonical;
@@ -263,10 +311,10 @@ let solve ?pool ?(limit = max_int) ~config problem =
           class_total;
         !r
       in
-      let evaluated_total = Atomic.make 0 in
+      let evaluated_total = ref 0 in
       let tick () =
-        let v = Atomic.fetch_and_add evaluated_total 1 + 1 in
-        if v > limit then raise (Budget_exhausted v)
+        incr evaluated_total;
+        if !evaluated_total > limit then raise (Budget_exhausted !evaluated_total)
       in
       let prunes = ref [] in
       let frontier = Frontier.create () in
@@ -285,44 +333,37 @@ let solve ?pool ?(limit = max_int) ~config problem =
       and pruned_arch = ref 0
       and pruned_symmetry = ref 0 in
       let represented_total = ref 0.0 in
-      let closed_order = ref [] in
       let winners : (int list, Redundancy_opt.result option) Hashtbl.t =
         Hashtbl.create 64
       in
       let evaluated = ref 0
       and pruned_levels = ref 0
       and pruned_mappings = ref 0 in
-      let record members (s : arch_stats) =
+      let close members =
+        incr closed;
+        represented_total := !represented_total +. represented members;
+        let s =
+          search_arch ~cache ~config ~preflight ~prune_cost:!prune_cost ~tick
+            problem members
+        in
+        (match s.winner with
+        | Some r when r.Redundancy_opt.cost < !prune_cost ->
+            prune_cost := r.Redundancy_opt.cost
+        | Some _ | None -> ());
         evaluated := !evaluated + s.arch_evaluated;
         pruned_levels := !pruned_levels + s.arch_pruned_levels;
         pruned_mappings := !pruned_mappings + s.arch_pruned_mappings;
         Hashtbl.replace winners (Array.to_list members) s.winner
       in
-      let close members =
-        incr closed;
-        represented_total := !represented_total +. represented members;
-        if parallel then closed_order := members :: !closed_order
-        else begin
-          let s =
-            search_arch ~cache ~config ~preflight ~prune_cost:current_prune
-              ~tick problem members
-          in
-          (match s.winner with
-          | Some r when r.Redundancy_opt.cost < !prune_cost ->
-              prune_cost := r.Redundancy_opt.cost
-          | Some _ | None -> ());
-          record members s
-        end
-      in
       let rec walk () =
         match Frontier.pop frontier with
         | None -> ()
         | Some { Frontier.lb; prefix; first_open; _ } ->
-            (if lb > current_prune () +. 1e-9 then begin
+            (if lb > !prune_cost +. 1e-9 then begin
                incr pruned_cost_n;
                prunes :=
                  Cert.Cost_bound
-                   { prefix; lower_bound = lb; incumbent_cost = current_prune () }
+                   { prefix; lower_bound = lb; incumbent_cost = !prune_cost }
                  :: !prunes
              end
              else begin
@@ -381,32 +422,18 @@ let solve ?pool ?(limit = max_int) ~config problem =
             walk ()
       in
       walk ();
-      if parallel then
-        Pool.map_weighted ?pool
-          ~weight:(fun members ->
-            let m = Array.length members in
-            Array.fold_left
-              (fun acc j -> acc *. float_of_int (Problem.levels problem j))
-              1.0 members
-            *. (float_of_int m ** float_of_int (Problem.n_processes problem)))
-          (fun members ->
-            ( members,
-              search_arch ~cache ~config ~preflight ~prune_cost:current_prune
-                ~tick problem members ))
-          (List.rev !closed_order)
-        |> List.iter (fun (members, s) -> record members s);
       let best =
         List.fold_left
           (fun best members ->
             match Hashtbl.find_opt winners (Array.to_list members) with
             | Some (Some (r : Redundancy_opt.result))
-              when Exhaustive.better ~best
+              when better ~best
                      (r.Redundancy_opt.cost, r.Redundancy_opt.schedule_length)
               ->
                 Some r
             | Some _ | None -> best)
           None
-          (Exhaustive.subsets lib)
+          (subsets lib)
       in
       let incumbent =
         match best with

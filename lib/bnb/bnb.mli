@@ -1,7 +1,7 @@
 (** Exact branch-and-bound over the joint hardening / re-execution /
     mapping space, with a machine-checkable optimality certificate.
 
-    Where {!Ftes_core.Exhaustive} enumerates every candidate — and is
+    Where exhaustive enumeration visits every candidate — and is
     therefore capped at a few million candidates — this search proves
     the same optimum while visiting only a fraction of the space.  It
     walks the architecture lattice as a prefix tree (members in
@@ -22,12 +22,13 @@
     Inside each surviving architecture the hardening vectors are cut by
     the incumbent's cost and by reliability-dead level choices, and the
     mapping space is searched one process digit at a time — in
-    {!Ftes_core.Exhaustive.iter_mappings} order — with dead digits
-    (inadmissible singleton assignments) and per-slot load lower bounds
-    pruned before completion.  Every prune is one-sided, so the optimum
-    (cost, then schedule length, with {!Ftes_core.Exhaustive.better}'s
-    tie-breaking) is the one the reference enumeration returns whenever
-    the latter terminates; the differential suite certifies this.
+    lexicographic order — with dead digits (inadmissible singleton
+    assignments) and per-slot load lower bounds pruned before
+    completion.  Every prune is one-sided, so the optimum (cost, then
+    schedule length, ties broken towards the earlier architecture in
+    canonical subset order) is the one a full enumeration returns
+    whenever the latter terminates; the differential suite checks this
+    against an independent reference enumeration.
 
     Each prune is recorded as a premise in a
     {!Ftes_analyze.Bnb_certificate}, audited offline by the [bnb/*]
@@ -40,8 +41,9 @@ exception Budget_exhausted of int
     full evaluation; carries the count reached. *)
 
 val search_space : Ftes_model.Problem.t -> float
-(** {!Ftes_core.Exhaustive.search_space}: the candidate count the
-    certificate reports against. *)
+(** The number of (architecture, hardening levels, mapping) candidates
+    — sum over non-empty subsets of levels^members * members^processes
+    — that the certificate reports against. *)
 
 type outcome = {
   best : Ftes_core.Redundancy_opt.result option;
@@ -52,7 +54,6 @@ type outcome = {
 }
 
 val solve :
-  ?pool:Ftes_par.Pool.t ->
   ?limit:int ->
   config:Ftes_core.Config.t ->
   Ftes_model.Problem.t ->
@@ -61,16 +62,9 @@ val solve :
     and [kmax], or prove that none exists.
 
     The greedy {!Ftes_core.Design_strategy.run} seeds the incumbent
-    cost, so the gap between the two is part of every certificate.
-    Sequentially the incumbent tightens as architectures close
-    (best-first order makes that fast); with a multi-domain [pool] the
-    tree walk keeps the static greedy incumbent — premises and counters
-    stay deterministic — and the surviving architectures are evaluated
-    concurrently, heaviest first
-    ({!Ftes_par.Pool.map_weighted}), with winners merged in canonical
-    subset order.  The returned design's cost and schedule length are
-    identical in both modes; the certificate's counters and premises
-    reflect whichever walk ran.
+    cost, so the gap between the two is part of every certificate.  The
+    incumbent tightens as architectures close (best-first order makes
+    that fast), and the winners are merged in canonical subset order.
 
     [limit] (default unlimited) caps the fully evaluated candidates;
     past it {!Budget_exhausted} is raised.  No candidate-space limit

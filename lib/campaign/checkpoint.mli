@@ -38,8 +38,6 @@ type t = {
   cells : cell_result list;  (** prefix of the manifest's cell grid. *)
 }
 
-val schema_version : int
-
 val path : dir:string -> int -> string
 (** [dir/shard-NNN.json]. *)
 

@@ -54,8 +54,6 @@ type t = private {
     matches its described fields.  Compare manifests with {!equal}:
     the plan holds mutexes, on which polymorphic equality raises. *)
 
-val schema_version : int
-
 val make :
   ?params:Ftes_gen.Workload.params ->
   ?sers:float list ->
@@ -114,9 +112,6 @@ val of_json : Ftes_util.Json.t -> (t, string) result
 val fingerprint : t -> string
 (** {!Ftes_util.Fingerprint.of_json} of {!to_json} — stable across a
     save/load round-trip.  Read from the plan. *)
-
-val filename : string
-(** ["manifest.json"]. *)
 
 val path : dir:string -> string
 

@@ -24,8 +24,6 @@ type t = {
   cells : merged_cell list;  (** manifest cell order. *)
 }
 
-val schema_version : int
-
 val of_checkpoints :
   manifest:Manifest.t -> Checkpoint.t list -> (t, string) result
 (** Merge the campaign from its shard checkpoints.  [Error] unless the

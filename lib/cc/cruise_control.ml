@@ -139,21 +139,20 @@ let levels = 5
 
 let node_base_costs = [| 5.0; 6.0; 5.0 |]
 
-let problem ?(deadline_ms = 300.0) ?(gamma = 1.2e-5) ?(ser_per_cycle = 2e-12)
-    ?(hpd = 0.25) () =
+let problem () =
   let app =
     Application.make ~name:"cruise-controller" ~process_names:(Array.copy process_names)
-      ~graph:(graph ()) ~deadline_ms ~gamma ~recovery_overhead_ms:3.0 ()
+      ~graph:(graph ()) ~deadline_ms:300.0 ~gamma:1.2e-5 ~recovery_overhead_ms:3.0 ()
   in
   let library =
     Array.init (Array.length node_names) (fun node ->
         let versions =
           Array.init levels (fun idx ->
               let level = idx + 1 in
-              let deg = Hardening.degradation ~hpd ~level ~levels in
+              let deg = Hardening.degradation ~hpd:0.25 ~level ~levels in
               let model =
                 Fault_model.of_hardening ~clock_hz:1e9 ~reduction_factor:100.0
-                  ~ser_per_cycle ~level ()
+                  ~ser_per_cycle:2e-12 ~level ()
               in
               let wcet_ms =
                 Array.init n_processes (fun proc ->

@@ -16,22 +16,10 @@
     application is {e unschedulable} under MIN, schedulable under both
     MAX and OPT, and OPT is far cheaper than MAX. *)
 
-val n_processes : int
-(** 32. *)
-
-val node_names : string array
-(** [\[| "ETM"; "ABS"; "TCM" |\]]. *)
-
 val process_names : string array
 
-val problem :
-  ?deadline_ms:float ->
-  ?gamma:float ->
-  ?ser_per_cycle:float ->
-  ?hpd:float ->
-  unit ->
-  Ftes_model.Problem.t
-(** The full problem instance (defaults: the paper's parameters).
+val problem : unit -> Ftes_model.Problem.t
+(** The full problem instance, with the paper's parameters.
     Cluster processes run 1.5x slower away from their home module; the
     cruise-law processes are equally fast everywhere. *)
 

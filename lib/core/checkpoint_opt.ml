@@ -11,8 +11,10 @@ let lone_worst_case ~t ~save ~mu ~kappa ~k =
   t +. ((segments -. 1.0) *. save)
   +. (float_of_int k *. ((t /. segments) +. mu))
 
-let optimal_checkpoints ?(kappa_max = 20) ~t ~save ~k () =
-  if kappa_max < 1 then invalid_arg "Checkpoint_opt: kappa_max must be >= 1";
+(* The most checkpoints one process is split into. *)
+let kappa_max = 20
+
+let optimal_checkpoints ~t ~save ~k =
   if k = 0 then 1
   else begin
     (* W is convex in kappa; an exact scan over the small range is
@@ -27,7 +29,7 @@ let optimal_checkpoints ?(kappa_max = 20) ~t ~save ~k () =
     !best
   end
 
-let optimize ?save_ms ?(kappa_max = 20) problem design =
+let optimize ?save_ms problem design =
   let mu = problem.Problem.app.Ftes_model.Application.recovery_overhead_ms in
   let save = Option.value ~default:(mu /. 2.0) save_ms in
   let n = Problem.n_processes problem in

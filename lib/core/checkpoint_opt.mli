@@ -19,20 +19,18 @@ val lone_worst_case :
 (** The W(kappa) formula above.  Raises [Invalid_argument] for
     [kappa < 1], negative overheads or negative [k]. *)
 
-val optimal_checkpoints :
-  ?kappa_max:int -> t:float -> save:float -> k:int -> unit -> int
-(** Exact minimizer of {!lone_worst_case} over [1 .. kappa_max]
-    (default 20; [mu] does not influence the optimum).  [save = 0]
-    returns [kappa_max] capped; [k = 0] returns 1. *)
+val optimal_checkpoints : t:float -> save:float -> k:int -> int
+(** Exact minimizer of {!lone_worst_case} over [1 .. 20] ([mu] does
+    not influence the optimum).  [save = 0] returns the cap 20; [k = 0]
+    returns 1. *)
 
 val optimize :
   ?save_ms:float ->
-  ?kappa_max:int ->
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   int array * float
 (** [optimize problem design] chooses checkpoint counts for every
     process of a design whose re-execution budgets are already fixed,
     and returns them with the resulting worst-case schedule length under
-    {!Ftes_sched.Scheduler.Checkpointed}.  Default save overhead: half
-    the recovery overhead [mu]. *)
+    {!Ftes_sched.Scheduler.Checkpointed}, at most 20 checkpoints per
+    process.  Default save overhead: half the recovery overhead [mu]. *)

@@ -244,7 +244,7 @@ let replayed_prefix base warm =
   in
   go 0 (base, warm)
 
-let rerun ?pool ~from delta =
+let rerun ~from delta =
   match Ftes_whatif.Delta.apply from.rec_problem delta with
   | Error _ as e -> e
   | Ok perturbed ->
@@ -258,7 +258,7 @@ let rerun ?pool ~from delta =
         Redundancy_opt.migrate_cache ~base:from.rec_problem ~footprint
           from.rec_cache
       in
-      let warm = run_recorded ?pool ~cache ~config perturbed in
+      let warm = run_recorded ~cache ~config perturbed in
       let reuse =
         { Ftes_whatif.Reuse.delta_class = Ftes_whatif.Delta.class_name delta;
           sfp_kept = migration.Redundancy_opt.mig_sfp_kept;

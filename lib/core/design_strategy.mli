@@ -92,7 +92,6 @@ val run :
 (** [(run_recorded ...).rec_solution]. *)
 
 val rerun :
-  ?pool:Ftes_par.Pool.t ->
   from:recorded ->
   Ftes_whatif.Delta.t ->
   (recorded * Ftes_whatif.Reuse.t, string) result

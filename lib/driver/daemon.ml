@@ -274,14 +274,14 @@ let read_batch ic n =
   in
   go n []
 
-let serve ?pool ?caches ?telemetry ?(max_batch = 16) ic oc =
+let serve ?pool ?caches ?(max_batch = 16) ic oc =
   if max_batch < 1 then invalid_arg "Daemon.serve: max_batch must be positive";
   let rec loop stats seq =
     match read_batch ic max_batch with
     | [] -> stats
     | lines ->
         let responses =
-          run_lines ?pool ?caches ?telemetry ~first_seq:seq lines
+          run_lines ?pool ?caches ~first_seq:seq lines
         in
         List.iter
           (fun r ->

@@ -83,13 +83,13 @@ type stats = {
 val serve :
   ?pool:Ftes_par.Pool.t ->
   ?caches:caches ->
-  ?telemetry:bool ->
   ?max_batch:int ->
   in_channel ->
   out_channel ->
   stats
 (** The daemon loop: read up to [max_batch] (default 16) lines, answer
-    them as one pool batch, flush, repeat until EOF.  [max_batch = 1]
+    them as one pool batch (with telemetry), flush, repeat until EOF.
+    [max_batch = 1]
     gives strict request-by-request streaming; larger batches let
     independent requests overlap on the pool. *)
 

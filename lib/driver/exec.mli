@@ -99,8 +99,3 @@ val report_json :
   Ftes_util.Json.t
 (** The shared report envelope every machine-readable CLI report uses
     (lint and audit reports included). *)
-
-val default_reference :
-  Ftes_model.Problem.t -> Ftes_pareto.Archive.reference
-(** Worst-corner hypervolume reference: every node at its priciest
-    hardening level plus one cost unit, zero slack, zero margin. *)

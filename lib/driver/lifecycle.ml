@@ -22,11 +22,7 @@ let finish eval_code =
   if eval_code <> 0 then eval_code
   else int_of_exit_code (Atomic.get pending)
 
-let reset () = Atomic.set pending Success
-
 type obs = { seed : int; trace : string option; metrics : string option }
-
-let default_obs = { seed = 42; trace = None; metrics = None }
 
 let with_observability ?(aggregate_spans = false) obs f =
   let trace_oc = Option.map open_out obs.trace in

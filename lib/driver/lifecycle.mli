@@ -38,14 +38,8 @@ val finish : int -> int
     non-zero (the frontend's own error conventions win), otherwise the
     status of the worst requested {!exit_code}. *)
 
-val reset : unit -> unit
-(** Forget any requested exit (tests and long-running frontends). *)
-
 (** The observability options every frontend accepts. *)
 type obs = { seed : int; trace : string option; metrics : string option }
-
-val default_obs : obs
-(** Seed 42, no trace, no metrics. *)
 
 val with_observability : ?aggregate_spans:bool -> obs -> (unit -> 'a) -> 'a
 (** Install the requested span sink for the duration of [f], then

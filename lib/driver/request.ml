@@ -42,10 +42,20 @@ type t = {
 
 (* --- problem & strategy resolution (moved from bin/cli_driver) --- *)
 
+(* Built once, at module initialisation (a [Lazy] forced by two pool
+   domains at once would raise): problems are immutable, and every
+   request for an example gets the same value, which the daemon's
+   identity-keyed caches then recognise with [==]. *)
+let fig1 = Ftes_cc.Fig_examples.fig1_problem ()
+
+let fig3 = Ftes_cc.Fig_examples.fig3_problem ()
+
+let cc = Ftes_cc.Cruise_control.problem ()
+
 let problem_of_example = function
-  | "fig1" -> Ok (Ftes_cc.Fig_examples.fig1_problem ())
-  | "fig3" -> Ok (Ftes_cc.Fig_examples.fig3_problem ())
-  | "cc" | "cruise-control" -> Ok (Ftes_cc.Cruise_control.problem ())
+  | "fig1" -> Ok fig1
+  | "fig3" -> Ok fig3
+  | "cc" | "cruise-control" -> Ok cc
   | other ->
       Error
         (Printf.sprintf "unknown example %S (try fig1, fig3, cc)" other)
@@ -92,9 +102,7 @@ let bus_of_json = function
   | Json.Object _ as json ->
       let* tdma = Json.member "tdma" json in
       let* slot_ms = Json.field "slot_ms" Json.to_float tdma in
-      if Float.is_finite slot_ms && slot_ms > 0.0 then
-        Ok (Bus.Tdma { slot_ms })
-      else Error "bus: tdma slot_ms must be finite and positive"
+      Ok (Bus.Tdma { slot_ms })
   | _ -> Error "bus: expected a string or an object"
 
 (* --- parsing --- *)
@@ -105,23 +113,18 @@ let command_of_json name json =
   | "optimize" -> Ok Optimize
   | "exact" ->
       let* limit = Json.field_opt "limit" Json.to_int json in
-      (match limit with
-      | Some n when n < 1 -> Error "limit must be positive"
-      | _ -> Ok (Exact { limit }))
+      Ok (Exact { limit })
   | "pareto" ->
       let* eps = Json.field_opt "eps" Json.to_float json in
       let eps = Option.value ~default:0.0 eps in
-      if not (Float.is_finite eps) || eps < 0.0 then
-        Error "eps must be finite and non-negative"
-      else
-        let* objectives =
-          Json.field_opt "objectives"
-            (fun v -> Result.bind (Json.to_string_value v) Objective.parse_list)
-            json
-        in
-        let objectives = Option.value ~default:Objective.all objectives in
-        let* ref_cost = Json.field_opt "ref_cost" Json.to_float json in
-        Ok (Pareto { eps; objectives; ref_cost })
+      let* objectives =
+        Json.field_opt "objectives"
+          (fun v -> Result.bind (Json.to_string_value v) Objective.parse_list)
+          json
+      in
+      let objectives = Option.value ~default:Objective.all objectives in
+      let* ref_cost = Json.field_opt "ref_cost" Json.to_float json in
+      Ok (Pareto { eps; objectives; ref_cost })
   | other ->
       Error
         (Printf.sprintf
@@ -146,81 +149,116 @@ let warn_unknown ?on_warning json =
         fields
   | _ -> ()
 
+(* Where a request's problem comes from. *)
+type target =
+  [ `Example of string | `Problem of Problem.t | `Base of string * Problem.t ]
+
+(* The checks and the resolution the wire parser and [make] share, on
+   fields already decoded: every value a request can carry is
+   validated here, whichever way it arrived.  [target] yields the
+   problem once every other field has passed. *)
+let resolve ~id ~command ~strategy ~slack ~bus ~kmax ~whatif target =
+  let* () = if id = "" then Error "id must be a non-empty string" else Ok () in
+  let* () =
+    match command with
+    | Exact { limit = Some n } when n < 1 -> Error "limit must be positive"
+    | Pareto { eps; _ } when (not (Float.is_finite eps)) || eps < 0.0 ->
+        Error "eps must be finite and non-negative"
+    | Pareto { objectives; _ } ->
+        (* The wire's own spelling rejects an empty or repeated list. *)
+        Result.map ignore (Objective.parse_list (Objective.names objectives))
+    | Analyze | Optimize | Exact _ -> Ok ()
+  in
+  let* config = config_of_strategy strategy in
+  let* config =
+    match slack with
+    | Some s ->
+        let* _ = slack_name s in
+        Ok (Config.with_slack s config)
+    | None -> Ok config
+  in
+  let* config =
+    match bus with
+    | Some (Bus.Tdma { slot_ms })
+      when (not (Float.is_finite slot_ms)) || slot_ms <= 0.0 ->
+        Error "bus: tdma slot_ms must be finite and positive"
+    | Some b -> Ok (Config.with_bus b config)
+    | None -> Ok config
+  in
+  let* config =
+    match kmax with
+    | Some k when k < 0 -> Error "kmax must be non-negative"
+    | Some k -> Ok (Config.with_kmax k config)
+    | None -> Ok config
+  in
+  let* () =
+    match whatif with
+    | Some _ when command <> Optimize ->
+        Error "\"delta\" is only valid on an optimize request"
+    | Some { base_id = Some ""; _ } -> Error "base_id must be a non-empty string"
+    | Some _ | None -> Ok ()
+  in
+  let* problem, origin, source =
+    match (target () : (target, string) result) with
+    | Error _ as e -> e
+    | Ok (`Example name) ->
+        let* problem = problem_of_example name in
+        Ok (problem, `Example name, "example:" ^ name)
+    | Ok (`Problem problem) ->
+        let name = problem.Problem.app.Ftes_model.Application.name in
+        Ok (problem, `Inline, "inline:" ^ name)
+    | Ok (`Base (base, problem)) -> Ok (problem, `Base base, "base:" ^ base)
+  in
+  Ok { id; command; strategy; config; problem; origin; source; whatif }
+
 let body ?on_warning ?resolve_base json =
   warn_unknown ?on_warning json;
   let* id = Json.field "id" Json.to_string_value json in
-  if id = "" then Error "id must be a non-empty string"
-  else
-    let* name = Json.field "command" Json.to_string_value json in
-    let* command = command_of_json name json in
-    let* strategy = Json.field_opt "strategy" Json.to_string_value json in
-    let strategy = Option.value ~default:"opt" strategy in
-    let* config = config_of_strategy strategy in
-    let* slack =
-      Json.field_opt "slack"
-        (fun v -> Result.bind (Json.to_string_value v) slack_of_name)
-        json
-    in
-    let* bus = Json.field_opt "bus" bus_of_json json in
-    let* kmax = Json.field_opt "kmax" Json.to_int json in
-    let* config =
-      match kmax with
-      | Some k when k < 0 -> Error "kmax must be non-negative"
-      | Some k -> Ok (Config.with_kmax k config)
-      | None -> Ok config
-    in
-    let config =
-      config
-      |> (match slack with
-         | Some s -> Config.with_slack s
-         | None -> Fun.id)
-      |> match bus with Some b -> Config.with_bus b | None -> Fun.id
-    in
-    let* delta = Json.field_opt "delta" Ftes_whatif.Delta.of_json json in
-    let* base_id =
-      Json.field_opt "base_id"
-        (fun v ->
-          let* id = Json.to_string_value v in
-          if id = "" then Error "base_id must be a non-empty string" else Ok id)
-        json
-    in
-    let* whatif =
-      match (delta, base_id) with
-      | None, None -> Ok None
-      | None, Some _ -> Error "base_id requires a \"delta\""
-      | Some _, _ when command <> Optimize ->
-          Error "\"delta\" is only valid on an optimize request"
-      | Some delta, base_id -> Ok (Some { base_id; delta })
-    in
-    let* problem, origin, source =
-      match (Json.member "problem" json, Json.member "example" json) with
-      | Ok _, Ok _ -> Error "give either \"problem\" or \"example\", not both"
-      | Ok doc, Error _ ->
-          let* problem = Problem_io.of_json ?on_warning doc in
-          let name = problem.Problem.app.Ftes_model.Application.name in
-          Ok (problem, `Inline, "inline:" ^ name)
-      | Error _, Ok name ->
-          let* name = Json.to_string_value name in
-          let* problem = problem_of_example name in
-          Ok (problem, `Example name, "example:" ^ name)
-      | Error _, Error _ -> (
-          (* A what-if request may name its base instead of carrying a
-             problem; the daemon resolves the id against its registry of
-             recorded runs. *)
-          match whatif with
-          | Some { base_id = Some base; _ } -> (
-              match resolve_base with
-              | None ->
-                  Error
-                    "base_id needs a resident session (no base resolver here)"
-              | Some resolve -> (
-                  match resolve base with
-                  | Some problem -> Ok (problem, `Base base, "base:" ^ base)
-                  | None ->
-                      Error (Printf.sprintf "unknown base request id %S" base)))
-          | _ -> Error "request carries neither \"problem\" nor \"example\"")
-    in
-    Ok { id; command; strategy; config; problem; origin; source; whatif }
+  let* name = Json.field "command" Json.to_string_value json in
+  let* command = command_of_json name json in
+  let* strategy = Json.field_opt "strategy" Json.to_string_value json in
+  let strategy = Option.value ~default:"opt" strategy in
+  let* slack =
+    Json.field_opt "slack"
+      (fun v -> Result.bind (Json.to_string_value v) slack_of_name)
+      json
+  in
+  let* bus = Json.field_opt "bus" bus_of_json json in
+  let* kmax = Json.field_opt "kmax" Json.to_int json in
+  let* delta = Json.field_opt "delta" Ftes_whatif.Delta.of_json json in
+  let* base_id = Json.field_opt "base_id" Json.to_string_value json in
+  let* whatif =
+    match (delta, base_id) with
+    | None, None -> Ok None
+    | None, Some _ -> Error "base_id requires a \"delta\""
+    | Some delta, base_id -> Ok (Some { base_id; delta })
+  in
+  let target () =
+    match (Json.member "problem" json, Json.member "example" json) with
+    | Ok _, Ok _ -> Error "give either \"problem\" or \"example\", not both"
+    | Ok doc, Error _ ->
+        let* problem = Problem_io.of_json ?on_warning doc in
+        Ok (`Problem problem)
+    | Error _, Ok name ->
+        let* name = Json.to_string_value name in
+        Ok (`Example name)
+    | Error _, Error _ -> (
+        (* A what-if request may name its base instead of carrying a
+           problem; the daemon resolves the id against its registry of
+           recorded runs. *)
+        match whatif with
+        | Some { base_id = Some base; _ } -> (
+            match resolve_base with
+            | None ->
+                Error "base_id needs a resident session (no base resolver here)"
+            | Some resolve -> (
+                match resolve base with
+                | Some problem -> Ok (`Base (base, problem))
+                | None -> Error (Printf.sprintf "unknown base request id %S" base)
+                ))
+        | _ -> Error "request carries neither \"problem\" nor \"example\"")
+  in
+  resolve ~id ~command ~strategy ~slack ~bus ~kmax ~whatif target
 
 let of_json ?on_warning ?resolve_base json =
   Versioned_json.decode ~what:"request" ~accept_v0:true ?on_warning
@@ -293,40 +331,10 @@ let to_string t = Json.to_string ~minify:true (to_json t)
 let counter = Atomic.make 0
 
 let make ?id ?(strategy = "opt") ?slack ?bus ?kmax ?whatif command problem =
-  let* config = config_of_strategy strategy in
-  let config =
-    config
-    |> (match slack with Some s -> Config.with_slack s | None -> Fun.id)
-    |> (match bus with Some b -> Config.with_bus b | None -> Fun.id)
-    |> match kmax with Some k -> Config.with_kmax k | None -> Fun.id
-  in
-  let* () =
-    match slack with
-    | Some s -> Result.map (fun _ -> ()) (slack_name s)
-    | None -> Ok ()
-  in
-  let* problem, origin, source =
-    match problem with
-    | `Example name ->
-        let* problem = problem_of_example name in
-        Ok (problem, `Example name, "example:" ^ name)
-    | `Problem problem ->
-        let name = problem.Problem.app.Ftes_model.Application.name in
-        Ok (problem, `Inline, "inline:" ^ name)
-  in
   let id =
     match id with
     | Some id -> id
     | None -> Printf.sprintf "req-%d" (Atomic.fetch_and_add counter 1)
   in
-  if id = "" then Error "id must be a non-empty string"
-  else
-    let* () =
-      match whatif with
-      | Some _ when command <> Optimize ->
-          Error "a delta is only valid on an optimize request"
-      | Some { base_id = Some ""; _ } ->
-          Error "base_id must be a non-empty string"
-      | Some _ | None -> Ok ()
-    in
-    Ok { id; command; strategy; config; problem; origin; source; whatif }
+  resolve ~id ~command ~strategy ~slack ~bus ~kmax ~whatif (fun () ->
+      Ok (problem :> target))

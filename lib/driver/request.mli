@@ -44,9 +44,6 @@ type command =
       ref_cost : float option;
     }
 
-val command_name : command -> string
-(** ["analyze"], ["optimize"], ["exact"], ["pareto"]. *)
-
 type whatif = {
   base_id : string option;
       (** earlier optimize request to warm-start from; [None] means the

@@ -27,8 +27,6 @@ val verdict_name : verdict -> string
 (** ["feasible"], ["no-solution"], ["infeasible"], ["lint-failure"],
     ["error"]. *)
 
-val verdict_of_name : string -> (verdict, string) result
-
 val exit_of_verdict : verdict -> Lifecycle.exit_code
 (** The status a one-shot CLI run requests for this outcome ([Failed]
     maps to [Success]: the CLI surfaces execution errors through its
@@ -62,8 +60,6 @@ type t = {
   error : string option;  (** present exactly when [verdict = Failed]. *)
   telemetry : telemetry option;
 }
-
-val schema_version : int
 
 val to_json : t -> Ftes_util.Json.t
 

@@ -23,9 +23,9 @@ let design_on_all_nodes problem =
 
 type slack_row = { mode : string; feasible_pct : float; mean_cost : float }
 
-let slack_ablation ?pool ?(count = 40) ?(ser = 1e-11) ?(hpd = 0.25) ~seed () =
+let slack_ablation ?pool ?(count = 40) ~seed () =
   let specs = population ~count ~seed in
-  let cell = { Workload.ser; hpd } in
+  let cell = { Workload.ser = 1e-11; hpd = 0.25 } in
   let modes =
     [ ("shared (paper)", Scheduler.Shared);
       ("conservative", Scheduler.Conservative);
@@ -88,9 +88,9 @@ type mapping_row = {
   mean_cost : float;
 }
 
-let mapping_ablation ?pool ?(count = 40) ?(ser = 1e-11) ?(hpd = 0.25) ~seed () =
+let mapping_ablation ?pool ?(count = 40) ~seed () =
   let specs = population ~count ~seed in
-  let cell = { Workload.ser; hpd } in
+  let cell = { Workload.ser = 1e-11; hpd = 0.25 } in
   let variants =
     [ ("tabu search (paper)", Config.default);
       ( "greedy initial mapping only",
@@ -138,11 +138,11 @@ type bound_row = {
   bound_unreachable_pct : float;
 }
 
-let bound_ablation ?(count = 30) ?(hpd = 0.25) ~seed () =
+let bound_ablation ?(count = 30) ~seed () =
   let specs = population ~count ~seed in
   List.map
     (fun ser ->
-      let cell = { Workload.ser; hpd } in
+      let cell = { Workload.ser; hpd = 0.25 } in
       let exact_total = ref 0 and bound_total = ref 0 in
       let nodes = ref 0 and unreachable = ref 0 in
       List.iter
@@ -238,18 +238,13 @@ let optimality_gap ?(count = 12) ?(n_processes = 7) ~seed () =
         { Workload.ser = 1e-11; hpd = 0.25 }
         spec
     in
-    let heuristic = Design_strategy.run ~config problem in
-    let exact = Ftes_core.Exhaustive.run ~config problem in
-    match (heuristic, exact) with
-    | Some h, Some e ->
+    let { Ftes_bnb.Bnb.certificate; _ } = Ftes_bnb.Bnb.solve ~config problem in
+    match Ftes_analyze.Bnb_certificate.gap certificate with
+    | Some gap ->
         incr both;
-        let ch = h.Design_strategy.result.Redundancy_opt.cost in
-        let ce = e.Redundancy_opt.cost in
-        let gap = (ch -. ce) /. ce in
         if gap <= 1e-9 then incr optimal;
         gaps := gap :: !gaps
-    | None, None -> ()
-    | None, Some _ | Some _, None -> ()
+    | None -> ()
   done;
   { instances = count;
     both_feasible = !both;
@@ -275,10 +270,9 @@ type policy_row = {
   mean_sl_ratio : float;
 }
 
-let retry_policy_comparison ?(count = 30) ?(ser = 1e-11) ?(hpd = 0.25) ~seed ()
-    =
+let retry_policy_comparison ?(count = 30) ~seed () =
   let specs = population ~count ~seed in
-  let cell = { Workload.ser; hpd } in
+  let cell = { Workload.ser = 1e-11; hpd = 0.25 } in
   let samples =
     List.filter_map
       (fun spec ->

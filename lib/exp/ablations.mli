@@ -14,10 +14,9 @@ type slack_row = {
 }
 
 val slack_ablation :
-  ?pool:Ftes_par.Pool.t ->
-  ?count:int -> ?ser:float -> ?hpd:float -> seed:int -> unit -> slack_row list
+  ?pool:Ftes_par.Pool.t -> ?count:int -> seed:int -> unit -> slack_row list
 (** OPT under Shared / Conservative / Dedicated slack on a synthetic
-    population (defaults: 40 apps, SER 1e-11, HPD 25%).  [pool] runs
+    population (default 40 apps) at SER 1e-11, HPD 25%.  [pool] runs
     the applications of each mode concurrently. *)
 
 val render_slack : slack_row list -> string
@@ -29,10 +28,9 @@ type mapping_row = {
 }
 
 val mapping_ablation :
-  ?pool:Ftes_par.Pool.t ->
-  ?count:int -> ?ser:float -> ?hpd:float -> seed:int -> unit -> mapping_row list
+  ?pool:Ftes_par.Pool.t -> ?count:int -> seed:int -> unit -> mapping_row list
 (** OPT with the full tabu search vs. the greedy initial mapping only
-    (tabu iterations set to zero). *)
+    (tabu iterations set to zero), at SER 1e-11 and HPD 25%. *)
 
 val render_mapping : mapping_row list -> string
 
@@ -48,10 +46,10 @@ type bound_row = {
           (S >= 1 or k beyond the cap) although the exact analysis can. *)
 }
 
-val bound_ablation : ?count:int -> ?hpd:float -> seed:int -> unit -> bound_row list
+val bound_ablation : ?count:int -> seed:int -> unit -> bound_row list
 (** Exact SFP analysis (Appendix A) vs the closed-form S^(k+1)/(1-S)
     bound, across the three fabrication technologies: how much software
-    redundancy the simple bound over-provisions (defaults: 30 apps,
+    redundancy the simple bound over-provisions (default 30 apps;
     HPD 25%). *)
 
 val render_bound : bound_row list -> string
@@ -68,9 +66,10 @@ type gap_row = {
 
 val optimality_gap :
   ?count:int -> ?n_processes:int -> seed:int -> unit -> gap_row
-(** The paper's heuristics vs the exhaustive reference
-    {!Ftes_core.Exhaustive} on small instances (defaults: 12 instances
-    of 7 processes on a 2-node library). *)
+(** The paper's heuristics vs the proven optimum of the exact
+    branch-and-bound {!Ftes_bnb.Bnb.solve} on small instances
+    (defaults: 12 instances of 7 processes on a 2-node library); both
+    costs are read from the optimality certificate. *)
 
 val render_gap : gap_row -> string
 
@@ -84,9 +83,8 @@ type policy_row = {
           policy. *)
 }
 
-val retry_policy_comparison :
-  ?count:int -> ?ser:float -> ?hpd:float -> seed:int -> unit -> policy_row list
-(** On each OPT design (architecture, levels, mapping fixed), compare
+val retry_policy_comparison : ?count:int -> seed:int -> unit -> policy_row list
+(** At SER 1e-11 and HPD 25%, on each OPT design (architecture, levels, mapping fixed), compare
     the paper's shared per-node budgets against (a) the same budgets
     with dedicated per-process slack and (b) individually optimized
     per-process retry budgets ({!Ftes_core.Retry_opt}). *)

@@ -172,10 +172,10 @@ type cc_result = {
   opt_saving_vs_max : float option;
 }
 
-let cc_study ?(config = Config.default) () =
+let cc_study () =
   let problem = Ftes_cc.Cruise_control.problem () in
   let run policy =
-    let config = Config.with_hardening policy config in
+    let config = Config.with_hardening policy Config.default in
     Design_strategy.run ~config problem
   in
   let describe policy =

@@ -18,12 +18,6 @@ type artifact = {
   note : string;
 }
 
-val hpd_values : float list
-(** [0.05; 0.25; 0.50; 1.00]. *)
-
-val ser_values : float list
-(** [1e-12; 1e-11; 1e-10]. *)
-
 val fig6a : Synthetic.suite -> artifact
 (** Acceptance vs HPD at SER = 1e-11, ArC = 20. *)
 
@@ -51,6 +45,7 @@ type cc_result = {
       (** (C_MAX - C_OPT) / C_MAX, when both are feasible. *)
 }
 
-val cc_study : ?config:Ftes_core.Config.t -> unit -> cc_result
+val cc_study : unit -> cc_result
+(** The §7 cruise-controller study under MAX, MIN and OPT. *)
 
 val render_cc : cc_result -> string

@@ -18,9 +18,9 @@ let problems ?params key specs =
     (fun spec -> (spec.Workload.index, Workload.problem_of_spec ?params cell spec))
     specs
 
-let run_cell ?pool ?(config = Config.default) ~problems key =
+let run_cell ?pool ~problems key =
   Ftes_obs.Span.with_ ~name:"exp/cell" @@ fun () ->
-  let config = Config.with_hardening key.policy config in
+  let config = Config.with_hardening key.policy Config.default in
   let t0 = Sys.time () in
   let solutions =
     problems
@@ -73,20 +73,14 @@ let feasibility run =
 
 type suite = {
   specs : Workload.app_spec list;
-  params : Workload.params option;
-  config : Config.t;
   pool : Ftes_par.Pool.t option;
   table : (cell_key, cell_run) Hashtbl.t;
 }
 
-let create_suite ?pool ?params ?(config = Config.default) ?(count = 150) ~seed
-    () =
-  let specs =
-    match params with
-    | Some params -> Workload.paper_suite ~params ~count ~seed ()
-    | None -> Workload.paper_suite ~count ~seed ()
-  in
-  { specs; params; config; pool; table = Hashtbl.create 32 }
+let create_suite ?pool ?(count = 150) ~seed () =
+  { specs = Workload.paper_suite ~count ~seed ();
+    pool;
+    table = Hashtbl.create 32 }
 
 let suite_specs suite = suite.specs
 
@@ -94,8 +88,8 @@ let cell suite key =
   match Hashtbl.find_opt suite.table key with
   | Some run -> run
   | None ->
-      let problems = problems ?params:suite.params key suite.specs in
-      let run = run_cell ?pool:suite.pool ~config:suite.config ~problems key in
+      let problems = problems key suite.specs in
+      let run = run_cell ?pool:suite.pool ~problems key in
       Hashtbl.replace suite.table key run;
       run
 

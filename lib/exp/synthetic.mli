@@ -41,13 +41,12 @@ val problems :
 
 val run_cell :
   ?pool:Ftes_par.Pool.t ->
-  ?config:Ftes_core.Config.t ->
   problems:(int * Ftes_model.Problem.t) list ->
   cell_key ->
   cell_run
 (** Run one cell over a fixed application population, given as
-    {!problems}.  [config]'s
-    hardening policy is overridden by the cell's.  With a multi-domain
+    {!problems}, under {!Ftes_core.Config.default} with the cell's
+    hardening policy.  With a multi-domain
     [pool] the (independent) applications are optimized concurrently;
     the per-application results and their order are bit-identical to a
     sequential run.  [elapsed_s] is CPU time, summed over domains. *)
@@ -64,8 +63,6 @@ type suite
 
 val create_suite :
   ?pool:Ftes_par.Pool.t ->
-  ?params:Ftes_gen.Workload.params ->
-  ?config:Ftes_core.Config.t ->
   ?count:int ->
   seed:int ->
   unit ->

@@ -15,11 +15,6 @@ type estimate = {
   ci_high : float;  (** 95% Wilson interval. *)
 }
 
-val run_once : Ftes_util.Prng.t -> Fault_model.t -> duration_ms:float -> bool
-(** One injected execution: [true] when the execution fails.  Strikes
-    are drawn as exponential inter-arrival times; each strike is masked
-    with the model's masking probability. *)
-
 val estimate_pfail :
   Ftes_util.Prng.t ->
   Fault_model.t ->

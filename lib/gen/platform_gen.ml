@@ -20,8 +20,7 @@ type node_spec = {
   levels : int;
 }
 
-let node_type ~tech ~hpd ?(cost_of = fun ~base ~level ->
-    Hardening.linear_cost ~base ~level) ~base_wcets_ms spec =
+let node_type ~tech ~hpd ~base_wcets_ms spec =
   if spec.levels < 1 then invalid_arg "Platform_gen.node_type: no levels";
   if spec.speed <= 0.0 then invalid_arg "Platform_gen.node_type: bad speed";
   let versions =
@@ -42,7 +41,7 @@ let node_type ~tech ~hpd ?(cost_of = fun ~base ~level ->
             wcet_ms
         in
         Platform.hversion ~level
-          ~cost:(cost_of ~base:spec.base_cost ~level)
+          ~cost:(Hardening.linear_cost ~base:spec.base_cost ~level)
           ~wcet_ms ~pfail)
   in
   Platform.node_type ~name:spec.name ~versions

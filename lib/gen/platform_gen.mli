@@ -27,7 +27,6 @@ type node_spec = {
 val node_type :
   tech:tech ->
   hpd:float ->
-  ?cost_of:(base:float -> level:int -> float) ->
   base_wcets_ms:float array ->
   node_spec ->
   Ftes_model.Platform.node_type
@@ -35,5 +34,5 @@ val node_type :
     table: WCET of process [i] at level [h] is
     [base.(i) * spec.speed * (1 + degradation h)], its failure
     probability is the closed-form strike probability over that duration
-    with the level's masking, and costs follow [cost_of] (default
-    {!Ftes_model.Hardening.linear_cost}). *)
+    with the level's masking, and costs follow
+    {!Ftes_model.Hardening.linear_cost}. *)

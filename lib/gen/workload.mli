@@ -56,10 +56,6 @@ val problem_of_spec :
   ?params:params -> cell -> app_spec -> Ftes_model.Problem.t
 (** Expand a spec into the full problem tables for one cell. *)
 
-val suite_processes : count:int -> int -> int
-(** Process count of application [index] in a [count]-app suite (the
-    first half gets 20, the second 40). *)
-
 val suite_slice :
   ?params:params -> count:int -> seed:int -> lo:int -> hi:int -> unit ->
   app_spec list

@@ -4,7 +4,7 @@
     the global deadline [D], the period [T] (one iteration of the
     application; the worked example of Appendix A.2 uses T = D), the
     reliability goal expressed as [gamma] (the maximum acceptable
-    probability of a system failure within {!time_unit_ms}, i.e. one
+    probability of a system failure within the time unit tau, one
     hour), and the recovery overhead [mu] charged before every
     re-execution. *)
 
@@ -17,9 +17,6 @@ type t = private {
   gamma : float; (* reliability goal is rho = 1 - gamma per hour *)
   recovery_overhead_ms : float; (* mu *)
 }
-
-val time_unit_ms : float
-(** The reliability time unit tau: one hour, in milliseconds. *)
 
 val make :
   ?name:string ->

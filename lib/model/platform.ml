@@ -63,8 +63,3 @@ let mean_wcet nt ~level =
   let n = Array.length v.wcet_ms in
   if n = 0 then 0.0
   else Array.fold_left ( +. ) 0.0 v.wcet_ms /. float_of_int n
-
-let pp_node ppf nt =
-  Format.fprintf ppf "%s (%d h-versions, costs" nt.node_name (levels nt);
-  Array.iter (fun v -> Format.fprintf ppf " %g" v.cost) nt.versions;
-  Format.fprintf ppf ")"

@@ -47,5 +47,3 @@ val version : node_type -> level:int -> hversion
 val mean_wcet : node_type -> level:int -> float
 (** Average WCET over all processes — the "speed" used to order
     architectures from fastest to slowest in {!Ftes_core.Design_strategy}. *)
-
-val pp_node : Format.formatter -> node_type -> unit

@@ -195,12 +195,11 @@ let components t =
   Hashtbl.fold (fun _ procs acc -> procs :: acc) groups []
   |> List.sort (fun a b -> compare (List.hd a) (List.hd b))
 
-let to_dot ?(name = "G") ?label t =
-  let label = Option.value ~default:(fun i -> Printf.sprintf "P%d" (i + 1)) label in
+let to_dot t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph %s {\n  rankdir=TB;\n" name);
+  Buffer.add_string buf "digraph G {\n  rankdir=TB;\n";
   for i = 0 to t.n - 1 do
-    Buffer.add_string buf (Printf.sprintf "  p%d [label=\"%s\"];\n" i (label i))
+    Buffer.add_string buf (Printf.sprintf "  p%d [label=\"P%d\"];\n" i (i + 1))
   done;
   List.iter
     (fun e ->

@@ -92,5 +92,6 @@ val bottom_levels_wcet : t -> wcet:float array -> mapping:int array -> float arr
 val components : t -> int list list
 (** Weakly-connected components (the [G_k] of the application set). *)
 
-val to_dot : ?name:string -> ?label:(int -> string) -> t -> string
-(** GraphViz rendering, for documentation and debugging. *)
+val to_dot : t -> string
+(** GraphViz rendering (graph [G], processes labelled [P1 .. Pn]), for
+    documentation and debugging. *)

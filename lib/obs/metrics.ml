@@ -87,15 +87,11 @@ let add c n =
 
 let counter_value c = Atomic.get c.c_value
 
-let counter_name c = c.c_name
-
 (* Benchmarks measure one section at a time; zeroing a counter between
    sections is the one sanctioned break in monotonicity. *)
 let reset_counter c = Atomic.set c.c_value 0
 
 let set g v = Atomic.set g.g_value v
-
-let gauge_value g = Atomic.get g.g_value
 
 let bucket_of_value v =
   let rec log2 acc v = if v <= 1 then acc else log2 (acc + 1) (v lsr 1) in
@@ -105,8 +101,6 @@ let observe h v =
   let v = max v 0 in
   Atomic.incr h.h_counts.(bucket_of_value v);
   ignore (Atomic.fetch_and_add h.h_sum v)
-
-let histogram_name h = h.h_name
 
 (* --- snapshots --- *)
 

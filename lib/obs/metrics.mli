@@ -35,22 +35,14 @@ val add : counter -> int -> unit
 
 val counter_value : counter -> int
 
-val counter_name : counter -> string
-
 val reset_counter : counter -> unit
 (** Zero one counter (benchmark sections); see also {!reset}. *)
 
 val set : gauge -> float -> unit
 
-val gauge_value : gauge -> float
-
 val observe : histogram -> int -> unit
 (** Record one observation (clamped to [>= 0]) into the bucket
     [floor (log2 v)] — log-scale, sized for nanosecond latencies. *)
-
-val histogram_name : histogram -> string
-
-val n_buckets : int
 
 val bucket_of_value : int -> int
 (** Bucket index an observation lands in (exposed for tests). *)

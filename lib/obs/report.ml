@@ -1,6 +1,5 @@
 module Text_table = Ftes_util.Text_table
 module Csv = Ftes_util.Csv
-module Json = Ftes_util.Json
 
 (* --- metrics snapshot rendering --- *)
 
@@ -28,46 +27,6 @@ let metrics_to_csv (s : Metrics.snapshot) =
       s.Metrics.histograms
   in
   header :: (counters @ gauges @ histograms)
-
-let metrics_to_text (s : Metrics.snapshot) =
-  let table = Text_table.create ~headers:[ "kind"; "name"; "value" ] in
-  Text_table.set_aligns table [ Text_table.Left; Text_table.Left; Text_table.Right ];
-  List.iter
-    (fun (name, v) -> Text_table.add_row table [ "counter"; name; string_of_int v ])
-    s.Metrics.counters;
-  List.iter
-    (fun (name, v) ->
-      Text_table.add_row table [ "gauge"; name; Printf.sprintf "%g" v ])
-    s.Metrics.gauges;
-  List.iter
-    (fun (name, h) ->
-      Text_table.add_row table
-        [ "histogram"; name;
-          Printf.sprintf "n=%d mean=%.0f p99<=%.0f" (Metrics.hist_count h)
-            (Metrics.hist_mean h)
-            (Metrics.hist_quantile h 0.99) ])
-    s.Metrics.histograms;
-  Text_table.render table
-
-let metrics_to_json (s : Metrics.snapshot) =
-  let counters =
-    List.map (fun (n, v) -> (n, Json.int v)) s.Metrics.counters
-  in
-  let gauges = List.map (fun (n, v) -> (n, Json.Number v)) s.Metrics.gauges in
-  let histograms =
-    List.map
-      (fun (n, h) ->
-        ( n,
-          Json.Object
-            [ ("count", Json.int (Metrics.hist_count h));
-              ("sum", Json.int (Metrics.hist_sum h));
-              ("buckets", Json.ints h.Metrics.buckets) ] ))
-      s.Metrics.histograms
-  in
-  Json.Object
-    [ ("counters", Json.Object counters);
-      ("gauges", Json.Object gauges);
-      ("histograms", Json.Object histograms) ]
 
 let write_metrics_csv path snapshot =
   Csv.write_file path (metrics_to_csv snapshot)
@@ -148,13 +107,3 @@ let profile_to_csv ~wall_ns (s : Metrics.snapshot) =
                  Printf.sprintf "%.2f"
                    (100.0 *. float_of_int p.total_ns /. float_of_int wall_ns));
               string_of_int p.alloc_b ]))
-
-(* The root span (deepest-nesting outermost phase, i.e. the largest
-   total) should account for ~all of the wall time; `ftes profile`
-   prints this coverage so drift is visible. *)
-let root_coverage ~wall_ns (s : Metrics.snapshot) =
-  match phases_of_snapshot s with
-  | [] -> 0.0
-  | root :: _ ->
-      if wall_ns <= 0 then 0.0
-      else float_of_int root.total_ns /. float_of_int wall_ns

@@ -1,14 +1,5 @@
-(** Reporters over {!Metrics} snapshots: plain-text tables
-    ({!Ftes_util.Text_table}), CSV ({!Ftes_util.Csv}) and JSON, plus
+(** Reporters over {!Metrics} snapshots: CSV ({!Ftes_util.Csv}) and
     the per-phase profile breakdown printed by [ftes profile]. *)
-
-val metrics_to_text : Metrics.snapshot -> string
-
-val metrics_to_csv : Metrics.snapshot -> string list list
-(** Rows [kind; name; value; count; sum; mean; p50; p99]; counters and
-    gauges leave the histogram columns empty and vice versa. *)
-
-val metrics_to_json : Metrics.snapshot -> Ftes_util.Json.t
 
 val write_metrics_csv : string -> Metrics.snapshot -> unit
 
@@ -29,7 +20,3 @@ val phases_of_snapshot : Metrics.snapshot -> phase list
 val profile_to_text : wall_ns:int -> Metrics.snapshot -> string
 
 val profile_to_csv : wall_ns:int -> Metrics.snapshot -> string list list
-
-val root_coverage : wall_ns:int -> Metrics.snapshot -> float
-(** Fraction of the wall time covered by the largest phase (the root
-    span); `ftes profile` checks this stays near 1. *)

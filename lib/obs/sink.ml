@@ -68,8 +68,3 @@ let memory_events t =
   match t with
   | Memory { events; mutex } -> locked mutex (fun () -> List.rev !events)
   | Null | Jsonl _ -> []
-
-let flush t =
-  match t with
-  | Jsonl { oc; mutex } -> locked mutex (fun () -> flush oc)
-  | Null | Memory _ -> ()

@@ -36,8 +36,6 @@ val memory_events : t -> event list
 
 val emit : t -> event -> unit
 
-val flush : t -> unit
-
 val event_to_json : event -> Ftes_util.Json.t
 
 val event_of_json : Ftes_util.Json.t -> (event, string) result

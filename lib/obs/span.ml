@@ -26,8 +26,6 @@ let configure ?(sink = Sink.null) ?(aggregate = false) () =
 
 let disable () = set off
 
-let current () = Atomic.get state
-
 let enabled () = Atomic.get enabled_flag
 
 type frame = { name : string; depth : int; start_ns : int; alloc0 : float }
@@ -39,11 +37,6 @@ let stacks : frame list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
 
 let stack_depth () = List.length !(Domain.DLS.get stacks)
-
-let current_name () =
-  match !(Domain.DLS.get stacks) with
-  | [] -> None
-  | frame :: _ -> Some frame.name
 
 (* Aggregated per-name totals feed the profiler: a counter pair
    (count, total ns), an allocation counter (bytes, rounded), and a

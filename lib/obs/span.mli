@@ -36,13 +36,8 @@ val enabled : unit -> bool
 
 type config = { sink : Sink.t; aggregate : bool }
 
-val current : unit -> config
-
 val span_prefix : string
 (** Prefix of the aggregated metric names, ["span."]. *)
 
 val stack_depth : unit -> int
 (** Open spans on the calling domain's stack (tests). *)
-
-val current_name : unit -> string option
-(** Innermost open span of the calling domain, if any. *)

@@ -137,28 +137,10 @@ let block_deques ~workers tasks =
       let lo = w * n / workers and hi = (w + 1) * n / workers in
       Deque.of_tasks (Array.init (hi - lo) (fun i -> lo + i)))
 
-(* Deal the indices round-robin by descending weight so every worker
-   starts on one of the heaviest tasks; within a worker's deque the
-   heavier tasks sit at the bottom end (popped first), so the tail of
-   the run is made of cheap tasks — the stragglers that decide the
-   wall-clock are the short ones. *)
-let weighted_deques ~workers weights =
-  let n = Array.length weights in
-  let order = Array.init n Fun.id in
-  Array.sort
-    (fun a b ->
-      match compare weights.(b) weights.(a) with
-      | 0 -> compare a b
-      | c -> c)
-    order;
-  let lists = Array.make workers [] in
-  Array.iteri (fun i task -> lists.(i mod workers) <- task :: lists.(i mod workers)) order;
-  Array.map (fun tasks -> Deque.of_tasks (Array.of_list tasks)) lists
-
-(* The ordered map behind [map] and [map_weighted]: [List.map] when no
-   parallelism is available, else the task indices are spread over the
-   workers by [deques] and the results read back in input order. *)
-let ordered_map ~pool ~deques f xs =
+(* The ordered map: [List.map] when no parallelism is available, else
+   the task indices are block-distributed over the workers and the
+   results read back in input order. *)
+let map ?(pool = sequential) f xs =
   let n = List.length xs in
   let workers = min pool.domains n in
   if workers <= 1 || Domain.DLS.get inside_worker then List.map f xs
@@ -167,23 +149,13 @@ let ordered_map ~pool ~deques f xs =
     Ftes_obs.Metrics.add c_tasks n;
     let tasks = Array.of_list xs in
     let results = Array.make n None in
-    run_deques ~workers (deques ~workers tasks) (fun i ->
+    run_deques ~workers (block_deques ~workers tasks) (fun i ->
         results.(i) <- Some (f tasks.(i)));
     Array.to_list results
     |> List.map (function
          | Some r -> r
          | None -> assert false (* run_deques re-raises before we get here *))
   end
-
-let map ?(pool = sequential) f xs = ordered_map ~pool ~deques:block_deques f xs
-
-(* Weights are taken before any parallelism starts, in input order, so
-   the schedule hint can never feed back into the results. *)
-let map_weighted ?(pool = sequential) ~weight f xs =
-  ordered_map ~pool
-    ~deques:(fun ~workers tasks ->
-      weighted_deques ~workers (Array.map weight tasks))
-    f xs
 
 let map_seeded ?pool ~prng f xs =
   let seeded = List.map (fun x -> (Ftes_util.Prng.split prng, x)) xs in

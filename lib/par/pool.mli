@@ -24,13 +24,10 @@ type t
     per [map] call and joined before it returns, so no explicit
     shutdown is needed. *)
 
-val default_domains : unit -> int
-(** Domain count from the [FTES_DOMAINS] environment variable when set
-    to a positive integer, otherwise [Domain.recommended_domain_count
-    ()]. *)
-
 val create : ?domains:int -> unit -> t
-(** [create ()] uses {!default_domains}.  [domains] below 1 raises
+(** [create ()] takes its domain count from the [FTES_DOMAINS]
+    environment variable when set to a positive integer, otherwise
+    [Domain.recommended_domain_count ()].  [domains] below 1 raises
     [Invalid_argument]. *)
 
 val sequential : t
@@ -49,16 +46,6 @@ val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** Ordered parallel map.  Without [?pool] (or with {!sequential}) it
     is exactly [List.map].  Exceptions raised by [f] are re-raised in
     the calling domain after all workers have stopped. *)
-
-val map_weighted :
-  ?pool:t -> weight:('a -> float) -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} with a scheduling hint: elements with larger [weight] are
-    started first, dealt round-robin over the workers, so one huge task
-    discovered last can no longer serialize the tail of the run.
-    [weight] is called once per element, in input order, before any
-    parallelism starts.  Results are returned in input order; for a
-    pure [f] the output is [List.map f xs] regardless of the weights —
-    they only shape the wall clock. *)
 
 val map_seeded :
   ?pool:t -> prng:Ftes_util.Prng.t -> (Ftes_util.Prng.t -> 'a -> 'b) ->

@@ -6,13 +6,6 @@
     checked {!Ftes_model.Design.make}, so a frontier file can never
     smuggle an out-of-library design back into the toolchain. *)
 
-val schema_version : int
-
-val csv_header : string list
-(** [cost; slack_ms; margin_log10; members; levels; reexecs; mapping] —
-    objective values as round-trippable decimal floats, design arrays
-    as [';']-joined integers. *)
-
 val to_csv : Archive.t -> string list list
 (** Header row followed by one row per frontier point, in
     {!Archive.points} order. *)

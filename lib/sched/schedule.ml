@@ -28,8 +28,6 @@ let length t = t.length
 
 let entry t ~proc = t.entries.(proc)
 
-let schedulable t ~deadline_ms = Ftes_util.Tolerance.leq t.length deadline_ms
-
 let utilization t ~slot =
   let busy =
     Array.fold_left

@@ -38,9 +38,6 @@ val length : t -> float
 
 val entry : t -> proc:int -> entry
 
-val schedulable : t -> deadline_ms:float -> bool
-(** [length t <= deadline]. *)
-
 val utilization : t -> slot:int -> float
 (** Fault-free busy fraction of a member up to its nominal finish. *)
 

@@ -7,20 +7,16 @@ let n_float_slots = 8
 
 let n_int_slots = 4
 
-let n_bool_slots = 2
-
 type t = {
   mutable busy : bool;
   floats : float array array;
   ints : int array array;
-  bools : bool array array;
 }
 
 let create () =
   { busy = false;
     floats = Array.make n_float_slots [||];
-    ints = Array.make n_int_slots [||];
-    bools = Array.make n_bool_slots [||] }
+    ints = Array.make n_int_slots [||] }
 
 let key = Domain.DLS.new_key create
 
@@ -51,8 +47,3 @@ let ints t ~slot ~n =
   if Array.length t.ints.(slot) < n then
     t.ints.(slot) <- Array.make (rounded n) 0;
   t.ints.(slot)
-
-let bools t ~slot ~n =
-  if Array.length t.bools.(slot) < n then
-    t.bools.(slot) <- Array.make (rounded n) false;
-  t.bools.(slot)

@@ -26,6 +26,3 @@ val floats : t -> slot:int -> n:int -> float array
 
 val ints : t -> slot:int -> n:int -> int array
 (** Slot indices [0..3]. *)
-
-val bools : t -> slot:int -> n:int -> bool array
-(** Slot indices [0..1]. *)

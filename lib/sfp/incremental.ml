@@ -50,8 +50,6 @@ let make vectors =
   { exceed = Array.map (fun (nv : node_vectors) -> nv.exceed) vectors;
     sat = Array.map (fun (nv : node_vectors) -> nv.sat) vectors }
 
-let n_members t = Array.length t.exceed
-
 let saturated t ~member ~k = k >= t.sat.(member)
 
 (* The reference fold of formula (5) multiplies the per-node survival

@@ -44,8 +44,6 @@ type t
 
 val make : node_vectors array -> t
 
-val n_members : t -> int
-
 val saturated : t -> member:int -> k:int -> bool
 (** Whether raising [member] beyond [k] re-executions provably leaves
     every analysis float unchanged. *)

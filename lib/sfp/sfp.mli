@@ -75,11 +75,6 @@ type verdict = {
   meets_goal : bool;
 }
 
-val margin_cap : float
-(** Saturation bound (300 decades) of {!log10_margin}: the magnitude at
-    which the logarithmic margin is clamped, keeping archive objectives
-    finite even for a zero failure probability. *)
-
 val max_admissible_failure : Ftes_model.Application.t -> float
 (** The largest per-iteration failure probability that still meets
     formula (6): [1 - rho^(1/ceil(iterations per hour))].  A design
@@ -92,7 +87,7 @@ val log10_margin :
     [log10 (max_admissible_failure / per_iteration_failure)] — how many
     decades the design's per-iteration failure sits {e below} the
     admissible maximum.  Non-negative exactly when the goal is met,
-    clamped to [±]{!margin_cap} (and to the cap for a zero failure
+    clamped to [±300] decades (and to the cap for a zero failure
     probability).  This is the third archive objective of
     {!Ftes_pareto}. *)
 

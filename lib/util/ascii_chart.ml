@@ -1,6 +1,7 @@
 type series = { label : string; values : float list }
 
-let bar_chart ?(width = 50) ~title ~x_labels series =
+let bar_chart ~title ~x_labels series =
+  let width = 50 in
   List.iter
     (fun s ->
       if List.length s.values <> List.length x_labels then
@@ -34,9 +35,8 @@ let bar_chart ?(width = 50) ~title ~x_labels series =
     x_labels;
   Buffer.contents buf
 
-let scatter ?(width = 60) ?(height = 12) ~title ~x_label ~y_label points =
-  if width < 2 || height < 2 then
-    invalid_arg "Ascii_chart.scatter: grid must be at least 2 x 2";
+let scatter ~title ~x_label ~y_label points =
+  let width = 60 and height = 12 in
   let buf = Buffer.create 1024 in
   Buffer.add_string buf title;
   Buffer.add_char buf '\n';

@@ -6,11 +6,9 @@
 
 type series = { label : string; values : float list }
 
-val bar_chart :
-  ?width:int -> title:string -> x_labels:string list -> series list -> string
+val bar_chart : title:string -> x_labels:string list -> series list -> string
 (** [bar_chart ~title ~x_labels series] renders one horizontal bar per
-    (x, series) pair, scaled to [width] characters (default 50) for the
-    value 100.  All series must have [List.length x_labels] values;
+    (x, series) pair, scaled to 50 characters for the value 100.  All series must have [List.length x_labels] values;
     raises [Invalid_argument] otherwise. *)
 
 val sparkline : float list -> string
@@ -18,15 +16,12 @@ val sparkline : float list -> string
     (["_.-~^"] levels in pure ASCII). *)
 
 val scatter :
-  ?width:int ->
-  ?height:int ->
   title:string ->
   x_label:string ->
   y_label:string ->
   (float * float) list ->
   string
 (** [scatter ~title ~x_label ~y_label points] renders an [*]-per-point
-    scatter plot on a [width] x [height] character grid (default
-    60 x 12), axes annotated with the data extremes — the [ftes pareto]
+    scatter plot on a 60 x 12 character grid, axes annotated with the data extremes — the [ftes pareto]
     cost-vs-slack view.  Coincident grid cells collapse into one mark;
     an empty point list renders a ["(no points)"] placeholder. *)

@@ -13,7 +13,7 @@ let fsync_dir dir =
       (try Unix.fsync fd with Unix.Unix_error _ -> ());
       Unix.close fd
 
-let write ?(fsync = true) path f =
+let write path f =
   let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
   let fd =
     try Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
@@ -24,14 +24,13 @@ let write ?(fsync = true) path f =
   (match f oc with
   | () ->
       flush oc;
-      if fsync then Unix.fsync fd;
+      Unix.fsync fd;
       close_out oc
   | exception e ->
       (try close_out oc with _ -> ());
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e);
   Unix.rename tmp path;
-  if fsync then fsync_dir (Filename.dirname path)
+  fsync_dir (Filename.dirname path)
 
-let write_string ?fsync path s =
-  write ?fsync path (fun oc -> output_string oc s)
+let write_string path s = write path (fun oc -> output_string oc s)

@@ -8,13 +8,12 @@
     resuming a killed campaign — therefore sees either the previous
     complete file or the new complete file, never a torn prefix. *)
 
-val write : ?fsync:bool -> string -> (out_channel -> unit) -> unit
+val write : string -> (out_channel -> unit) -> unit
 (** [write path f] creates [path ^ ".tmp.<pid>"] in the same
-    directory, applies [f] to its channel, flushes, [fsync]s (unless
-    [~fsync:false] — benchmarks that rewrite results in a tight loop
-    may opt out), renames it over [path] and finally syncs the
+    directory, applies [f] to its channel, flushes, [fsync]s, renames
+    it over [path] and finally syncs the
     directory so the rename itself survives a crash.  The temporary
     file is removed when [f] raises; the exception is re-raised. *)
 
-val write_string : ?fsync:bool -> string -> string -> unit
+val write_string : string -> string -> unit
 (** [write_string path s] is [write path (fun oc -> output_string oc s)]. *)

@@ -10,9 +10,6 @@
 val escape_field : string -> string
 (** Quote a single field if needed. *)
 
-val row_to_string : string list -> string
-(** One CSV line, without the trailing newline. *)
-
 val to_string : string list list -> string
 (** Full document with ["\n"] line termination. *)
 

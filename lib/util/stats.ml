@@ -1,32 +1,3 @@
-type running = {
-  mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable min : float;
-  mutable max : float;
-}
-
-let running_create () =
-  { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity }
-
-let running_add r x =
-  r.count <- r.count + 1;
-  let delta = x -. r.mean in
-  r.mean <- r.mean +. (delta /. float_of_int r.count);
-  r.m2 <- r.m2 +. (delta *. (x -. r.mean));
-  if x < r.min then r.min <- x;
-  if x > r.max then r.max <- x
-
-let running_count r = r.count
-let running_mean r = r.mean
-
-let running_variance r =
-  if r.count < 2 then 0.0 else r.m2 /. float_of_int (r.count - 1)
-
-let running_stddev r = sqrt (running_variance r)
-let running_min r = r.min
-let running_max r = r.max
-
 let mean = function
   | [] -> 0.0
   | xs -> List.fold_left ( +. ) 0.0 xs /. float_of_int (List.length xs)

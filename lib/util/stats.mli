@@ -1,19 +1,5 @@
 (** Small statistics helpers for the experiment harness. *)
 
-type running
-(** Single-pass accumulator (Welford) for mean / variance / extrema. *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_variance : running -> float
-(** Unbiased sample variance; [0.] with fewer than two samples. *)
-
-val running_stddev : running -> float
-val running_min : running -> float
-val running_max : running -> float
-
 val mean : float list -> float
 (** Arithmetic mean; [0.] on the empty list. *)
 

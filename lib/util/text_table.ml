@@ -72,10 +72,6 @@ let render t =
   rule ();
   Buffer.contents buf
 
-let print t =
-  print_string (render t);
-  print_newline ()
-
 let cell_float ?(decimals = 2) x = Printf.sprintf "%.*f" decimals x
 
 let cell_pct x = Printf.sprintf "%.1f" (100.0 *. x)

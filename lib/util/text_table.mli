@@ -23,9 +23,6 @@ val add_separator : t -> unit
 val render : t -> string
 (** Render with box-drawing in plain ASCII. *)
 
-val print : t -> unit
-(** [render] to stdout followed by a newline flush. *)
-
 val cell_float : ?decimals:int -> float -> string
 (** Fixed-point cell formatting helper (default 2 decimals). *)
 

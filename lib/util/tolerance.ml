@@ -15,8 +15,6 @@ let prob_eps = 1e-15
 
 let leq ?(eps = time_eps_ms) a b = a <= b +. eps
 
-let geq ?(eps = time_eps_ms) a b = b <= a +. eps
-
 let lt ?(eps = time_eps_ms) a b = a < b -. eps
 
 let gt ?(eps = time_eps_ms) a b = b < a -. eps

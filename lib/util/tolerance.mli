@@ -18,9 +18,6 @@ val prob_eps : float
 val leq : ?eps:float -> float -> float -> bool
 (** [leq a b] is [a <= b] up to [eps] (default {!time_eps_ms}). *)
 
-val geq : ?eps:float -> float -> float -> bool
-(** [geq a b] is [a >= b] up to [eps]. *)
-
 val lt : ?eps:float -> float -> float -> bool
 (** [lt a b] is [a < b] by more than [eps]. *)
 

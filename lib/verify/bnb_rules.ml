@@ -53,8 +53,8 @@ let prefix_str prefix =
   "{" ^ String.concat "," (List.map string_of_int (Array.to_list prefix)) ^ "}"
 
 (* Σ over non-empty subsets of the library of (levels product) * m^n —
-   [Ftes_core.Exhaustive.search_space], re-derived here because the
-   verifier sits below the search engines. *)
+   [Ftes_bnb.Bnb.search_space], re-derived here because the verifier
+   sits below the search engines. *)
 let rederive_search_space problem =
   let lib = Problem.n_library problem in
   let n = float_of_int (Problem.n_processes problem) in

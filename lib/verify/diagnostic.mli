@@ -33,6 +33,4 @@ val warn : ?loc:location -> rule:string -> ('a, unit, string, t) format4 -> 'a
 
 val info : ?loc:location -> rule:string -> ('a, unit, string, t) format4 -> 'a
 
-val pp_location : Format.formatter -> location -> unit
-
 val pp : Format.formatter -> t -> unit

@@ -43,8 +43,6 @@ let of_schedule ?(slack = Scheduler.Shared) ?(bus = Bus.Fcfs) ?sfp_tables
     bus;
     sfp_tables }
 
-let with_sfp_tables t tables = { t with sfp_tables = Some tables }
-
 let with_metrics t snapshot = { t with metrics = Some snapshot }
 
 let with_archive ?opt_cost t archive =

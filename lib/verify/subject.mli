@@ -79,9 +79,6 @@ val of_schedule :
   t
 (** The full triple (defaults: shared slack, FCFS bus, no tables). *)
 
-val with_sfp_tables : t -> Ftes_sfp.Sfp.node_analysis array -> t
-(** Attach memoized SFP tables to an existing subject. *)
-
 val with_metrics : t -> Ftes_obs.Metrics.snapshot -> t
 (** Attach a metrics snapshot, enabling the [obs/*] rules. *)
 

@@ -20,7 +20,7 @@ let synthetic_problem ?(seed = 1234) ?(n = 12) ?(ser = 1e-11) ?(hpd = 0.25) ()
   in
   Ftes_gen.Workload.problem_of_spec { Ftes_gen.Workload.ser; hpd } spec
 
-(* Toy instances small enough for [Ftes_core.Exhaustive.run] (and the
+(* Toy instances small enough for [Ftes_oracle.Exhaustive.run] (and the
    exact branch-and-bound): [n] processes over a [lib]-node library
    with [levels] h-versions each, at a SER high enough that hardening
    and re-execution decisions actually matter. *)

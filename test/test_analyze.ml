@@ -10,7 +10,7 @@ module Application = Ftes_model.Application
 module Config = Ftes_core.Config
 module Design_strategy = Ftes_core.Design_strategy
 module Redundancy_opt = Ftes_core.Redundancy_opt
-module Exhaustive = Ftes_core.Exhaustive
+module Exhaustive = Ftes_oracle.Exhaustive
 module Archive = Ftes_pareto.Archive
 module Verify = Ftes_verify.Verify
 module Report = Ftes_verify.Report

@@ -13,14 +13,13 @@ module Cert = Ftes_analyze.Bnb_certificate
 module Cert_io = Ftes_analyze.Bnb_certificate_io
 module Preflight = Ftes_analyze.Preflight
 module Config = Ftes_core.Config
-module Exhaustive = Ftes_core.Exhaustive
+module Exhaustive = Ftes_oracle.Exhaustive
 module Redundancy_opt = Ftes_core.Redundancy_opt
 module Design_strategy = Ftes_core.Design_strategy
 module Subject = Ftes_verify.Subject
 module Verify = Ftes_verify.Verify
 module Report = Ftes_verify.Report
 module Diagnostic = Ftes_verify.Diagnostic
-module Pool = Ftes_par.Pool
 module Workload = Ftes_gen.Workload
 module Csv = Ftes_util.Csv
 module Json = Ftes_util.Json
@@ -278,7 +277,7 @@ let test_ladder_top_certified () =
   Alcotest.(check bool) "pruning fired" true
     (prunes outcome.Bnb.certificate.Cert.counters > 0)
 
-(* --- symmetry, parallelism, budget, gaps --- *)
+(* --- symmetry, budget, gaps --- *)
 
 let test_symmetry_differential () =
   List.iter
@@ -300,32 +299,6 @@ let test_symmetry_differential () =
         (Printf.sprintf "seed %d: audit ok" seed)
         true (audit_ok config problem outcome))
     [ 42; 7 ]
-
-let test_parallel_matches_sequential () =
-  let pool = Pool.create ~domains:2 () in
-  List.iter
-    (fun (name, problem) ->
-      let config = Config.default in
-      let seq = Bnb.solve ~config problem in
-      let par = Bnb.solve ~pool ~config problem in
-      Alcotest.(check (float 0.0))
-        (name ^ ": cost") (cost_of seq.Bnb.best) (cost_of par.Bnb.best);
-      Alcotest.(check (float 0.0))
-        (name ^ ": schedule length") (sl_of seq.Bnb.best)
-        (sl_of par.Bnb.best);
-      (match (seq.Bnb.best, par.Bnb.best) with
-      | Some a, Some b ->
-          Alcotest.(check bool)
-            (name ^ ": same design") true
-            (a.Redundancy_opt.design = b.Redundancy_opt.design)
-      | None, None -> ()
-      | _ -> Alcotest.fail (name ^ ": feasibility diverged"));
-      Alcotest.(check bool)
-        (name ^ ": parallel audit ok")
-        true (audit_ok config problem par))
-    [ ("seed42", Helpers.small_problem ~n:4 ~lib:3 ~levels:2 42);
-      ("seed3", Helpers.small_problem ~n:4 ~lib:3 ~levels:2 3);
-      ("twin", duplicated_library 42) ]
 
 let test_budget_exhausted () =
   let problem, config, _ = Lazy.force fixture in
@@ -534,8 +507,6 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_differential;
           Alcotest.test_case "symmetry twins" `Quick
             test_symmetry_differential;
-          Alcotest.test_case "parallel = sequential" `Quick
-            test_parallel_matches_sequential;
           Alcotest.test_case "infeasibility proof" `Quick
             test_infeasible_proof;
           Alcotest.test_case "ladder = exhaustive" `Slow

@@ -390,9 +390,9 @@ let test_checkpoint_formula () =
 
 let test_optimal_checkpoints () =
   Alcotest.(check int) "no faults, no checkpoints" 1
-    (Checkpoint_opt.optimal_checkpoints ~t:80.0 ~save:4.0 ~k:0 ());
+    (Checkpoint_opt.optimal_checkpoints ~t:80.0 ~save:4.0 ~k:0);
   Alcotest.(check int) "free saves saturate" 20
-    (Checkpoint_opt.optimal_checkpoints ~t:80.0 ~save:0.0 ~k:3 ());
+    (Checkpoint_opt.optimal_checkpoints ~t:80.0 ~save:0.0 ~k:3);
   (* Exact scan agrees with brute force. *)
   List.iter
     (fun (t, save, k) ->
@@ -406,7 +406,7 @@ let test_optimal_checkpoints () =
       Alcotest.(check int)
         (Printf.sprintf "t=%g save=%g k=%d" t save k)
         !brute
-        (Checkpoint_opt.optimal_checkpoints ~t ~save ~k ()))
+        (Checkpoint_opt.optimal_checkpoints ~t ~save ~k))
     [ (80.0, 4.0, 6); (80.0, 4.0, 2); (10.0, 1.0, 3); (40.0, 8.0, 1) ]
 
 let test_checkpointing_rescues_fig3 () =
@@ -470,7 +470,7 @@ let test_checkpoint_validation () =
 
 (* --- Exhaustive reference --- *)
 
-module Exhaustive = Ftes_core.Exhaustive
+module Exhaustive = Ftes_oracle.Exhaustive
 
 let small_problem seed = Helpers.small_problem ~n:6 seed
 
@@ -479,7 +479,9 @@ let test_exhaustive_search_space () =
   (* Two singletons (3 levels x 1 mapping... mappings = 1^6) plus the
      pair (9 level pairs x 2^6 mappings): 3 + 3 + 9*64 = 582. *)
   Alcotest.(check (float 1e-6)) "candidate count" 582.0
-    (Exhaustive.search_space problem)
+    (Exhaustive.search_space problem);
+  Alcotest.(check (float 1e-6)) "branch-and-bound's count" 582.0
+    (Ftes_bnb.Bnb.search_space problem)
 
 let test_exhaustive_limit () =
   let problem = Helpers.synthetic_problem ~n:20 () in

@@ -146,6 +146,51 @@ let test_optimality_gap () =
     (r.Ablations.heuristic_optimal <= r.Ablations.both_feasible);
   Helpers.check_contains "render" (Ablations.render_gap r) "optimum"
 
+(* The ablation reads both costs from the branch-and-bound certificate;
+   its row must equal the one the greedy walk and the independent full
+   enumeration give, on the bench's quick parameters (gaps summed in
+   the ablation's order, so the mean is bit-equal). *)
+let test_optimality_gap_vs_enumeration () =
+  let count = 6 and seed = 42 in
+  let params =
+    { Workload.default_params with Workload.n_library = 2; levels = 3 }
+  in
+  let config = Config.default in
+  let gaps =
+    List.filter_map
+      (fun index ->
+        let spec =
+          Workload.generate_spec ~params ~seed ~index ~n_processes:7 ()
+        in
+        let problem =
+          Workload.problem_of_spec ~params
+            { Workload.ser = 1e-11; hpd = 0.25 }
+            spec
+        in
+        match
+          ( Ftes_core.Design_strategy.run ~config problem,
+            Ftes_oracle.Exhaustive.run ~config problem )
+        with
+        | Some h, Some e ->
+            let ch =
+              h.Ftes_core.Design_strategy.result.Ftes_core.Redundancy_opt.cost
+            in
+            let ce = e.Ftes_core.Redundancy_opt.cost in
+            Some ((ch -. ce) /. ce)
+        | _ -> None)
+      (List.init count Fun.id)
+  in
+  let expected =
+    { Ablations.instances = count;
+      both_feasible = List.length gaps;
+      heuristic_optimal = List.length (List.filter (fun g -> g <= 1e-9) gaps);
+      mean_gap_pct = 100.0 *. Ftes_util.Stats.mean (List.rev gaps);
+      max_gap_pct = 100.0 *. List.fold_left Float.max 0.0 gaps }
+  in
+  Alcotest.(check bool) "some instance is feasible" true (gaps <> []);
+  Alcotest.(check bool) "same row as the enumeration" true
+    (Ablations.optimality_gap ~count ~seed () = expected)
+
 let test_exact_worst_case_rows () =
   let rows = Ablations.exact_worst_case ~count:3 ~n_processes:6 ~seed:88 () in
   List.iter
@@ -235,6 +280,8 @@ let () =
           Alcotest.test_case "mapping" `Slow test_mapping_ablation;
           Alcotest.test_case "SFP bound" `Slow test_bound_ablation;
           Alcotest.test_case "optimality gap" `Slow test_optimality_gap;
+          Alcotest.test_case "gap = enumeration" `Slow
+            test_optimality_gap_vs_enumeration;
           Alcotest.test_case "exact worst case" `Slow test_exact_worst_case_rows;
           Alcotest.test_case "runtime study" `Slow test_runtime_study;
           Alcotest.test_case "retry policy comparison" `Slow test_policy_comparison;

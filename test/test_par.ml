@@ -30,17 +30,6 @@ let prop_map_is_list_map =
       let f x = (x * x) - (3 * x) in
       Pool.map ~pool f xs = List.map f xs)
 
-let prop_map_weighted =
-  QCheck.Test.make ~count:50
-    ~name:"Pool.map_weighted f = List.map f (weights only shape wall clock)"
-    QCheck.(pair (small_list int) (int_bound 2))
-    (fun (xs, extra) ->
-      let pool = Pool.create ~domains:(1 + extra) () in
-      let f x = (x * 7) - (x * x) in
-      (* Adversarial weights: negative, tied and non-monotonic. *)
-      let weight x = float_of_int ((x mod 5) - 2) in
-      Pool.map_weighted ~pool ~weight f xs = List.map f xs)
-
 let test_map_exception () =
   let raises () =
     Pool.map ~pool:pool2
@@ -330,7 +319,6 @@ let () =
   Alcotest.run "ftes_par"
     [ ("pool",
        [ q prop_map_is_list_map;
-         q prop_map_weighted;
          Alcotest.test_case "exception propagation" `Quick test_map_exception;
          Alcotest.test_case "map_seeded invariant across domain counts"
            `Quick test_map_seeded_domain_invariant;

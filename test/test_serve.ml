@@ -632,6 +632,43 @@ let test_unknown_field_forward_compat () =
         (r.Response.verdict <> Response.Failed)
   | rs -> Alcotest.failf "expected 1 response, got %d" (List.length rs)
 
+(* [Request.make] rejects every value the wire parser rejects, with the
+   same message. *)
+let test_make_validates_like_wire () =
+  let cases =
+    [ ( "kmax -1",
+        Request.make ~id:"v" ~kmax:(-1) Request.Optimize (`Example "fig1"),
+        {|"command": "optimize", "kmax": -1|} );
+      ( "tdma slot 0",
+        Request.make ~id:"v" ~bus:(Bus.Tdma { slot_ms = 0.0 }) Request.Analyze
+          (`Example "fig1"),
+        {|"command": "analyze", "bus": {"tdma": {"slot_ms": 0}}|} );
+      ( "limit 0",
+        Request.make ~id:"v" (Request.Exact { limit = Some 0 }) (`Example "fig1"),
+        {|"command": "exact", "limit": 0|} );
+      ( "eps -1",
+        Request.make ~id:"v"
+          (Request.Pareto { eps = -1.0; objectives = Objective.all; ref_cost = None })
+          (`Example "fig1"),
+        {|"command": "pareto", "eps": -1|} );
+      ( "no objectives",
+        Request.make ~id:"v"
+          (Request.Pareto { eps = 0.0; objectives = []; ref_cost = None })
+          (`Example "fig1"),
+        {|"command": "pareto", "objectives": ""|} ) ]
+  in
+  List.iter
+    (fun (label, made, fields) ->
+      let line =
+        Printf.sprintf {|{"schema_version": 1, "id": "v", %s, "example": "fig1"}|}
+          fields
+      in
+      match (made, Request.of_string line) with
+      | Error m, Error w -> Alcotest.(check string) (label ^ ": message") w m
+      | Ok _, _ -> Alcotest.failf "%s: make accepted it" label
+      | _, Ok _ -> Alcotest.failf "%s: the wire accepted it" label)
+    cases
+
 (* --- warm what-if requests through the daemon --- *)
 
 module Delta = Ftes_whatif.Delta
@@ -776,7 +813,9 @@ let () =
             test_golden_requests_current;
           Alcotest.test_case "golden cc stream" `Quick test_golden_cc;
           Alcotest.test_case "unknown optional fields are served" `Quick
-            test_unknown_field_forward_compat ] );
+            test_unknown_field_forward_compat;
+          Alcotest.test_case "make validates like the wire" `Quick
+            test_make_validates_like_wire ] );
       ( "caches",
         [ Alcotest.test_case "warm cache is invisible to payload bytes" `Quick
             test_warm_cache_fingerprints;

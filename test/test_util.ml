@@ -106,14 +106,12 @@ let test_prng_choice () =
 
 let test_prng_exponential () =
   let t = Prng.create 13 in
-  let r = Stats.running_create () in
-  for _ = 1 to 20_000 do
-    let v = Prng.exponential t 2.0 in
-    Alcotest.(check bool) "positive" true (v >= 0.0);
-    Stats.running_add r v
-  done;
+  let samples = List.init 20_000 (fun _ -> Prng.exponential t 2.0) in
+  List.iter
+    (fun v -> Alcotest.(check bool) "positive" true (v >= 0.0))
+    samples;
   (* mean of Exp(2) is 0.5 *)
-  check_close 0.02 "mean ~ 1/lambda" 0.5 (Stats.running_mean r)
+  check_close 0.02 "mean ~ 1/lambda" 0.5 (Stats.mean samples)
 
 let test_prng_split_independent () =
   let t = Prng.create 14 in
@@ -287,20 +285,6 @@ let prop_binomial_pascal =
       = Symmetric.binomial (n - 1) k + Symmetric.binomial (n - 1) (k - 1))
 
 (* --- Stats --- *)
-
-let test_running_stats () =
-  let r = Stats.running_create () in
-  List.iter (Stats.running_add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.running_count r);
-  check_float "mean" 2.5 (Stats.running_mean r);
-  check_close 1e-9 "variance" (5.0 /. 3.0) (Stats.running_variance r);
-  check_float "min" 1.0 (Stats.running_min r);
-  check_float "max" 4.0 (Stats.running_max r)
-
-let test_running_variance_small () =
-  let r = Stats.running_create () in
-  Stats.running_add r 42.0;
-  check_float "variance of one sample" 0.0 (Stats.running_variance r)
 
 let test_mean () =
   check_float "empty" 0.0 (Stats.mean []);
@@ -587,9 +571,7 @@ let () =
           q prop_h_matches_enumeration_sfp_tables;
           q prop_binomial_pascal ] );
       ( "stats",
-        [ Alcotest.test_case "running" `Quick test_running_stats;
-          Alcotest.test_case "variance one sample" `Quick test_running_variance_small;
-          Alcotest.test_case "mean" `Quick test_mean;
+        [ Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "percentile" `Quick test_percentile;
           Alcotest.test_case "wilson interval" `Quick test_wilson;
           q prop_percentile_within_range ] );
