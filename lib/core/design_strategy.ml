@@ -107,35 +107,40 @@ let search ?pool ?cache ~config ~on_feasible ~on_step problem =
   let explored = ref 0 in
   let best = ref None in
   let best_cost = ref infinity in
+  (* The two mapping passes over one architecture: the schedule-length
+     search, then the cost refinement from its winner.  [None] when the
+     architecture is unschedulable, else the result and its feasible
+     candidates in [on_feasible] order. *)
+  let step members () =
+    match
+      Mapping_opt.run ~cache ?pool ~config
+        ~objective:Mapping_opt.Schedule_length problem ~members
+    with
+    | None -> None
+    | Some sl_result -> (
+        match
+          Mapping_opt.run ~cache ?pool ~config
+            ~objective:Mapping_opt.Architecture_cost
+            ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
+            ~members
+        with
+        | Some r when r.Redundancy_opt.cost <= sl_result.Redundancy_opt.cost ->
+            Some (r, [ sl_result; r ])
+        | Some r -> Some (sl_result, [ sl_result; r ])
+        | None -> Some (sl_result, [ sl_result ]))
+  in
   (* Score one candidate against the best cost at batch entry: its
      minimum-hardening cost and a verdict.  Line 6 (cannot beat the
-     best-so-far) comes back as a verdict without a mapping search. *)
+     best-so-far) comes back as a verdict without a mapping search and
+     without touching the walk memo. *)
   let score ~bound members =
     let floor = min_hardening_cost problem members in
     let verdict =
       if floor >= bound then `Pruned
       else
-        match
-          Mapping_opt.run ~cache ?pool ~config
-            ~objective:Mapping_opt.Schedule_length problem ~members
-        with
+        match Redundancy_opt.walk ~cache ~config ~members (step members) with
         | None -> `Unschedulable
-        | Some sl_result ->
-            let refined =
-              Mapping_opt.run ~cache ?pool ~config
-                ~objective:Mapping_opt.Architecture_cost
-                ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
-                ~members
-            in
-            let result, candidates =
-              match refined with
-              | Some r
-                when r.Redundancy_opt.cost <= sl_result.Redundancy_opt.cost ->
-                  (r, [ sl_result; r ])
-              | Some r -> (sl_result, [ sl_result; r ])
-              | None -> (sl_result, [ sl_result ])
-            in
-            `Schedulable (result, candidates)
+        | Some (result, candidates) -> `Schedulable (result, candidates)
     in
     (members, floor, verdict)
   in

@@ -81,7 +81,11 @@ val run_recorded :
     hardening-policy sweep, for which candidate evaluations coincide
     (probe outcomes are segregated by policy inside the cache).  The
     configs of all sharing runs must agree except in
-    {!Config.t.hardening}. *)
+    {!Config.t.hardening} and {!Config.t.max_iterations}.  A repeated
+    run over a supplied cache answers every architecture it walked
+    before from {!Redundancy_opt.walk} without a tabu search; the
+    merge, the trail, the counters and the finalization run as on a
+    cold cache. *)
 
 val run :
   ?pool:Ftes_par.Pool.t ->

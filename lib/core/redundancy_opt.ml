@@ -68,10 +68,40 @@ module Probe_memo = Ftes_par.Memo.Make (struct
       k.pr_mapping
 end)
 
+(* One step of the Fig. 5 walk — the schedule-length tabu search over
+   an architecture and the cost refinement that follows it — reads
+   nothing but the members, the hardening policy and the tabu iteration
+   cap on top of what is fixed per cache (problem, kmax, slack, bus), so
+   whole step outcomes are memoized too: a warm daemon then answers a
+   repeated optimize or pareto request without re-running a single tabu
+   iteration.  The daemon's buckets leave [max_iterations] out of their
+   key, so it is in this one. *)
+type walk_key = {
+  wk_policy : Config.hardening_policy;
+  wk_max_iterations : int;
+  wk_members : int array;
+}
+
+module Walk_memo = Ftes_par.Memo.Make (struct
+  type t = walk_key
+
+  let equal a b =
+    a.wk_policy = b.wk_policy
+    && a.wk_max_iterations = b.wk_max_iterations
+    && a.wk_members = b.wk_members
+
+  let hash k =
+    hash_ints
+      (((0x811c9dc5 + policy_tag k.wk_policy) * 0x01000193)
+      lxor k.wk_max_iterations)
+      k.wk_members
+end)
+
 type cache = {
   sfp : Ftes_par.Sfp_cache.t;
   evals : result option Eval_memo.t;
   probes : (result option * float) Probe_memo.t;
+  walks : (result * result list) option Walk_memo.t;
 }
 
 (* Cache statistics live on the Ftes_obs registry: one source of truth
@@ -80,13 +110,34 @@ type cache = {
    both the whole-evaluation and the probe memo tables. *)
 let evals_family = Ftes_par.Memo.family "evals"
 
+let walks_family = Ftes_par.Memo.family "walks"
+
 let create_cache ?capacity () =
   let bound = Option.value capacity ~default:200_000 in
   { sfp = Ftes_par.Sfp_cache.create ?capacity ();
     evals = Eval_memo.create ~capacity:bound evals_family;
-    probes = Probe_memo.create ~capacity:bound evals_family }
+    probes = Probe_memo.create ~capacity:bound evals_family;
+    walks = Walk_memo.create ~capacity:bound walks_family }
 
 let sfp_cache cache = cache.sfp
+
+let stored_walks cache = Walk_memo.length cache.walks
+
+let walk_capacity cache = Walk_memo.capacity cache.walks
+
+let walk ~cache ~config ~members compute =
+  let key =
+    { wk_policy = config.Config.hardening;
+      wk_max_iterations = config.Config.max_iterations;
+      wk_members = members }
+  in
+  match Walk_memo.find cache.walks key with
+  | Some outcome -> outcome
+  | None ->
+      let outcome = compute () in
+      Walk_memo.add cache.walks
+        { key with wk_members = Array.copy members }
+        outcome
 
 (* --- warm-start cache migration -------------------------------------
 
@@ -216,7 +267,13 @@ let migrate_cache ~base ~(footprint : Ftes_whatif.Delta.footprint) cache =
   let probes, (probes_kept, probes_dropped) =
     Probe_memo.migrate ~same_keys:identity_map ~keep:keep_probe cache.probes
   in
-  ( { sfp; evals; probes },
+  (* Walk outcomes go whatever the footprint: keeping the ones whose
+     members are probe-clean made no measurable difference to a warm
+     rerun, which fresh evaluations dominate. *)
+  let walks =
+    Walk_memo.create ~capacity:(Walk_memo.capacity cache.walks) walks_family
+  in
+  ( { sfp; evals; probes; walks },
     { mig_sfp_kept = sfp_kept;
       mig_sfp_dropped = sfp_dropped;
       mig_evals_kept = evals_kept;

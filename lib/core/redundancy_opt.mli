@@ -34,35 +34,60 @@ type result = {
 }
 
 type cache
-(** Memoization shared by one optimization run: the SFP node-table
-    cache, a table of whole candidate evaluations keyed on
-    [(members, levels, mapping)] — a pure key because {!probe} overwrites
-    levels and reexecs and the config is fixed per run — and a table of
-    whole {!probe} outcomes keyed on [(policy, members, mapping)] — three
-    {!Ftes_par.Memo} tables, the last two counting under the [evals.*]
-    family.  Domain-safe; caching never changes any result.
+(** Memoization shared by one optimization run, four
+    {!Ftes_par.Memo} tables: the SFP node-table cache; a table of whole
+    candidate evaluations keyed on [(members, levels, mapping)] — a
+    pure key because {!probe} overwrites levels and reexecs and the
+    config is fixed per run; a table of whole {!probe} outcomes keyed
+    on [(policy, members, mapping)] — these two counting under the
+    [evals.*] family; and a table of whole architecture steps of the
+    Fig. 5 walk ({!walk}) keyed on [(policy, max_iterations, members)],
+    counting under [walks.*].  Domain-safe; caching never changes any
+    result.
 
     One cache may also be shared by several runs over the same problem
-    whose configs differ only in the hardening policy (probe outcomes
-    carry the policy in their key; candidate evaluations are
-    policy-independent). *)
+    whose configs differ only in the hardening policy and the tabu
+    iteration cap (probe and walk outcomes carry the policy in their
+    key, walk outcomes the cap too; candidate evaluations depend on
+    neither). *)
 
 val create_cache : ?capacity:int -> unit -> cache
-(** Fresh cache.  [capacity], when given, bounds each of the three
+(** Fresh cache.  [capacity], when given, bounds each of the four
     tables; by default the SFP layer keeps up to [1 lsl 18] node tables
-    and the evaluation and probe tables up to 200_000 outcomes each.
-    [~capacity:0] retains nothing, so every call recomputes — the
-    unmemoized reference the determinism tests compare against.  Each
-    insert skipped at capacity bumps the process-wide
-    [sfp_cache.capacity_drops] or [evals.capacity_drops] counter
-    (checked by the [obs/cache-capacity] verifier rule), so a saturated
-    cache is observable instead of silently degrading into
-    recomputation.  Raises [Invalid_argument] on a negative
-    capacity. *)
+    and the evaluation, probe and walk tables up to 200_000 outcomes
+    each.  [~capacity:0] retains nothing, so every call recomputes —
+    the unmemoized reference the determinism tests compare against.
+    Each insert skipped at capacity bumps the process-wide
+    [sfp_cache.capacity_drops], [evals.capacity_drops] or
+    [walks.capacity_drops] counter (checked by the [obs/cache-capacity]
+    verifier rule), so a saturated cache is observable instead of
+    silently degrading into recomputation.  Raises [Invalid_argument]
+    on a negative capacity. *)
 
 val sfp_cache : cache -> Ftes_par.Sfp_cache.t
 (** The SFP node-table layer of [cache], for hit-rate reporting and for
     attaching tables to verifier subjects. *)
+
+val walk :
+  cache:cache ->
+  config:Config.t ->
+  members:int array ->
+  (unit -> (result * result list) option) ->
+  (result * result list) option
+(** [walk ~cache ~config ~members compute] is [compute ()], memoized
+    per [(config.hardening, config.max_iterations, members)]: the
+    outcome of one architecture step of the Fig. 5 walk — [None] when
+    the architecture is unschedulable, else the step's result and its
+    feasible candidates in [on_feasible] order.  [compute] must be that
+    pure step over [members] under [config] on the cache's problem;
+    {!Design_strategy} is its one caller.  A hit skips both tabu
+    passes, so the [tabu.*] counters count only steps actually run. *)
+
+val stored_walks : cache -> int
+(** Walk outcomes currently held. *)
+
+val walk_capacity : cache -> int
+(** The bound on stored walk outcomes. *)
 
 type migration = {
   mig_sfp_kept : int;
@@ -89,7 +114,8 @@ val migrate_cache :
     warm-starting from the migrated cache cannot change any result.
     Eval results under a deadline-only delta survive with their [slack]
     rewritten to the same [deadline -. schedule_length] expression a
-    fresh evaluation uses. *)
+    fresh evaluation uses.  The walk table comes back empty, with the
+    source's capacity, under every footprint. *)
 
 type eval_stats = { hits : int; misses : int; fresh : int }
 (** [hits] / [misses] count candidate-evaluation and probe cache

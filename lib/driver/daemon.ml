@@ -56,20 +56,46 @@ module Bucket_memo = Ftes_par.Memo.Make (struct
     Hashtbl.hash (k.slack, bus, k.kmax, Problem_io.hash k.problem)
 end)
 
+(* A pre-flight report is a pure function of (kmax, re-execution
+   bucket, problem), so an analyze request on a resident problem reuses
+   the report an earlier one derived.  The problem compares by identity,
+   as in the buckets. *)
+type preflight_key = {
+  pf_kmax : int;
+  pf_reexec : bool;
+  pf_problem : Ftes_model.Problem.t;
+}
+
+module Preflight_memo = Ftes_par.Memo.Make (struct
+  type t = preflight_key
+
+  let equal a b =
+    a.pf_kmax = b.pf_kmax && a.pf_reexec = b.pf_reexec
+    && Problem_io.equal a.pf_problem b.pf_problem
+
+  let hash k =
+    Hashtbl.hash (k.pf_kmax, k.pf_reexec, Problem_io.hash k.pf_problem)
+end)
+
 type caches = {
   buckets : Redundancy_opt.cache Bucket_memo.t;
   recorded : Design_strategy.recorded String_memo.t;
       (* recorded optimize walks by request id — the base registry
          what-if requests warm-start from via "base_id". *)
+  preflights : Ftes_analyze.Preflight.t Preflight_memo.t;
 }
 
 let buckets_family = Ftes_par.Memo.family "serve.buckets"
 
 let registry_family = Ftes_par.Memo.family "serve.registry"
 
+let preflights_family = Ftes_par.Memo.family "serve.preflights"
+
 let create_caches ?(max_problems = 64) () =
   { buckets = Bucket_memo.create ~capacity:max_problems buckets_family;
-    recorded = String_memo.create ~capacity:max_problems registry_family }
+    recorded = String_memo.create ~capacity:max_problems registry_family;
+    preflights =
+      Preflight_memo.create ~capacity:max_problems preflights_family }
 
 let cache_problems t = Bucket_memo.length t.buckets
 
@@ -101,7 +127,9 @@ let shared_cache caches (req : Request.t) =
   | Some t -> (
       match req.Request.command with
       | Request.Analyze | Request.Exact _ ->
-          (* No candidate evaluations to share. *)
+          (* No candidate evaluations to share: analyze reuses whole
+             reports through [resident_preflight] instead, and the exact
+             search builds its own tables. *)
           None
       | Request.Optimize | Request.Pareto _ ->
           Option.map
@@ -114,6 +142,14 @@ let shared_cache caches (req : Request.t) =
                      dropped unused. *)
                   Bucket_memo.add t.buckets key (Redundancy_opt.create_cache ()))
             (bucket_key req))
+
+let resident_preflight t ~kmax ~reexec problem =
+  let key = { pf_kmax = kmax; pf_reexec = reexec; pf_problem = problem } in
+  match Preflight_memo.find t.preflights key with
+  | Some report -> report
+  | None ->
+      Preflight_memo.add t.preflights key
+        (Ftes_analyze.Preflight.run ~kmax ~reexec problem)
 
 (* --- one batch --- *)
 
@@ -156,7 +192,9 @@ let execute ?caches ~enqueued_ns line =
         (best_effort_id line, Response.Failed, Json.Object [], Some msg, None)
     | Ok req -> (
         match
-          Exec.run ?cache:(shared_cache caches req) ?recorded_of:lookup req
+          Exec.run ?cache:(shared_cache caches req) ?recorded_of:lookup
+            ?preflight:(Option.map resident_preflight caches)
+            req
         with
         | exception Exec.Rejected msg ->
             (req.Request.id, Response.Failed, Json.Object [], Some msg, None)

@@ -21,17 +21,21 @@ type caches
     {!Ftes_model.Problem_io.equal} (equal minified documents, decided
     without rendering) — the exact bucket
     {!Ftes_core.Redundancy_opt.cache} sharing is sound for (hardening
-    strategy deliberately excluded: probe outcomes are segregated by
-    policy inside each cache) — plus a registry of recorded optimize
-    walks keyed on request id, the base trail what-if requests
-    warm-start from via ["base_id"].  Both registries are
-    {!Ftes_par.Memo} tables, counting under the [serve.buckets.*] and
-    [serve.registry.*] obs counter families. *)
+    strategy and tabu iteration cap deliberately excluded: probe and
+    walk outcomes carry them in their keys inside each cache) — plus a
+    registry of recorded optimize walks keyed on request id, the base
+    trail what-if requests warm-start from via ["base_id"], and a memo
+    of pre-flight reports keyed on (kmax, re-execution bucket,
+    problem), the problem compared the same way, which analyze
+    requests answer from.  All three are {!Ftes_par.Memo} tables,
+    counting under the [serve.buckets.*], [serve.registry.*] and
+    [serve.preflights.*] obs counter families. *)
 
 val create_caches : ?max_problems:int -> unit -> caches
 (** Fresh registry retaining at most [max_problems] (default 64)
-    distinct buckets; past that, one-off problems run with a private
-    cache instead of growing the daemon. *)
+    distinct buckets, recorded walks and pre-flight reports each; past
+    that, one-off problems run with a private cache (and a fresh
+    pre-flight) instead of growing the daemon. *)
 
 val cache_problems : caches -> int
 (** Distinct buckets currently held. *)

@@ -117,13 +117,16 @@ let audit_exact ~config problem (outcome : Bnb.outcome) =
          bus = config.Config.bus }
        outcome.Bnb.certificate)
 
-let run ?cache ?recorded_of (req : Request.t) =
+let run ?cache ?recorded_of
+    ?(preflight =
+      fun ~kmax ~reexec problem -> Preflight.run ~kmax ~reexec problem)
+    (req : Request.t) =
   let config = req.Request.config in
   let problem = req.Request.problem in
   match req.Request.command with
   | Request.Analyze ->
       Analyzed
-        (Preflight.run ~kmax:config.Config.kmax
+        (preflight ~kmax:config.Config.kmax
            ~reexec:(Preflight.reexec_of_slack config.Config.slack)
            problem)
   | Request.Optimize ->

@@ -56,12 +56,23 @@ type outcome =
 val run :
   ?cache:Ftes_core.Redundancy_opt.cache ->
   ?recorded_of:(string -> Ftes_core.Design_strategy.recorded option) ->
+  ?preflight:
+    (kmax:int ->
+    reexec:bool ->
+    Ftes_model.Problem.t ->
+    Ftes_analyze.Preflight.t) ->
   Request.t ->
   outcome
-(** Execute the request.  [cache] shares SFP tables and candidate
-    evaluations with other runs over the same problem and policy
-    bucket (the daemon's cross-request warm cache); results are
-    bit-identical with or without it.
+(** Execute the request.  [cache] shares SFP tables, candidate
+    evaluations and whole architecture steps of the walk with other
+    runs over the same problem and policy bucket (the daemon's
+    cross-request warm cache); results are bit-identical with or
+    without it.
+
+    An analyze request takes its report from [preflight] (default
+    {!Ftes_analyze.Preflight.run}), which must return what
+    [Preflight.run ~kmax ~reexec problem] would — the daemon passes
+    its memo of resident reports.  No other command calls it.
 
     A what-if request (see {!Request.t.whatif}) resolves its base walk
     through [recorded_of] when it names a ["base_id"] — the base must

@@ -108,5 +108,7 @@ module Make (K : Hashtbl.HashedType) = struct
 
   let length t = locked t (fun () -> Tbl.length t.table)
 
+  let capacity t = t.capacity
+
   let fold f t init = locked t (fun () -> Tbl.fold f t.table init)
 end

@@ -1,9 +1,9 @@
 (** Bounded, domain-safe memo tables with observable counters.
 
     Every shared cache of the exploration — the SFP node tables
-    ({!Sfp_cache}), the candidate-evaluation and probe tables of
-    {!Ftes_core.Redundancy_opt} and the daemon's bucket and
-    recorded-walk registries — stores a pure function of its key, so
+    ({!Sfp_cache}), the candidate-evaluation, probe and walk tables of
+    {!Ftes_core.Redundancy_opt} and the daemon's bucket, recorded-walk
+    and pre-flight registries — stores a pure function of its key, so
     one implementation serves them all: a hash table behind one mutex,
     a capacity past which new keys are computed but not retained, and
     one counter family per cache kind.
@@ -79,6 +79,9 @@ module Make (K : Hashtbl.HashedType) : sig
 
   val length : 'v t -> int
   (** Keys stored. *)
+
+  val capacity : 'v t -> int
+  (** The bound given to {!create} (kept by {!migrate}). *)
 
   val fold : (key -> 'v -> 'a -> 'a) -> 'v t -> 'a -> 'a
   (** Fold over the bindings (order unspecified) under the lock; [f]

@@ -283,6 +283,112 @@ let test_policy_sweep_shared_cache () =
         (fingerprint shared = fingerprint fresh))
     [ Config.Fixed_min; Config.Fixed_max; Config.Optimize ]
 
+(* The walk memo: a second run over a populated cache answers every
+   walked architecture from it and runs no tabu iteration, yet reads
+   exactly what a cold run and an unmemoized run read — solution,
+   trail, explored count and, for the frontier, the archive the
+   [on_feasible] sequence builds (its insertion statistics included). *)
+let hardening_policies = [ Config.Optimize; Config.Fixed_min; Config.Fixed_max ]
+
+let trail_sig trail =
+  List.map
+    (fun (st : Design_strategy.step) ->
+      ( Array.to_list st.Design_strategy.step_members,
+        match st.Design_strategy.step_verdict with
+        | `Schedulable c -> Printf.sprintf "%h" c
+        | `Unschedulable -> "-" ))
+    trail
+
+let recorded_sig (r : Design_strategy.recorded) =
+  ( fingerprint r.Design_strategy.rec_solution,
+    trail_sig r.Design_strategy.rec_trail,
+    r.Design_strategy.rec_explored )
+
+let frontier_sig (f : Design_strategy.frontier) =
+  ( fingerprint f.Design_strategy.best,
+    f.Design_strategy.explored,
+    Ftes_pareto.Archive.stats f.Design_strategy.archive )
+
+(* [f ()] with how far it moved [walks.hits] and [tabu.iterations]. *)
+let walk_counts f =
+  let hits = Metrics.counter "walks.hits"
+  and iterations = Metrics.counter "tabu.iterations" in
+  let h = Metrics.counter_value hits and i = Metrics.counter_value iterations in
+  let v = f () in
+  (v, Metrics.counter_value hits - h, Metrics.counter_value iterations - i)
+
+let warm_walk_identical problem =
+  List.for_all
+    (fun hardening ->
+      List.for_all
+        (fun (_, slack) ->
+          List.for_all
+            (fun (_, bus) ->
+              let config =
+                Config.(
+                  default |> with_hardening hardening |> with_slack slack
+                  |> with_bus bus)
+              in
+              let cache = Redundancy_opt.create_cache () in
+              let cold = Design_strategy.run_recorded ~cache ~config problem in
+              let warm, hits, iterations =
+                walk_counts (fun () ->
+                    Design_strategy.run_recorded ~cache ~config problem)
+              in
+              let unmemo =
+                Design_strategy.run_recorded ~cache:(unmemoized ()) ~config
+                  problem
+              in
+              let warm_f, hits_f, iterations_f =
+                walk_counts (fun () ->
+                    Design_strategy.run_frontier ~cache ~config problem)
+              in
+              let cold_f = Design_strategy.run_frontier ~config problem in
+              let unmemo_f =
+                Design_strategy.run_frontier ~cache:(unmemoized ()) ~config
+                  problem
+              in
+              let walked = List.length warm.Design_strategy.rec_trail in
+              recorded_sig warm = recorded_sig cold
+              && recorded_sig warm = recorded_sig unmemo
+              && hits = walked && iterations = 0
+              && frontier_sig warm_f = frontier_sig cold_f
+              && frontier_sig warm_f = frontier_sig unmemo_f
+              && Ftes_pareto.Archive.equal warm_f.Design_strategy.archive
+                   cold_f.Design_strategy.archive
+              && Ftes_pareto.Archive.equal warm_f.Design_strategy.archive
+                   unmemo_f.Design_strategy.archive
+              && hits_f = walked && iterations_f = 0)
+            bus_policies)
+        slack_policies)
+    hardening_policies
+
+let prop_walk_memo_invisible =
+  QCheck.Test.make ~count:3
+    ~name:
+      "second walk over one cache = cold = unmemoized, with no tabu \
+       iteration (policy x slack x bus)"
+    QCheck.(int_bound 10_000)
+    (* A 4-node library: 15 architectures, small enough for the 72
+       cold walks per problem. *)
+    (fun seed -> warm_walk_identical (Helpers.small_problem ~n:6 ~lib:4 seed))
+
+(* The daemon's buckets leave the tabu iteration cap out of their key,
+   so a walk under another cap must not be answered from the memo. *)
+let test_walk_memo_keys_iteration_cap () =
+  let problem = problem_of_seed 321 in
+  let cache = Redundancy_opt.create_cache () in
+  ignore (Design_strategy.run_recorded ~cache ~config:Config.default problem);
+  let greedy = Config.with_max_iterations 0 Config.default in
+  let shared, hits, _ =
+    walk_counts (fun () ->
+        Design_strategy.run_recorded ~cache ~config:greedy problem)
+  in
+  Alcotest.(check int) "no walk hit across caps" 0 hits;
+  Alcotest.(check bool) "capped walk over the shared cache = cold" true
+    (recorded_sig shared
+    = recorded_sig (Design_strategy.run_recorded ~config:greedy problem))
+
 (* Resetting the evaluation statistics zeroes the whole [evals.*]
    family, capacity drops included, so a capped run followed by a reset
    cannot leave more drops than misses behind. *)
@@ -340,5 +446,8 @@ let () =
       ("determinism",
        [ q prop_strategy_parallel_identical;
          q prop_memoization_invisible;
+         q prop_walk_memo_invisible;
+         Alcotest.test_case "walk memo keys the iteration cap" `Quick
+           test_walk_memo_keys_iteration_cap;
          Alcotest.test_case "policy sweep over one shared cache" `Quick
            test_policy_sweep_shared_cache ]) ]

@@ -488,6 +488,63 @@ let test_bucket_problem_identity () =
   optimize "mu+0 again" (`Problem (with_mu 0.0));
   check_buckets "mu = 0 again" ~problems:3 ~hits:2
 
+(* Analyze requests answer from the pre-flight memo: one entry per
+   (kmax, re-execution bucket, problem identity), bounded by
+   [max_problems], and never a Redundancy_opt bucket. *)
+let test_preflight_memo () =
+  let counters =
+    List.map
+      (fun name -> Ftes_obs.Metrics.counter ("serve.preflights." ^ name))
+      [ "misses"; "hits"; "capacity_drops" ]
+  in
+  let sample () = List.map Ftes_obs.Metrics.counter_value counters in
+  let analyze ?slack ?kmax caches id problem =
+    let req =
+      ok_exn (Request.make ~id ?slack ?kmax Request.Analyze problem)
+    in
+    let before = sample () in
+    let resp = daemon_once ~caches req in
+    Alcotest.(check string)
+      (id ^ ": payload = one-shot")
+      (Response.fingerprint (one_shot req))
+      (Response.fingerprint resp);
+    ( Json.to_string ~minify:true resp.Response.payload,
+      List.map2 ( - ) (sample ()) before )
+  in
+  let check label (want_misses, want_hits, want_drops) moved =
+    Alcotest.(check (list int))
+      (label ^ ": misses, hits, drops") [ want_misses; want_hits; want_drops ]
+      moved
+  in
+  let caches = Daemon.create_caches () in
+  let first, moved = analyze caches "cc-1" (`Example "cc") in
+  check "first analyze" (1, 0, 0) moved;
+  let again, moved = analyze caches "cc-2" (`Example "cc") in
+  check "second analyze" (0, 1, 0) moved;
+  Alcotest.(check string) "repeated payload bytes" first again;
+  let _, moved =
+    analyze caches "cc-inline" (`Problem (Ftes_cc.Cruise_control.problem ()))
+  in
+  check "inline cc shares the entry" (0, 1, 0) moved;
+  let _, moved = analyze caches "cc-k11" ~kmax:11 (`Example "cc") in
+  check "kmax 11 opens an entry" (1, 0, 0) moved;
+  List.iter
+    (fun (name, slack) ->
+      let _, moved = analyze caches ("cc-" ^ name) ~slack (`Example "cc") in
+      check (name ^ " shares the re-execution entry") (0, 1, 0) moved)
+    Helpers.named_slack_policies;
+  Alcotest.(check int) "analyze opens no evaluation bucket" 0
+    (Daemon.cache_problems caches);
+  let bounded = Daemon.create_caches ~max_problems:1 () in
+  let _, moved = analyze bounded "fig1" (`Example "fig1") in
+  check "bounded: first problem stored" (1, 0, 0) moved;
+  let _, moved = analyze bounded "cc-over" (`Example "cc") in
+  check "bounded: second problem dropped" (1, 0, 1) moved;
+  let _, moved = analyze bounded "cc-over-again" (`Example "cc") in
+  check "bounded: dropped problem recomputed" (1, 0, 1) moved;
+  let _, moved = analyze bounded "fig1-again" (`Example "fig1") in
+  check "bounded: stored problem still hits" (0, 1, 0) moved
+
 (* Two problems that differ only in their deadline must not share a
    registry bucket: the eval and probe memos are keyed on the design
    alone.  Sent one after the other through one registry, each payload
@@ -823,6 +880,7 @@ let () =
             test_registry_separates_problems;
           Alcotest.test_case "buckets keyed on problem identity" `Quick
             test_bucket_problem_identity;
+          Alcotest.test_case "pre-flight memo" `Quick test_preflight_memo;
           Alcotest.test_case "base_id warm start through the registry" `Quick
             test_whatif_daemon_warm;
           Alcotest.test_case "what-if rejections are structured" `Quick

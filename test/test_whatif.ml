@@ -375,6 +375,35 @@ let test_migration_stats () =
     (mig_w.Redundancy_opt.mig_sfp_dropped > 0
     || mig_w.Redundancy_opt.mig_evals_dropped > 0)
 
+(* Walk outcomes never survive a migration, whatever the delta: the
+   migrated cache holds no walk and keeps the source's capacity. *)
+let test_migration_drops_walks () =
+  let prng = Prng.create 77 in
+  let problem = Helpers.small_problem 9 in
+  let config = Config.default in
+  let capped = Redundancy_opt.create_cache ~capacity:0 () in
+  let cache =
+    (Design_strategy.run_recorded ~config problem).Design_strategy.rec_cache
+  in
+  Alcotest.(check bool) "the base walk stored walk outcomes" true
+    (Redundancy_opt.stored_walks cache > 0);
+  List.iter
+    (fun cls ->
+      let delta = Helpers.delta_of_class prng problem cls in
+      let footprint = Delta.footprint problem delta in
+      List.iter
+        (fun (label, source) ->
+          let migrated, _ =
+            Redundancy_opt.migrate_cache ~base:problem ~footprint source
+          in
+          Alcotest.(check (pair int int))
+            (Printf.sprintf "%s, %s source: walks held, capacity" cls label)
+            (0, Redundancy_opt.walk_capacity source)
+            ( Redundancy_opt.stored_walks migrated,
+              Redundancy_opt.walk_capacity migrated ))
+        [ ("populated", cache); ("capacity-0", capped) ])
+    Delta.class_names
+
 (* --- wire codec --- *)
 
 let test_delta_json_roundtrip () =
@@ -559,7 +588,9 @@ let () =
           Alcotest.test_case "rejects" `Quick test_apply_rejects ] );
       ( "footprint",
         [ Alcotest.test_case "classifier" `Quick test_footprint;
-          Alcotest.test_case "migration stats" `Quick test_migration_stats ] );
+          Alcotest.test_case "migration stats" `Quick test_migration_stats;
+          Alcotest.test_case "migration drops walks" `Quick
+            test_migration_drops_walks ] );
       ( "wire",
         [ Alcotest.test_case "delta round-trip" `Quick test_delta_json_roundtrip;
           Alcotest.test_case "delta rejects" `Quick test_delta_json_rejects;
