@@ -13,6 +13,8 @@ module Symmetric = Ftes_util.Symmetric
 
 exception Budget_exhausted of int
 
+let c_nodes = Ftes_obs.Metrics.counter "bnb.nodes"
+
 (* Every non-empty subset of [0 .. lib-1] as a strictly increasing
    array, in canonical order: the order ties between equally good
    architectures are broken in. *)
@@ -174,11 +176,28 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
   let kneed = preflight.Preflight.kneed in
   let best = ref None in
   let evaluated = ref 0 and pruned_levels = ref 0 and pruned_mappings = ref 0 in
+  let nodes = ref 0 in
+  (* What a completion's schedule length must stay under to be
+     accepted: the deadline, tightened to the incumbent's length when
+     the current vector can only tie its cost.  It changes only with
+     the vector or the incumbent, so it is kept in a flat float cell
+     and the node loop reads it unboxed. *)
+  let threshold = Array.make 1 0.0 in
+  let set_threshold cost =
+    threshold.(0) <-
+      (match !best with
+      | Some (r : Redundancy_opt.result)
+        when Float.abs (cost -. r.Redundancy_opt.cost) <= 1e-9 ->
+          Float.min (d +. 1e-9) (r.Redundancy_opt.schedule_length -. 1e-9)
+      | _ -> d +. 1e-9)
+  in
   let mapping = Array.make n 0 in
   let load = Array.make m 0.0 in
   let wcets = Array.make_matrix n m 0.0 in
   let admissible = Array.make_matrix n m false in
   let zero_reexecs = Array.make m 0 in
+  Fun.protect ~finally:(fun () -> Ftes_obs.Metrics.add c_nodes !nodes)
+  @@ fun () ->
   iter_levels problem members (fun levels ->
       let cost = ref 0.0 in
       Array.iteri
@@ -205,18 +224,9 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
         done;
         if !dead then incr pruned_levels
         else begin
-          (* What a completion's schedule length must stay under to be
-             accepted: the deadline, tightened to the incumbent's length
-             when this vector can only tie its cost. *)
-          let length_threshold () =
-            match !best with
-            | Some (r : Redundancy_opt.result)
-              when Float.abs (cost -. r.Redundancy_opt.cost) <= 1e-9 ->
-                Float.min (d +. 1e-9)
-                  (r.Redundancy_opt.schedule_length -. 1e-9)
-            | _ -> d +. 1e-9
-          in
+          set_threshold cost;
           let rec assign p =
+            incr nodes;
             if p = n then begin
               tick ();
               incr evaluated;
@@ -246,7 +256,8 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
                           margin =
                             Sfp.log10_margin problem.Problem.app
                               ~per_iteration_failure:
-                                verdict.Sfp.per_iteration_failure }
+                                verdict.Sfp.per_iteration_failure };
+                    set_threshold cost
                   end
             end
             else
@@ -258,7 +269,7 @@ let search_arch ~cache ~config ~(preflight : Preflight.t) ~prune_cost ~tick
                 else begin
                   let w = wcets.(p).(s) in
                   load.(s) <- load.(s) +. w;
-                  if load.(s) -. Preflight.prove_eps_ms > length_threshold ()
+                  if load.(s) -. Preflight.prove_eps_ms > threshold.(0)
                   then
                     (* The slot's processes run serially, so any
                        completion is at least this long. *)

@@ -8,6 +8,7 @@ module Bus = Ftes_sched.Bus
 module Pool = Ftes_par.Pool
 module Sfp_cache = Ftes_par.Sfp_cache
 module Clock = Ftes_obs.Clock
+module Span = Ftes_obs.Span
 
 (* --- shared evaluation caches --- *)
 
@@ -40,7 +41,7 @@ let same_bus a b =
       Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
   | (Bus.Fcfs | Bus.Tdma _), _ -> false
 
-module Bucket_memo = Ftes_par.Memo.Make (struct
+module Bucket = struct
   type t = bucket
 
   let equal a b =
@@ -54,7 +55,9 @@ module Bucket_memo = Ftes_par.Memo.Make (struct
       | Bus.Tdma { slot_ms } -> Int64.to_int (Int64.bits_of_float slot_ms)
     in
     Hashtbl.hash (k.slack, bus, k.kmax, Problem_io.hash k.problem)
-end)
+end
+
+module Bucket_memo = Ftes_par.Memo.Make (Bucket)
 
 (* A pre-flight report is a pure function of (kmax, re-execution
    bucket, problem), so an analyze request on a resident problem reuses
@@ -77,12 +80,40 @@ module Preflight_memo = Ftes_par.Memo.Make (struct
     Hashtbl.hash (k.pf_kmax, k.pf_reexec, Problem_io.hash k.pf_problem)
 end)
 
+(* An exact outcome is a pure function of (config, limit, problem).
+   Unlike a bucket, the key holds the hardening policy and the tabu
+   iteration cap too: the greedy walk that seeds the incumbent reads
+   both, and its cost is the certificate's [heuristic_cost].  The limit
+   stays in the key although a finished search does not depend on it,
+   so a key never stands for more than one request's budget. *)
+type exact_key = {
+  ex_bucket : bucket;
+  ex_hardening : Config.hardening_policy;
+  ex_max_iterations : int;
+  ex_limit : int option;
+}
+
+module Exact_memo = Ftes_par.Memo.Make (struct
+  type t = exact_key
+
+  let equal a b =
+    a.ex_hardening = b.ex_hardening
+    && a.ex_max_iterations = b.ex_max_iterations
+    && a.ex_limit = b.ex_limit
+    && Bucket.equal a.ex_bucket b.ex_bucket
+
+  let hash k =
+    Hashtbl.hash
+      (Bucket.hash k.ex_bucket, k.ex_hardening, k.ex_max_iterations, k.ex_limit)
+end)
+
 type caches = {
   buckets : Redundancy_opt.cache Bucket_memo.t;
   recorded : Design_strategy.recorded String_memo.t;
       (* recorded optimize walks by request id — the base registry
          what-if requests warm-start from via "base_id". *)
   preflights : Ftes_analyze.Preflight.t Preflight_memo.t;
+  exact : Ftes_bnb.Bnb.outcome Exact_memo.t;
 }
 
 let buckets_family = Ftes_par.Memo.family "serve.buckets"
@@ -91,11 +122,14 @@ let registry_family = Ftes_par.Memo.family "serve.registry"
 
 let preflights_family = Ftes_par.Memo.family "serve.preflights"
 
+let exact_family = Ftes_par.Memo.family "serve.exact"
+
 let create_caches ?(max_problems = 64) () =
   { buckets = Bucket_memo.create ~capacity:max_problems buckets_family;
     recorded = String_memo.create ~capacity:max_problems registry_family;
     preflights =
-      Preflight_memo.create ~capacity:max_problems preflights_family }
+      Preflight_memo.create ~capacity:max_problems preflights_family;
+    exact = Exact_memo.create ~capacity:max_problems exact_family }
 
 let cache_problems t = Bucket_memo.length t.buckets
 
@@ -107,16 +141,12 @@ let registry_hits t = String_memo.hits t.recorded
 
 let registry_misses t = String_memo.misses t.recorded
 
-let bucket_key (req : Request.t) =
-  let config = req.Request.config in
+let bucket_key ~(config : Config.t) problem =
   match config.Config.slack with
   | (Scheduler.Shared | Scheduler.Conservative | Scheduler.Dedicated) as slack
     ->
       Some
-        { slack;
-          bus = config.Config.bus;
-          kmax = config.Config.kmax;
-          problem = req.Request.problem }
+        { slack; bus = config.Config.bus; kmax = config.Config.kmax; problem }
   | Scheduler.Per_process _ | Scheduler.Checkpointed _ ->
       (* Not wire-reachable; never share rather than mis-share. *)
       None
@@ -127,9 +157,9 @@ let shared_cache caches (req : Request.t) =
   | Some t -> (
       match req.Request.command with
       | Request.Analyze | Request.Exact _ ->
-          (* No candidate evaluations to share: analyze reuses whole
-             reports through [resident_preflight] instead, and the exact
-             search builds its own tables. *)
+          (* No candidate evaluations to share: analyze and exact reuse
+             whole answers through [resident_preflight] and
+             [resident_exact] instead. *)
           None
       | Request.Optimize | Request.Pareto _ ->
           Option.map
@@ -141,7 +171,7 @@ let shared_cache caches (req : Request.t) =
                      may each build one, and all but the stored one are
                      dropped unused. *)
                   Bucket_memo.add t.buckets key (Redundancy_opt.create_cache ()))
-            (bucket_key req))
+            (bucket_key ~config:req.Request.config req.Request.problem))
 
 let resident_preflight t ~kmax ~reexec problem =
   let key = { pf_kmax = kmax; pf_reexec = reexec; pf_problem = problem } in
@@ -150,6 +180,24 @@ let resident_preflight t ~kmax ~reexec problem =
   | None ->
       Preflight_memo.add t.preflights key
         (Ftes_analyze.Preflight.run ~kmax ~reexec problem)
+
+(* Only a finished proof is stored: [Bnb.Budget_exhausted] escapes
+   before [add], so an exhausted search is re-run (and re-exhausted) on
+   every request.  The caller audits whatever this returns. *)
+let resident_exact t ~limit ~config problem =
+  let solve () = Ftes_bnb.Bnb.solve ?limit ~config problem in
+  match bucket_key ~config problem with
+  | None -> solve ()
+  | Some bucket -> (
+      let key =
+        { ex_bucket = bucket;
+          ex_hardening = config.Config.hardening;
+          ex_max_iterations = config.Config.max_iterations;
+          ex_limit = limit }
+      in
+      match Exact_memo.find t.exact key with
+      | Some outcome -> outcome
+      | None -> Exact_memo.add t.exact key (solve ()))
 
 (* --- one batch --- *)
 
@@ -160,6 +208,15 @@ let best_effort_id line =
       match Json.field "id" Json.to_string_value json with
       | Ok id -> id
       | Error _ -> "")
+
+(* A line the reader cut at [max_line_bytes] is answered without a
+   parse. *)
+type line = Line of string | Oversized
+
+let max_line_bytes = 8 * 1024 * 1024
+
+let oversized_message =
+  Printf.sprintf "request line exceeds %d bytes" max_line_bytes
 
 let execute ?caches ~enqueued_ns line =
   let started_ns = Clock.now_ns () in
@@ -187,13 +244,18 @@ let execute ?caches ~enqueued_ns line =
       lookup
   in
   let id, verdict, payload, error, warm =
-    match Request.of_string ~on_warning:ignore ?resolve_base line with
+    match
+      Span.with_ ~name:"driver/validate" (fun () ->
+          Request.of_string ~on_warning:ignore ?resolve_base line)
+    with
     | Error msg ->
         (best_effort_id line, Response.Failed, Json.Object [], Some msg, None)
     | Ok req -> (
+        Span.with_ ~name:"driver/dispatch" @@ fun () ->
         match
           Exec.run ?cache:(shared_cache caches req) ?recorded_of:lookup
             ?preflight:(Option.map resident_preflight caches)
+            ?solve:(Option.map resident_exact caches)
             req
         with
         | exception Exec.Rejected msg ->
@@ -235,9 +297,20 @@ let execute ?caches ~enqueued_ns line =
     finished_ns - started_ns,
     warm )
 
-let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
+let execute_item ?caches ~enqueued_ns = function
+  | Line line -> execute ?caches ~enqueued_ns line
+  | Oversized ->
+      ( "",
+        Response.Failed,
+        Json.Object [],
+        Some oversized_message,
+        Clock.now_ns () - enqueued_ns,
+        0,
+        None )
+
+let run_items ?pool ?caches ?(telemetry = true) ?(first_seq = 0) items =
   let enqueued_ns = Clock.now_ns () in
-  let executed = Pool.map ?pool (execute ?caches ~enqueued_ns) lines in
+  let executed = Pool.map ?pool (execute_item ?caches ~enqueued_ns) items in
   (* Register this batch's recorded optimize walks, sequentially and
      in request order, only after the whole batch executed: a request
      naming a same-batch base_id therefore fails deterministically,
@@ -246,6 +319,7 @@ let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
   (match caches with
   | None -> ()
   | Some t ->
+      Span.with_ ~name:"driver/register" @@ fun () ->
       List.iter
         (fun (id, _, _, _, _, _, warm) ->
           match warm with
@@ -298,17 +372,46 @@ let run_lines ?pool ?caches ?(telemetry = true) ?(first_seq = 0) lines =
         telemetry = sample queue_wait_ns wall_ns reuse })
     executed
 
+let run_lines ?pool ?caches ?telemetry ?first_seq lines =
+  run_items ?pool ?caches ?telemetry ?first_seq
+    (List.map (fun line -> Line line) lines)
+
 (* --- the loop --- *)
 
 type stats = { requests : int; failed : int; batches : int }
 
+(* [In_channel.input_line] with a ceiling: past [max_line_bytes] the
+   rest of the line is read and dropped unbuffered, so an oversized
+   line costs time linear in its bytes and no memory beyond the cap. *)
+let read_line ic buf =
+  Buffer.clear buf;
+  let rec keep () =
+    match In_channel.input_char ic with
+    | None ->
+        if Buffer.length buf = 0 then None
+        else Some (Line (Buffer.contents buf))
+    | Some '\n' -> Some (Line (Buffer.contents buf))
+    | Some c ->
+        if Buffer.length buf < max_line_bytes then begin
+          Buffer.add_char buf c;
+          keep ()
+        end
+        else drop ()
+  and drop () =
+    match In_channel.input_char ic with
+    | None | Some '\n' -> Some Oversized
+    | Some _ -> drop ()
+  in
+  keep ()
+
 let read_batch ic n =
+  let buf = Buffer.create 4096 in
   let rec go n acc =
     if n = 0 then List.rev acc
     else
-      match In_channel.input_line ic with
+      match read_line ic buf with
       | None -> List.rev acc
-      | Some line -> go (n - 1) (line :: acc)
+      | Some item -> go (n - 1) (item :: acc)
   in
   go n []
 
@@ -317,10 +420,8 @@ let serve ?pool ?caches ?(max_batch = 16) ic oc =
   let rec loop stats seq =
     match read_batch ic max_batch with
     | [] -> stats
-    | lines ->
-        let responses =
-          run_lines ?pool ?caches ~first_seq:seq lines
-        in
+    | items ->
+        let responses = run_items ?pool ?caches ~first_seq:seq items in
         List.iter
           (fun r ->
             output_string oc (Response.to_line r);
@@ -352,6 +453,9 @@ let audit ?pool ?caches () =
   let lines =
     [ req "audit-analyze" Request.Analyze "fig1";
       req "audit-optimize" Request.Optimize "cc";
+      (* An exact request, so the snapshot reconciles the serve.exact
+         memo family too. *)
+      req "audit-exact" (Request.Exact { limit = None }) "fig1";
       req "audit-pareto"
         (Request.Pareto
            { eps = 0.0;

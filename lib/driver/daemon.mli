@@ -24,18 +24,24 @@ type caches
     strategy and tabu iteration cap deliberately excluded: probe and
     walk outcomes carry them in their keys inside each cache) — plus a
     registry of recorded optimize walks keyed on request id, the base
-    trail what-if requests warm-start from via ["base_id"], and a memo
+    trail what-if requests warm-start from via ["base_id"], a memo
     of pre-flight reports keyed on (kmax, re-execution bucket,
     problem), the problem compared the same way, which analyze
-    requests answer from.  All three are {!Ftes_par.Memo} tables,
-    counting under the [serve.buckets.*], [serve.registry.*] and
-    [serve.preflights.*] obs counter families. *)
+    requests answer from, and a memo of exact outcomes
+    ({!Ftes_bnb.Bnb.outcome}) keyed on the bucket fields plus hardening
+    strategy, tabu iteration cap and [limit], which exact requests
+    answer from.  The exact memo stores finished proofs only (a
+    {!Ftes_bnb.Bnb.Budget_exhausted} search stores nothing), and
+    {!Exec.run} audits a memoised outcome on every request, exactly as
+    a fresh one.  All four are {!Ftes_par.Memo} tables, counting under
+    the [serve.buckets.*], [serve.registry.*], [serve.preflights.*]
+    and [serve.exact.*] obs counter families. *)
 
 val create_caches : ?max_problems:int -> unit -> caches
 (** Fresh registry retaining at most [max_problems] (default 64)
-    distinct buckets, recorded walks and pre-flight reports each; past
-    that, one-off problems run with a private cache (and a fresh
-    pre-flight) instead of growing the daemon. *)
+    distinct buckets, recorded walks, pre-flight reports and exact
+    outcomes each; past that, one-off problems run with a private cache
+    (and a fresh pre-flight or proof) instead of growing the daemon. *)
 
 val cache_problems : caches -> int
 (** Distinct buckets currently held. *)
@@ -76,7 +82,12 @@ val run_lines :
     request id {e after} the whole batch executed (sequentially, in
     request order, first registration winning), so a request naming a
     same-batch ["base_id"] fails deterministically whatever pool
-    schedule ran the batch. *)
+    schedule ran the batch.
+
+    A request passes the spans [driver/validate] (parse and
+    validation), [driver/dispatch] (execution, payload and verdict,
+    with {!Exec}'s [driver/certify] inside) and, once per batch with a
+    registry, [driver/register]. *)
 
 type stats = {
   requests : int;  (** responses emitted. *)
@@ -95,7 +106,15 @@ val serve :
     them as one pool batch (with telemetry), flush, repeat until EOF.
     [max_batch = 1]
     gives strict request-by-request streaming; larger batches let
-    independent requests overlap on the pool. *)
+    independent requests overlap on the pool.
+
+    A line longer than {!max_line_bytes} is not buffered past the cap:
+    the reader discards the rest of it and the line is answered, in its
+    place in the stream, by one [verdict = "error"] response with the
+    message ["request line exceeds N bytes"] and an empty id. *)
+
+val max_line_bytes : int
+(** The request line cap of {!serve}: 8 MiB. *)
 
 val audit :
   ?pool:Ftes_par.Pool.t ->
@@ -103,7 +122,7 @@ val audit :
   unit ->
   Response.t list * Ftes_verify.Report.t
 (** Self-test behind [ftes serve --audit] and the CI smoke alias:
-    drive a mixed built-in batch (analyze, optimize, pareto, a
+    drive a mixed built-in batch (analyze, optimize, exact, pareto, a
     one-shot what-if, plus a deliberately malformed line) through
     {!run_lines}, re-parse the emitted wire bytes, and run the
     [serve/*] and [whatif/*] rules over the captured stream, plus the

@@ -117,9 +117,14 @@ let audit_exact ~config problem (outcome : Bnb.outcome) =
          bus = config.Config.bus }
        outcome.Bnb.certificate)
 
+(* Every certification of an answer runs under one span, so a trace
+   splits the verifier's share from the search's. *)
+let certify f = Ftes_obs.Span.with_ ~name:"driver/certify" f
+
 let run ?cache ?recorded_of
     ?(preflight =
       fun ~kmax ~reexec problem -> Preflight.run ~kmax ~reexec problem)
+    ?(solve = fun ~limit ~config problem -> Bnb.solve ?limit ~config problem)
     (req : Request.t) =
   let config = req.Request.config in
   let problem = req.Request.problem in
@@ -149,20 +154,24 @@ let run ?cache ?recorded_of
       let report =
         Option.map
           (fun (s : Design_strategy.solution) ->
-            Verify.certify ~slack:config.Config.slack ~bus:config.Config.bus
-              ~sfp_tables:s.Design_strategy.sfp_tables
-              recorded.Design_strategy.rec_problem
-              s.Design_strategy.result.Redundancy_opt.design
-              s.Design_strategy.schedule)
+            certify (fun () ->
+                Verify.certify ~slack:config.Config.slack
+                  ~bus:config.Config.bus
+                  ~sfp_tables:s.Design_strategy.sfp_tables
+                  recorded.Design_strategy.rec_problem
+                  s.Design_strategy.result.Redundancy_opt.design
+                  s.Design_strategy.schedule))
           solution
       in
       Optimized { solution; report; recorded; reuse }
   | Request.Exact { limit } ->
-      (* The proof is the point: always audit the emitted certificate.
-         The exact search builds its own memo tables, so [cache] does
-         not apply. *)
-      let outcome = Bnb.solve ?limit ~config problem in
-      Proved { outcome; report = audit_exact ~config problem outcome }
+      (* The proof is the point: always audit the emitted certificate,
+         whether [solve] proved it now or a resident memo returned an
+         earlier proof.  [cache] does not apply: the search builds its
+         own tables. *)
+      let outcome = solve ~limit ~config problem in
+      let report = certify (fun () -> audit_exact ~config problem outcome) in
+      Proved { outcome; report }
   | Request.Pareto { eps; objectives; ref_cost } ->
       let spec = Archive.spec ~objectives ~eps () in
       let frontier = Design_strategy.run_frontier ?cache ~spec ~config problem in
@@ -191,7 +200,10 @@ let run ?cache ?recorded_of
             bus = config.Config.bus }
           frontier.Design_strategy.archive
       in
-      let report = Verify.run ~rules:Ftes_verify.Pareto_rules.all subject in
+      let report =
+        certify (fun () ->
+            Verify.run ~rules:Ftes_verify.Pareto_rules.all subject)
+      in
       Frontiered { frontier; reference; report }
 
 (* --- verdict --- *)

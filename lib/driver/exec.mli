@@ -61,6 +61,11 @@ val run :
     reexec:bool ->
     Ftes_model.Problem.t ->
     Ftes_analyze.Preflight.t) ->
+  ?solve:
+    (limit:int option ->
+    config:Ftes_core.Config.t ->
+    Ftes_model.Problem.t ->
+    Ftes_bnb.Bnb.outcome) ->
   Request.t ->
   outcome
 (** Execute the request.  [cache] shares SFP tables, candidate
@@ -73,6 +78,15 @@ val run :
     {!Ftes_analyze.Preflight.run}), which must return what
     [Preflight.run ~kmax ~reexec problem] would — the daemon passes
     its memo of resident reports.  No other command calls it.
+
+    An exact request takes its outcome from [solve] (default
+    {!Ftes_bnb.Bnb.solve}), which must return what
+    [Bnb.solve ?limit ~config problem] would, or raise as it does — the
+    daemon passes its memo of resident outcomes.  Whatever [solve]
+    returns is audited by {!audit_exact} on every call, so a memoised
+    outcome is re-certified on every request.  Each certification (the
+    verifier report of optimize and what-if, the exact audit, the
+    pareto rules) runs under the span [driver/certify].
 
     A what-if request (see {!Request.t.whatif}) resolves its base walk
     through [recorded_of] when it names a ["base_id"] — the base must

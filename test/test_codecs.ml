@@ -662,6 +662,101 @@ let prop_daemon_stdin =
            (List.mapi (fun i l -> (i, l)) lines)
            responses)
 
+(* [Daemon.serve] reads no line past [Daemon.max_line_bytes]: an
+   over-cap line between two good requests is answered in its place by
+   one error naming the cap, in time linear in its bytes, and the next
+   request is served.  A line of exactly the cap is still parsed. *)
+let padded_request ~id bytes =
+  let head =
+    {|{"schema_version":1,"id":"|} ^ id
+    ^ {|","command":"analyze","example":"fig1","pad":"|}
+  in
+  let tail = {|"}|} in
+  head
+  ^ String.make (bytes - String.length head - String.length tail) 'x'
+  ^ tail
+
+let serve_file lines ~max_batch =
+  let input = Filename.temp_file "ftes-serve-in" ".jsonl" in
+  let output = Filename.temp_file "ftes-serve-out" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove input;
+      Sys.remove output)
+    (fun () ->
+      Out_channel.with_open_bin input (fun oc ->
+          List.iter
+            (fun line ->
+              output_string oc line;
+              output_char oc '\n')
+            lines);
+      let stats =
+        In_channel.with_open_bin input (fun ic ->
+            Out_channel.with_open_bin output (fun oc ->
+                Daemon.serve ~max_batch ic oc))
+      in
+      ( stats,
+        List.map
+          (fun line -> ok_exn "response" (Response.of_string line))
+          (In_channel.with_open_bin output In_channel.input_lines) ))
+
+let prop_daemon_line_cap =
+  QCheck.Test.make ~count:4
+    ~name:"an over-cap stdin line is answered in place, the next served"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let prng = Prng.create seed in
+      let at_cap = Prng.int prng 4 = 0 in
+      let bytes =
+        Daemon.max_line_bytes
+        + if at_cap then 0 else 1 + Prng.int prng (1 lsl 20)
+      in
+      let good id =
+        Request.to_string
+          (ok_exn "request"
+             (Request.make ~id Request.Analyze (`Example "fig1")))
+      in
+      let lines =
+        [ good "before"; padded_request ~id:"padded" bytes; good "after" ]
+      in
+      let started = Unix.gettimeofday () in
+      let stats, responses =
+        serve_file lines ~max_batch:(1 + Prng.int prng 3)
+      in
+      let elapsed = Unix.gettimeofday () -. started in
+      if elapsed > 10.0 then
+        QCheck.Test.fail_reportf "%d bytes took %.1f s" bytes elapsed;
+      let answer (r : Response.t) =
+        ( r.Response.seq,
+          r.Response.id,
+          Response.verdict_name r.Response.verdict,
+          r.Response.error )
+      in
+      let middle =
+        if at_cap then (1, "padded", "feasible", None)
+        else
+          ( 1,
+            "",
+            "error",
+            Some
+              (Printf.sprintf "request line exceeds %d bytes"
+                 Daemon.max_line_bytes) )
+      in
+      let want =
+        [ (0, "before", "feasible", None);
+          middle;
+          (2, "after", "feasible", None) ]
+      in
+      if List.map answer responses <> want then
+        QCheck.Test.fail_reportf "%d-byte line: answers %s" bytes
+          (String.concat "; "
+             (List.map
+                (fun (seq, id, verdict, _) ->
+                  Printf.sprintf "%d %S %s" seq id verdict)
+                (List.map answer responses)));
+      stats.Daemon.requests = 3
+      && stats.Daemon.failed = if at_cap then 0 else 1)
+
 let () =
   Alcotest.run "ftes_codecs"
     [ ( "fuzz",
@@ -670,7 +765,8 @@ let () =
           QCheck_alcotest.to_alcotest audit_fuzz;
           Alcotest.test_case "over-deep nesting is refused" `Quick
             test_deep_nesting_rejected;
-          QCheck_alcotest.to_alcotest prop_daemon_stdin ] );
+          QCheck_alcotest.to_alcotest prop_daemon_stdin;
+          QCheck_alcotest.to_alcotest prop_daemon_line_cap ] );
       (* Group labels stay within the four letters of "fuzz": Alcotest
          pads every label to the longest, and a wider column truncates
          the printed names of the cases above. *)

@@ -545,6 +545,151 @@ let test_preflight_memo () =
   let _, moved = analyze bounded "fig1-again" (`Example "fig1") in
   check "bounded: stored problem still hits" (0, 1, 0) moved
 
+(* Exact requests answer from the exact memo: one entry per (hardening
+   strategy, tabu iteration cap, kmax, slack, bus, limit, problem
+   identity), bounded by [max_problems], holding finished proofs only,
+   and never a Redundancy_opt bucket. *)
+let exact_counters () =
+  let counters =
+    List.map
+      (fun name -> Ftes_obs.Metrics.counter ("serve.exact." ^ name))
+      [ "misses"; "hits"; "capacity_drops" ]
+  in
+  fun () -> List.map Ftes_obs.Metrics.counter_value counters
+
+let test_exact_memo () =
+  let sample = exact_counters () in
+  let exact ?strategy ?slack ?bus ?kmax ?limit caches id problem =
+    let req =
+      ok_exn
+        (Request.make ~id ?strategy ?slack ?bus ?kmax (Request.Exact { limit })
+           problem)
+    in
+    let before = sample () in
+    let resp = daemon_once ~caches req in
+    Alcotest.(check string)
+      (id ^ ": payload = one-shot")
+      (Response.fingerprint (one_shot req))
+      (Response.fingerprint resp);
+    ( Json.to_string ~minify:true resp.Response.payload,
+      List.map2 ( - ) (sample ()) before )
+  in
+  let check label (want_misses, want_hits, want_drops) moved =
+    Alcotest.(check (list int))
+      (label ^ ": misses, hits, drops") [ want_misses; want_hits; want_drops ]
+      moved
+  in
+  let fig1 = `Example "fig1" in
+  let tdma = Bus.Tdma { slot_ms = 2.0 } in
+  let caches = Daemon.create_caches () in
+  let first, moved = exact caches "fig1-1" fig1 in
+  check "first exact" (1, 0, 0) moved;
+  let again, moved = exact caches "fig1-2" fig1 in
+  check "second exact" (0, 1, 0) moved;
+  Alcotest.(check string) "repeated payload bytes" first again;
+  let _, moved =
+    exact caches "fig1-inline" (`Problem (Ftes_cc.Fig_examples.fig1_problem ()))
+  in
+  check "inline fig1 shares the entry" (0, 1, 0) moved;
+  let _, moved = exact caches "fig1-max" ~strategy:"max" fig1 in
+  check "strategy max opens an entry" (1, 0, 0) moved;
+  let _, moved = exact caches "fig1-k11" ~kmax:11 fig1 in
+  check "kmax 11 opens an entry" (1, 0, 0) moved;
+  let _, moved = exact caches "fig1-tdma" ~bus:tdma fig1 in
+  check "tdma opens an entry" (1, 0, 0) moved;
+  let _, moved = exact caches "fig1-tdma-again" ~bus:tdma fig1 in
+  check "tdma hits its entry" (0, 1, 0) moved;
+  let _, moved = exact caches "fig1-limit" ~limit:100_000 fig1 in
+  check "a limit opens an entry" (1, 0, 0) moved;
+  Alcotest.(check int) "exact opens no evaluation bucket" 0
+    (Daemon.cache_problems caches);
+  let by_slack = Daemon.create_caches () in
+  List.iter
+    (fun (name, slack) ->
+      let _, moved = exact by_slack ("fig1-" ^ name) ~slack fig1 in
+      check (name ^ " opens its own entry") (1, 0, 0) moved)
+    Helpers.named_slack_policies;
+  (* An exhausted search is an error every time: nothing is stored. *)
+  let starved =
+    ok_exn
+      (Request.make ~id:"cc-starved"
+         (Request.Exact { limit = Some 1 })
+         (`Example "cc"))
+  in
+  for round = 1 to 2 do
+    let before = sample () in
+    let resp = daemon_once ~caches starved in
+    Alcotest.(check string)
+      (Printf.sprintf "limit 1 on cc, round %d: verdict" round)
+      "error"
+      (Response.verdict_name resp.Response.verdict);
+    check
+      (Printf.sprintf "limit 1 on cc, round %d" round)
+      (1, 0, 0)
+      (List.map2 ( - ) (sample ()) before)
+  done;
+  let bounded = Daemon.create_caches ~max_problems:1 () in
+  let _, moved = exact bounded "fig1" fig1 in
+  check "bounded: first key stored" (1, 0, 0) moved;
+  let _, moved = exact bounded "fig1-min" ~strategy:"min" fig1 in
+  check "bounded: second key dropped" (1, 0, 1) moved;
+  let _, moved = exact bounded "fig1-min-again" ~strategy:"min" fig1 in
+  check "bounded: dropped key re-proved" (1, 0, 1) moved;
+  let _, moved = exact bounded "fig1-again" fig1 in
+  check "bounded: stored key still hits" (0, 1, 0) moved
+
+let strategies = [| "opt"; "min"; "max" |]
+
+let prop_exact_memo_differential =
+  QCheck.Test.make ~count:8
+    ~name:"exact: daemon twice == one-shot (seed x strategy x slack x bus)"
+    QCheck.(quad small_nat (int_bound 2) (int_bound 2) bool)
+    (fun (seed, strategy_i, slack_i, tdma) ->
+      let req =
+        ok_exn
+          (Request.make ~id:"inline-exact"
+             ~strategy:strategies.(strategy_i)
+             ~slack:(snd (List.nth Helpers.named_slack_policies slack_i))
+             ~bus:(if tdma then Bus.Tdma { slot_ms = 2.0 } else Bus.Fcfs)
+             (Request.Exact { limit = None })
+             (`Problem (Helpers.small_problem ~n:4 seed)))
+      in
+      let sample = exact_counters () in
+      let caches = Daemon.create_caches () in
+      let want = Response.fingerprint (one_shot req) in
+      let before = sample () in
+      let cold = Response.fingerprint (daemon_once ~caches req) in
+      let warm = Response.fingerprint (daemon_once ~caches req) in
+      let moved = List.map2 ( - ) (sample ()) before in
+      if moved <> [ 1; 1; 0 ] then
+        QCheck.Test.fail_reportf "misses, hits, drops moved by %s"
+          (String.concat ", " (List.map string_of_int moved));
+      cold = want && warm = want)
+
+(* The audit runs on whatever [solve] hands back, so a memoised outcome
+   is certified on every request: a tampered one is a lint failure. *)
+let test_exact_audit_on_solve () =
+  let req =
+    ok_exn
+      (Request.make ~id:"fig1-tampered"
+         (Request.Exact { limit = None })
+         (`Example "fig1"))
+  in
+  let honest = Exec.run req in
+  Alcotest.(check string) "honest outcome" "feasible"
+    (Response.verdict_name (Exec.verdict honest));
+  let tampered ~limit ~config problem =
+    let o = Ftes_bnb.Bnb.solve ?limit ~config problem in
+    let cert = o.Ftes_bnb.Bnb.certificate in
+    { o with
+      Ftes_bnb.Bnb.certificate =
+        { cert with
+          Ftes_analyze.Bnb_certificate.heuristic_cost =
+            cert.Ftes_analyze.Bnb_certificate.optimal_cost -. 10.0 } }
+  in
+  Alcotest.(check string) "tampered heuristic cost" "lint-failure"
+    (Response.verdict_name (Exec.verdict (Exec.run ~solve:tampered req)))
+
 (* Two problems that differ only in their deadline must not share a
    registry bucket: the eval and probe memos are keyed on the design
    alone.  Sent one after the other through one registry, each payload
@@ -837,7 +982,7 @@ let test_whatif_daemon_rejects () =
 (* The daemon's own self-test must agree with the rules it audits. *)
 let test_daemon_audit () =
   let responses, report = Daemon.audit () in
-  Alcotest.(check int) "audit stream size" 5 (List.length responses);
+  Alcotest.(check int) "audit stream size" 6 (List.length responses);
   if not (Report.ok report) then
     Alcotest.failf "audit rejected:\n%s" (Report.to_text report)
 
@@ -881,6 +1026,10 @@ let () =
           Alcotest.test_case "buckets keyed on problem identity" `Quick
             test_bucket_problem_identity;
           Alcotest.test_case "pre-flight memo" `Quick test_preflight_memo;
+          Alcotest.test_case "exact memo" `Quick test_exact_memo;
+          q prop_exact_memo_differential;
+          Alcotest.test_case "exact audit runs on what solve returns" `Quick
+            test_exact_audit_on_solve;
           Alcotest.test_case "base_id warm start through the registry" `Quick
             test_whatif_daemon_warm;
           Alcotest.test_case "what-if rejections are structured" `Quick
