@@ -51,8 +51,7 @@ let c_pruned = Ftes_obs.Metrics.counter "strategy.pruned"
 let c_runs = Ftes_obs.Metrics.counter "strategy.runs"
 
 (* One entry of the recorded walk: an evaluated architecture and its
-   verdict.  Steps correspond 1:1 with [explored] increments, which are
-   bit-identical across pool modes, so the trail is too. *)
+   verdict.  Steps correspond 1:1 with [explored] increments. *)
 type step = {
   step_members : int array;
   step_verdict : [ `Schedulable of float | `Unschedulable ];
@@ -79,19 +78,16 @@ let finalize ~config ~cache ~explored problem (result : Redundancy_opt.result)
     sfp_tables }
 
 (* The Fig. 5 walk, parameterized over a feasible-candidate hook.  Each
-   size level is walked fastest first in batches: a batch is scored by
-   [Pool.map] (speculatively, beyond the walk's stopping point, when it
-   holds more than one candidate) and then merged in speed order.  The
-   scoring does no bookkeeping; the ordered merge is the only place
-   that counts, records, fires [on_step] / [on_feasible] and stops at
-   line 15, so every counter, the trail and the hook sequence are the
-   same whatever the batch size or domain count.  [on_feasible] fires
-   once per feasible result of an evaluated architecture (the
-   schedule-length winner first, then the cost-refined mapping when one
-   exists), [on_step] once per evaluated architecture.  Every entry
-   point runs through here: one [strategy/run] span around the walk and
-   the finalization of its best result. *)
-let search ?pool ?cache ~config ~on_feasible ~on_step problem =
+   size level is walked fastest first: an architecture whose
+   minimum-hardening cost cannot beat the best so far is pruned (line
+   6), any other is counted as explored and answered through
+   {!Redundancy_opt.walk}, and the first unschedulable one ends the
+   level (line 15).  [on_step] fires once per explored architecture,
+   [on_feasible] once per feasible result of it (the schedule-length
+   winner first, then the cost-refined mapping when one exists).
+   Every entry point runs through here: one [strategy/run] span around
+   the walk and the finalization of its best result. *)
+let search ?cache ~config ~on_feasible ~on_step problem =
   Ftes_obs.Metrics.incr c_runs;
   Ftes_obs.Span.with_ ~name:"strategy/run" @@ fun () ->
   let lib = Problem.n_library problem in
@@ -113,13 +109,13 @@ let search ?pool ?cache ~config ~on_feasible ~on_step problem =
      candidates in [on_feasible] order. *)
   let step members () =
     match
-      Mapping_opt.run ~cache ?pool ~config
+      Mapping_opt.run ~cache ~config
         ~objective:Mapping_opt.Schedule_length problem ~members
     with
     | None -> None
     | Some sl_result -> (
         match
-          Mapping_opt.run ~cache ?pool ~config
+          Mapping_opt.run ~cache ~config
             ~objective:Mapping_opt.Architecture_cost
             ~initial:sl_result.Redundancy_opt.design.Design.mapping problem
             ~members
@@ -129,75 +125,27 @@ let search ?pool ?cache ~config ~on_feasible ~on_step problem =
         | Some r -> Some (sl_result, [ sl_result; r ])
         | None -> Some (sl_result, [ sl_result ]))
   in
-  (* Score one candidate against the best cost at batch entry: its
-     minimum-hardening cost and a verdict.  Line 6 (cannot beat the
-     best-so-far) comes back as a verdict without a mapping search and
-     without touching the walk memo. *)
-  let score ~bound members =
-    let floor = min_hardening_cost problem members in
-    let verdict =
-      if floor >= bound then `Pruned
-      else
-        match Redundancy_opt.walk ~cache ~config ~members (step members) with
-        | None -> `Unschedulable
-        | Some (result, candidates) -> `Schedulable (result, candidates)
-    in
-    (members, floor, verdict)
-  in
-  (* Merge one scored batch in speed order; false when the walk must
-     jump to the next size (an evaluated architecture was unschedulable:
-     Fig. 5 line 15).  The prune test is re-run against the current best
-     cost: it only decreases, so a candidate pruned at batch entry is
-     pruned here too, and one scored at batch entry may still be. *)
-  let rec merge = function
-    | [] -> true
-    | (members, floor, verdict) :: rest ->
-        if floor >= !best_cost then begin
-          Ftes_obs.Metrics.incr c_pruned;
-          merge rest
-        end
-        else begin
-          incr explored;
-          Ftes_obs.Metrics.incr c_explored;
-          match verdict with
-          | `Pruned (* unreachable: pruned above *) | `Unschedulable ->
-              on_step { step_members = members; step_verdict = `Unschedulable };
-              false
-          | `Schedulable (result, candidates) ->
-              on_step
-                { step_members = members;
-                  step_verdict = `Schedulable result.Redundancy_opt.cost };
-              List.iter on_feasible candidates;
-              if result.Redundancy_opt.cost < !best_cost then begin
-                best_cost := result.Redundancy_opt.cost;
-                best := Some result
-              end;
-              merge rest
-        end
-  in
-  (* Speculation needs spare domains: one candidate per batch walks the
-     level lazily, exactly as far as the merge goes. *)
-  let batch_size =
-    match pool with
-    | Some pool
-      when Ftes_par.Pool.domains pool > 1 && not (Ftes_par.Pool.in_worker ())
-      ->
-        2 * Ftes_par.Pool.domains pool
-    | Some _ | None -> 1
-  in
-  let rec take n = function
-    | x :: rest when n > 0 ->
-        let taken, rest = take (n - 1) rest in
-        (x :: taken, rest)
-    | rest -> ([], rest)
-  in
   let rec size_level = function
     | [] -> ()
-    | queue ->
-        let batch, rest = take batch_size queue in
-        let bound = !best_cost in
-        if merge (Ftes_par.Pool.map ?pool (score ~bound) batch) then
-          size_level rest
+    | members :: rest when min_hardening_cost problem members >= !best_cost ->
+        Ftes_obs.Metrics.incr c_pruned;
+        size_level rest
+    | members :: rest -> (
+        incr explored;
+        Ftes_obs.Metrics.incr c_explored;
+        match Redundancy_opt.walk ~cache ~config ~members (step members) with
+        | None ->
+            on_step { step_members = members; step_verdict = `Unschedulable }
+        | Some (result, candidates) ->
+            on_step
+              { step_members = members;
+                step_verdict = `Schedulable result.Redundancy_opt.cost };
+            List.iter on_feasible candidates;
+            if result.Redundancy_opt.cost < !best_cost then begin
+              best_cost := result.Redundancy_opt.cost;
+              best := Some result
+            end;
+            size_level rest)
   in
   for n = 1 to lib do
     size_level (architectures_by_speed problem ~n)
@@ -216,10 +164,10 @@ type recorded = {
   rec_explored : int;
 }
 
-let run_recorded ?pool ?cache ~config problem =
+let run_recorded ?cache ~config problem =
   let steps = ref [] in
   let solution, explored, cache =
-    search ?pool ?cache ~config
+    search ?cache ~config
       ~on_feasible:(fun _ -> ())
       ~on_step:(fun step -> steps := step :: !steps)
       problem
@@ -231,8 +179,8 @@ let run_recorded ?pool ?cache ~config problem =
     rec_solution = solution;
     rec_explored = explored }
 
-let run ?pool ?cache ~config problem =
-  (run_recorded ?pool ?cache ~config problem).rec_solution
+let run ?cache ~config problem =
+  (run_recorded ?cache ~config problem).rec_solution
 
 let step_equal a b =
   a.step_members = b.step_members
@@ -283,7 +231,7 @@ type frontier = {
   explored : int;
 }
 
-let run_frontier ?pool ?cache ?spec ~config problem =
+let run_frontier ?cache ?spec ~config problem =
   let archive = Archive.create ?spec () in
   let on_feasible (r : Redundancy_opt.result) =
     Archive.insert archive
@@ -293,7 +241,7 @@ let run_frontier ?pool ?cache ?spec ~config problem =
         margin = r.Redundancy_opt.margin }
   in
   let best, explored, _ =
-    search ?pool ?cache ~config ~on_feasible
+    search ?cache ~config ~on_feasible
       ~on_step:(fun _ -> ())
       problem
   in

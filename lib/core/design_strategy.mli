@@ -34,9 +34,8 @@ type step = {
       (** accept (with the winning cost) or reject. *)
 }
 (** One entry of a recorded walk.  Steps correspond 1:1 with the
-    [explored] counter's increments and fire only from the walk's
-    ordered merge, so a trail is bit-identical across pool modes and
-    across cache capacities. *)
+    [explored] counter's increments, so a trail is bit-identical across
+    cache capacities. *)
 
 type recorded = {
   rec_problem : Ftes_model.Problem.t;
@@ -51,7 +50,6 @@ type recorded = {
 (** Everything {!rerun} needs to answer a perturbed query warm. *)
 
 val run_recorded :
-  ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   config:Config.t ->
   Ftes_model.Problem.t ->
@@ -62,19 +60,15 @@ val run_recorded :
     deadline and the reliability goal, or [None] when no explored
     architecture admits one.
 
-    Each size level is walked fastest first in batches, and every
-    batch is merged in speed order.  The merge alone counts
-    ([strategy.explored], [strategy.pruned]), records the trail and the
-    best solution, and takes the size jump of Fig. 5 line 15.  A batch holds
-    one candidate unless [pool] spans more than one domain and the
-    caller is not itself a pool worker; then it holds [2 × domains]
-    candidates, scored concurrently (speculatively) before the merge.
-    The solution, its schedule, the trail, [explored] and every walk
-    counter are therefore bit-identical across pool modes.  SFP node
-    tables and whole candidate evaluations are shared across the walk
-    through a per-run {!Redundancy_opt.cache}, which likewise never
-    changes any result: a run over a [~capacity:0] cache, which retains
-    nothing, returns the same solution.
+    Each size level is walked fastest first.  An architecture whose
+    minimum-hardening cost cannot beat the best so far is pruned
+    ([strategy.pruned]); any other is explored ([strategy.explored]),
+    recorded in the trail, and the first unschedulable one takes the
+    size jump of Fig. 5 line 15.  SFP node tables and whole candidate
+    evaluations are shared across the walk through a per-run
+    {!Redundancy_opt.cache}, which never changes any result: a run
+    over a [~capacity:0] cache, which retains nothing, returns the same
+    solution, trail and walk counters.
 
     [cache] overrides the per-run cache, letting several runs over the
     {e same problem} share evaluations — e.g. a MIN / MAX / OPT
@@ -84,11 +78,10 @@ val run_recorded :
     {!Config.t.hardening} and {!Config.t.max_iterations}.  A repeated
     run over a supplied cache answers every architecture it walked
     before from {!Redundancy_opt.walk} without a tabu search; the
-    merge, the trail, the counters and the finalization run as on a
+    pruning, the trail, the counters and the finalization run as on a
     cold cache. *)
 
 val run :
-  ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   config:Config.t ->
   Ftes_model.Problem.t ->
@@ -128,7 +121,6 @@ type frontier = {
 }
 
 val run_frontier :
-  ?pool:Ftes_par.Pool.t ->
   ?cache:Redundancy_opt.cache ->
   ?spec:Ftes_pareto.Archive.spec ->
   config:Config.t ->
@@ -139,13 +131,8 @@ val run_frontier :
     of each schedulable architecture) into a fresh archive over [spec]
     (default {!Ftes_pareto.Archive.default_spec}).
 
-    Candidates enter the archive only from the walk's ordered batch
-    merge, never from a speculative worker, so the insertion sequence,
-    and with it the archive, is bit-identical to a sequential run's
-    (the archive is additionally insertion-order independent, see
-    {!Ftes_pareto.Archive}).  The walk itself records exactly the same
-    best solution as {!run}: the [best] field is that solution,
-    finalized identically. *)
+    The walk itself records exactly the same best solution as {!run}:
+    the [best] field is that solution, finalized identically. *)
 
 val accepted : ?max_cost:float -> solution option -> bool
 (** The acceptance criterion of the experimental evaluation: a solution

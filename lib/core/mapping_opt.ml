@@ -123,7 +123,7 @@ let better objective (a : Redundancy_opt.result) (b : Redundancy_opt.result) =
       a.Redundancy_opt.schedule_length < b.Redundancy_opt.schedule_length
   | Architecture_cost -> a.Redundancy_opt.cost < b.Redundancy_opt.cost
 
-let run ~cache ?pool ~config ~objective ?initial problem ~members =
+let run ~cache ~config ~objective ?initial problem ~members =
   Ftes_obs.Span.with_ ~name:"mapping/run" @@ fun () ->
   let n = Problem.n_processes problem in
   let m = Array.length members in
@@ -161,11 +161,9 @@ let run ~cache ?pool ~config ~objective ?initial problem ~members =
             critical
           |> List.filteri (fun i _ -> i < move_candidates)
         in
-        (* Evaluate every re-mapping of every candidate.  Moves are
-           independent (each is scored on its own copy of the mapping),
-           so they can run on the pool; [consider] then folds the
-           solutions back sequentially in move order, which keeps the
-           first-wins tie-breaking identical to a sequential scan. *)
+        (* Evaluate every re-mapping of every candidate, each on its own
+           copy of the mapping; [consider] then folds the solutions in
+           move order (first wins on ties). *)
         let move_specs =
           List.concat_map
             (fun p ->
@@ -177,7 +175,7 @@ let run ~cache ?pool ~config ~objective ?initial problem ~members =
         in
         Ftes_obs.Metrics.add c_moves (List.length move_specs);
         let evaluated =
-          Ftes_par.Pool.map ?pool
+          List.map
             (fun (p, slot) ->
               let candidate = Array.copy mapping in
               candidate.(p) <- slot;

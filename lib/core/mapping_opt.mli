@@ -26,7 +26,6 @@ val initial_mapping : Ftes_model.Problem.t -> members:int array -> int array
 
 val run :
   cache:Redundancy_opt.cache ->
-  ?pool:Ftes_par.Pool.t ->
   config:Config.t ->
   objective:objective ->
   ?initial:int array ->
@@ -42,8 +41,6 @@ val run :
     schedulable one; with [Schedule_length] it is the schedulable
     solution of minimum worst-case schedule length.
 
-    [cache] memoizes candidate evaluations across tabu iterations;
-    [pool] scores the moves of one iteration concurrently.  Both leave
-    the returned solution bit-identical to a sequential search over an
-    empty [~capacity:0] cache: moves are evaluated on private copies
-    of the mapping and merged back in move order. *)
+    [cache] memoizes candidate evaluations across tabu iterations; it
+    leaves the returned solution bit-identical to a search over an
+    empty [~capacity:0] cache. *)

@@ -201,14 +201,6 @@ let resident_exact t ~limit ~config problem =
 
 (* --- one batch --- *)
 
-let best_effort_id line =
-  match Json.of_string line with
-  | Error _ -> ""
-  | Ok json -> (
-      match Json.field "id" Json.to_string_value json with
-      | Ok id -> id
-      | Error _ -> "")
-
 (* A line the reader cut at [max_line_bytes] is answered without a
    parse. *)
 type line = Line of string | Oversized
@@ -243,13 +235,23 @@ let execute ?caches ~enqueued_ns line =
         Option.map (fun r -> r.Design_strategy.rec_problem) (find id))
       lookup
   in
+  (* The line is parsed once: a rejected request still echoes the id
+     its JSON carries, if any. *)
+  let json, parsed =
+    Span.with_ ~name:"driver/validate" (fun () ->
+        let json = Json.of_string line in
+        ( json,
+          Result.bind json (Request.of_json ~on_warning:ignore ?resolve_base) ))
+  in
   let id, verdict, payload, error, warm =
-    match
-      Span.with_ ~name:"driver/validate" (fun () ->
-          Request.of_string ~on_warning:ignore ?resolve_base line)
-    with
+    match parsed with
     | Error msg ->
-        (best_effort_id line, Response.Failed, Json.Object [], Some msg, None)
+        let id =
+          match Result.bind json (Json.field "id" Json.to_string_value) with
+          | Ok id -> id
+          | Error _ -> ""
+        in
+        (id, Response.Failed, Json.Object [], Some msg, None)
     | Ok req -> (
         Span.with_ ~name:"driver/dispatch" @@ fun () ->
         match

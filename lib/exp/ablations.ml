@@ -39,7 +39,7 @@ let slack_ablation ?pool ?(count = 40) ~seed () =
           Ftes_par.Pool.map ?pool
             (fun spec ->
               let problem = Workload.problem_of_spec cell spec in
-              Design_strategy.run ?pool ~config problem
+              Design_strategy.run ~config problem
               |> Option.map (fun (s : Design_strategy.solution) ->
                      s.Design_strategy.result.Redundancy_opt.cost))
             specs
@@ -102,7 +102,7 @@ let mapping_ablation ?pool ?(count = 40) ~seed () =
         Ftes_par.Pool.map ?pool
           (fun spec ->
             let problem = Workload.problem_of_spec cell spec in
-            Design_strategy.run ?pool ~config problem
+            Design_strategy.run ~config problem
             |> Option.map (fun (s : Design_strategy.solution) ->
                    s.Design_strategy.result.Redundancy_opt.cost))
           specs
@@ -526,7 +526,7 @@ let optimism ?pool ?(count = 5) ?(trials = 20_000) ?(boost = 2000.0) ~seed () =
   Ftes_par.Pool.map_seeded ?pool ~prng:master
     (fun prng (spec : Workload.app_spec) ->
       let problem = Workload.problem_of_spec cell spec in
-      match Design_strategy.run ?pool ~config:Config.default problem with
+      match Design_strategy.run ~config:Config.default problem with
       | None -> None
       | Some s ->
           let design = s.Design_strategy.result.Redundancy_opt.design in

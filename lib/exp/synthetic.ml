@@ -25,7 +25,7 @@ let run_cell ?pool ~problems key =
   let solutions =
     problems
     |> Ftes_par.Pool.map ?pool (fun (index, problem) ->
-           let solution = Design_strategy.run ?pool ~config problem in
+           let solution = Design_strategy.run ~config problem in
            ( index,
              Option.map
                (fun (s : Design_strategy.solution) ->

@@ -1,23 +1,18 @@
-(** Domain-based work pool for the design-space exploration.
+(** Domain-based parallel map for independent tasks: the applications
+    of one experiment cell and the requests of one daemon batch.
 
-    A pool describes how many domains a parallel map may use.  The
-    implementation distributes the task indices over per-worker
-    work-stealing deques: each worker drains its own deque from the
-    bottom and steals from the top of a victim's deque once it runs
-    dry, so uneven per-candidate costs (some architectures take far
-    longer to evaluate than others) still load-balance.
+    A pool describes how many domains a parallel map may use.  Every
+    worker, the calling domain included, claims the next task index
+    from one shared atomic counter until none are left, so a slow task
+    never holds the others back.
 
     Determinism contract: [map pool f xs] applies [f] to every element
     exactly once and returns the results in input order, so it is
     observationally [List.map f xs] whenever [f] is pure — regardless
-    of the number of domains or of the stealing schedule.  Every
-    caller in the exploration stack relies on this to keep parallel
-    runs bit-identical to sequential ones.
+    of the number of domains or of which worker claimed which index.
 
     Nested parallelism is flattened: a [map] issued from inside a pool
-    worker runs sequentially instead of spawning further domains, so
-    parallelizing an outer loop (apps) never multiplies with an inner
-    loop (candidate architectures). *)
+    worker runs sequentially instead of spawning further domains. *)
 
 type t
 (** A pool descriptor.  Pools are cheap values; domains are spawned
@@ -35,17 +30,11 @@ val sequential : t
 
 val domains : t -> int
 
-val in_worker : unit -> bool
-(** True while the calling domain is executing inside a pool worker.
-    A [map] issued here runs sequentially; callers that choose between
-    a lazy sequential walk and a speculative parallel one (such as
-    {!Ftes_core.Design_strategy.run}) use this to avoid speculating
-    where no parallelism is available. *)
-
 val map : ?pool:t -> ('a -> 'b) -> 'a list -> 'b list
 (** Ordered parallel map.  Without [?pool] (or with {!sequential}) it
-    is exactly [List.map].  Exceptions raised by [f] are re-raised in
-    the calling domain after all workers have stopped. *)
+    is exactly [List.map].  The first exception raised by [f] stops
+    further claims and is re-raised in the calling domain after all
+    workers have stopped. *)
 
 val map_seeded :
   ?pool:t -> prng:Ftes_util.Prng.t -> (Ftes_util.Prng.t -> 'a -> 'b) ->

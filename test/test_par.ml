@@ -1,8 +1,8 @@
 (* Determinism harness for the parallel / memoized exploration stack:
-   the Pool combinators must be observationally List.map, the SFP and
-   candidate-evaluation caches must never change a result, and the
-   parallel Design_strategy walk must be bit-identical to the
-   sequential one under every slack and bus policy. *)
+   the Pool combinators must be observationally List.map and run each
+   task exactly once, and the SFP and candidate-evaluation caches must
+   never change a result — solution, trail or walk counter — under any
+   slack and bus policy. *)
 
 module Pool = Ftes_par.Pool
 module Sfp_cache = Ftes_par.Sfp_cache
@@ -15,6 +15,7 @@ module Scheduler = Ftes_sched.Scheduler
 module Bus = Ftes_sched.Bus
 module Prng = Ftes_util.Prng
 module Workload = Ftes_gen.Workload
+module Metrics = Ftes_obs.Metrics
 
 let pool2 = Pool.create ~domains:2 ()
 
@@ -29,6 +30,22 @@ let prop_map_is_list_map =
       let pool = Pool.create ~domains:(1 + extra) () in
       let f x = (x * x) - (3 * x) in
       Pool.map ~pool f xs = List.map f xs)
+
+let prop_map_runs_each_task_once =
+  QCheck.Test.make ~count:100 ~name:"Pool.map applies f to each element once"
+    QCheck.(pair (int_bound 200) (int_bound 2))
+    (fun (n, extra) ->
+      let pool = Pool.create ~domains:(1 + extra) () in
+      let calls = Array.init n (fun _ -> Atomic.make 0) in
+      let xs = List.init n Fun.id in
+      let ys =
+        Pool.map ~pool
+          (fun i ->
+            Atomic.incr calls.(i);
+            i)
+          xs
+      in
+      ys = xs && Array.for_all (fun c -> Atomic.get c = 1) calls)
 
 let test_map_exception () =
   let raises () =
@@ -52,19 +69,21 @@ let test_map_seeded_domain_invariant () =
   Alcotest.(check bool) "3 domains = sequential" true
     (run (Some pool3) = seq)
 
+(* A map issued inside a worker degrades to the sequential path: it
+   returns the right results without a parallel dispatch of its own. *)
 let test_nested_map_flattens () =
+  let maps = Metrics.counter "pool.parallel_maps" in
+  let before = Metrics.counter_value maps in
   let outer =
     Pool.map ~pool:pool2
-      (fun x ->
-        Alcotest.(check bool) "inside worker" true (Pool.in_worker ());
-        (* Nested map must degrade to the sequential path, not spawn. *)
-        Pool.map ~pool:pool3 (fun y -> x + y) [ 1; 2; 3 ])
+      (fun x -> Pool.map ~pool:pool3 (fun y -> x + y) [ 1; 2; 3 ])
       [ 10; 20 ]
   in
-  Alcotest.(check bool) "outside worker" false (Pool.in_worker ());
   Alcotest.(check (list (list int))) "nested results"
     [ [ 11; 12; 13 ]; [ 21; 22; 23 ] ]
-    outer
+    outer;
+  Alcotest.(check int) "one parallel map: the outer one" 1
+    (Metrics.counter_value maps - before)
 
 (* --- Sfp_cache --- *)
 
@@ -100,7 +119,6 @@ let test_sfp_cache_matches_fresh () =
 (* --- Memo --- *)
 
 module Memo = Ftes_par.Memo
-module Metrics = Ftes_obs.Metrics
 
 module Int_memo = Memo.Make (struct
   type t = int
@@ -218,30 +236,64 @@ let problem_of_seed ?n_processes seed =
    the unmemoized reference path. *)
 let unmemoized () = Redundancy_opt.create_cache ~capacity:0 ()
 
-(* The walk's own counters: the ordered merge alone moves them, so a
-   pooled walk must read exactly what a sequential one reads. *)
-let walk_counters =
-  List.map Metrics.counter
-    [ "strategy.explored"; "strategy.pruned" ]
+let trail_sig trail =
+  List.map
+    (fun (st : Design_strategy.step) ->
+      ( Array.to_list st.Design_strategy.step_members,
+        match st.Design_strategy.step_verdict with
+        | `Schedulable c -> Printf.sprintf "%h" c
+        | `Unschedulable -> "-" ))
+    trail
 
-(* A walk's fingerprint together with the deltas of the walk counters
-   it moved. *)
-let walk ?pool ?cache ~config problem =
-  let before = List.map Metrics.counter_value walk_counters in
-  let solution = Design_strategy.run ?pool ?cache ~config problem in
-  ( fingerprint solution,
-    List.map2 (fun c b -> Metrics.counter_value c - b) walk_counters before )
+let recorded_sig (r : Design_strategy.recorded) =
+  ( fingerprint r.Design_strategy.rec_solution,
+    trail_sig r.Design_strategy.rec_trail,
+    r.Design_strategy.rec_explored )
 
-let parallel_identical problem =
-  List.for_all
+let policy_grid =
+  List.concat_map
     (fun (_, slack) ->
-      List.for_all
-        (fun (_, bus) ->
-          let config = Config.(default |> with_slack slack |> with_bus bus) in
-          walk ~cache:(unmemoized ()) ~config problem
-          = walk ~pool:pool2 ~config problem)
+      List.map
+        (fun (_, bus) -> Config.(default |> with_slack slack |> with_bus bus))
         bus_policies)
     slack_policies
+
+(* The walk's own counters.  They are process-wide and the grid's walks
+   run concurrently, so each pass compares their totals. *)
+let walk_counters =
+  List.map Metrics.counter [ "strategy.explored"; "strategy.pruned" ]
+
+(* One walk per slack x bus policy, the walks issued through [map]: the
+   recorded signatures, the deltas of the walk counters over the whole
+   pass, and whether the explored delta matches the walks' own counts. *)
+let grid_pass ~map ~memoized problem =
+  let before = List.map Metrics.counter_value walk_counters in
+  let recorded =
+    map
+      (fun config ->
+        let cache = if memoized then None else Some (unmemoized ()) in
+        Design_strategy.run_recorded ?cache ~config problem)
+      policy_grid
+  in
+  let deltas =
+    List.map2 (fun c b -> Metrics.counter_value c - b) walk_counters before
+  in
+  let explored =
+    List.fold_left
+      (fun acc (r : Design_strategy.recorded) ->
+        acc + r.Design_strategy.rec_explored)
+      0 recorded
+  in
+  (List.map recorded_sig recorded, deltas, explored = List.hd deltas)
+
+(* Memoized walks run in parallel over the policies (as programs
+   parallelize over independent runs) against unmemoized walks run one
+   after another over a capacity-0 cache. *)
+let parallel_identical problem =
+  let ((_, _, consistent) as on) =
+    grid_pass ~map:(Pool.map ~pool:pool2) ~memoized:true problem
+  in
+  consistent && on = grid_pass ~map:List.map ~memoized:false problem
 
 let cc_parallel_identical =
   lazy (parallel_identical (Ftes_cc.Cruise_control.problem ()))
@@ -289,20 +341,6 @@ let test_policy_sweep_shared_cache () =
    trail, explored count and, for the frontier, the archive the
    [on_feasible] sequence builds (its insertion statistics included). *)
 let hardening_policies = [ Config.Optimize; Config.Fixed_min; Config.Fixed_max ]
-
-let trail_sig trail =
-  List.map
-    (fun (st : Design_strategy.step) ->
-      ( Array.to_list st.Design_strategy.step_members,
-        match st.Design_strategy.step_verdict with
-        | `Schedulable c -> Printf.sprintf "%h" c
-        | `Unschedulable -> "-" ))
-    trail
-
-let recorded_sig (r : Design_strategy.recorded) =
-  ( fingerprint r.Design_strategy.rec_solution,
-    trail_sig r.Design_strategy.rec_trail,
-    r.Design_strategy.rec_explored )
 
 let frontier_sig (f : Design_strategy.frontier) =
   ( fingerprint f.Design_strategy.best,
@@ -425,6 +463,7 @@ let () =
   Alcotest.run "ftes_par"
     [ ("pool",
        [ q prop_map_is_list_map;
+         q prop_map_runs_each_task_once;
          Alcotest.test_case "exception propagation" `Quick test_map_exception;
          Alcotest.test_case "map_seeded invariant across domain counts"
            `Quick test_map_seeded_domain_invariant;

@@ -353,32 +353,6 @@ let test_anchor_synthetic () =
         (Helpers.synthetic_problem ~seed ~n:8 ()))
     [ 7; 21; 99 ]
 
-(* --- run_frontier: parallel = sequential across policies --- *)
-
-let test_frontier_parallel_identical () =
-  let problem = Lazy.force cc in
-  let pool = Pool.create ~domains:4 () in
-  List.iter
-    (fun (slack_name, slack) ->
-      List.iter
-        (fun (bus_name, bus) ->
-          let config =
-            Config.(default |> with_slack slack |> with_bus bus)
-          in
-          let seq = Design_strategy.run_frontier ~config problem in
-          let par = Design_strategy.run_frontier ~pool ~config problem in
-          let name = Printf.sprintf "%s/%s" slack_name bus_name in
-          Alcotest.(check bool)
-            (name ^ ": parallel archive = sequential")
-            true
-            (Archive.equal seq.Design_strategy.archive
-               par.Design_strategy.archive);
-          Alcotest.(check int)
-            (name ^ ": explored")
-            seq.Design_strategy.explored par.Design_strategy.explored)
-        Helpers.named_bus_policies)
-    Helpers.named_slack_policies
-
 (* --- Redundancy_opt result: slack and margin fields --- *)
 
 let test_result_slack_margin () =
@@ -604,8 +578,6 @@ let () =
        [ Alcotest.test_case "anchor: cruise control" `Quick test_anchor_cc;
          Alcotest.test_case "anchor: synthetic seeds" `Slow
            test_anchor_synthetic;
-         Alcotest.test_case "parallel = sequential (slack x bus)" `Slow
-           test_frontier_parallel_identical;
          Alcotest.test_case "result slack and margin" `Quick
            test_result_slack_margin;
          Alcotest.test_case "golden cc frontier" `Quick test_golden_frontier ]);
