@@ -23,8 +23,8 @@ val for_mapping :
     (bit-identical to fresh computation).
 
     The ascent runs over cached exceedance tables
-    ({!Ftes_sfp.Incremental}) with shared fold prefixes, saturation
-    skips and elided exponentiations; the returned vector — and every
+    ({!Ftes_sfp.Incremental}) with shared fold prefixes and elided
+    exponentiations; the returned vector — and every
     float compared along the way — is bit-identical to an ascent that
     rebuilds formulae (5) and (6) from scratch for every candidate. *)
 

@@ -118,21 +118,17 @@ let bottom_levels t ~exec ~comm =
   done;
   bl
 
-(* Monomorphic bottom-level pass for the scheduler's incremental
-   kernel: [exec p] is [wcet.(p)] and [comm] zeroes same-member edges,
-   with no closure indirection per edge.  The running maximum replaces
-   [Float.max] with a [>] test, which agrees on every finite input (the
-   accumulator starts at [+0.] and transmission times are validated
-   finite and non-negative), so the result is bit-identical to
-   [bottom_levels]. *)
-(* Walks the CSR mirror of [succs] in the same element order, with the
-   running maximum in a local (unboxed) ref: [if v > best] against an
-   accumulator starting at [0.0] is [Float.max] on these inputs — all
-   finite, and a [-0.] candidate can never displace the non-negative
-   accumulator — so each [bl] entry is bit-identical to the
-   closure-based [bottom_levels] fold. *)
-let bottom_levels_wcet t ~wcet ~mapping =
-  let bl = Array.make t.n 0.0 in
+(* Monomorphic bottom-level pass for the list scheduler: [exec p] is
+   [wcet.(p)] and [comm] zeroes same-member edges, with no closure
+   indirection per edge.  It walks the CSR mirror of [succs] in the
+   same element order, with the running maximum in a local (unboxed)
+   ref: [if v > best] against an accumulator starting at [0.0] is
+   [Float.max] on these inputs — all finite, and a [-0.] candidate can
+   never displace the non-negative accumulator — so each entry is
+   bit-identical to the closure-based [bottom_levels] fold.  Every
+   index is written, in reverse topological order, before any of its
+   predecessors reads it, so [out] needs no clearing. *)
+let bottom_levels_wcet t ~wcet ~mapping ~out =
   let off = t.succ_off and dst = t.succ_dst and tx = t.succ_tx in
   for idx = t.n - 1 downto 0 do
     let u = t.topo.(idx) in
@@ -141,12 +137,11 @@ let bottom_levels_wcet t ~wcet ~mapping =
     for i = off.(u) to off.(u + 1) - 1 do
       let d = dst.(i) in
       let c = if mapping.(d) = mu then 0.0 else tx.(i) in
-      let v = c +. bl.(d) in
+      let v = c +. out.(d) in
       if v > !best then best := v
     done;
-    bl.(u) <- wcet.(u) +. !best
-  done;
-  bl
+    out.(u) <- wcet.(u) +. !best
+  done
 
 let longest_path t ~exec ~comm =
   let bl = bottom_levels t ~exec ~comm in

@@ -82,12 +82,16 @@ val bottom_levels :
     the start of process [i] to the end of the graph — the classic list
     scheduling priority. *)
 
-val bottom_levels_wcet : t -> wcet:float array -> mapping:int array -> float array
+val bottom_levels_wcet :
+  t -> wcet:float array -> mapping:int array -> out:float array -> unit
 (** Specialized {!bottom_levels} with [exec p = wcet.(p)] and
     [comm e = 0.] when [mapping] puts both endpoints on one member,
     [e.transmission_ms] otherwise — the exact priority pass of the list
-    scheduler, without per-edge closure calls.  Bit-identical to the
-    generic pass on finite inputs. *)
+    scheduler, without per-edge closure calls.  Writes the level of
+    process [i] to [out.(i)] ([out] at least [n] long; its prior
+    contents are never read, and entries past [n] are left alone), so
+    the scheduler can pass a reused scratch array.  Bit-identical to
+    the generic pass on finite inputs. *)
 
 val components : t -> int list list
 (** Weakly-connected components (the [G_k] of the application set). *)

@@ -18,12 +18,7 @@ module Key_memo = Memo.Make (struct
     Array.fold_left (fun h x -> (h * 0x01000193) lxor (x + 1)) h k.procs
 end)
 
-module Incremental = Ftes_sfp.Incremental
-
-type entry = {
-  analysis : Sfp.node_analysis;
-  vectors : Incremental.node_vectors;
-}
+type entry = { analysis : Sfp.node_analysis; exceed : float array }
 
 type t = entry Key_memo.t
 
@@ -92,13 +87,14 @@ let node_entry t problem design ~member ~kmax =
       let analysis =
         Sfp.node_analysis ~kmax (Design.pfail_vector problem design ~member)
       in
-      Key_memo.add t key { analysis; vectors = Incremental.node_vectors analysis }
+      Key_memo.add t key
+        { analysis; exceed = Ftes_sfp.Incremental.exceed_vector analysis }
 
 let node_analysis t problem design ~member ~kmax =
   (node_entry t problem design ~member ~kmax).analysis
 
-let node_vectors t problem design ~member ~kmax =
-  (node_entry t problem design ~member ~kmax).vectors
+let exceed_vector t problem design ~member ~kmax =
+  (node_entry t problem design ~member ~kmax).exceed
 
 let migrate ?same_keys ~keep t =
   Key_memo.migrate ?same_keys

@@ -52,17 +52,18 @@ val node_analysis :
     vector, served from the cache when the [(node, h-version, procs,
     kmax)] key has been seen before. *)
 
-val node_vectors :
+val exceed_vector :
   t ->
   Ftes_model.Problem.t ->
   Ftes_model.Design.t ->
   member:int ->
   kmax:int ->
-  Ftes_sfp.Incremental.node_vectors
+  float array
 (** Like {!node_analysis}, serving the memoized
-    {!Ftes_sfp.Incremental.node_vectors} derived from the same table —
-    the incremental re-execution kernel's one-lookup read.  Both views
-    share one cache entry, so a hit on either serves the other. *)
+    {!Ftes_sfp.Incremental.exceed_vector} of the same table — the
+    incremental re-execution kernel's one-lookup read.  Both views
+    share one cache entry, so a hit on either serves the other.  The
+    vector is shared: callers must not mutate it. *)
 
 val migrate :
   ?same_keys:bool -> keep:(key -> key option) -> t -> t * (int * int)

@@ -11,110 +11,6 @@ type slack_mode =
 
 let c_schedules = Ftes_obs.Metrics.counter "sched.schedules"
 
-let c_priority_passes = Ftes_obs.Metrics.counter "sched.priority_passes"
-
-let c_slack_recomputations = Ftes_obs.Metrics.counter "sched.slack_recomputations"
-
-let c_prio_hits = Ftes_obs.Metrics.counter "kernel.prio_hits"
-
-let c_prio_misses = Ftes_obs.Metrics.counter "kernel.prio_misses"
-
-(* --- Priorities memo ---
-
-   The bottom-level pass is a function of the graph (owned by the
-   problem), the WCET vector and the mapping (which decides edge
-   zeroing).  The escalation and tabu loops re-schedule designs that
-   differ in one hardening level — often leaving the WCET vector of
-   every mapped process unchanged — so a small per-domain ring of
-   recently computed priority vectors removes most passes.  A hit
-   serves the stored vector (the scheduler only reads it); the pass is
-   a pure function of the key, so a memoized vector is bit-identical to
-   a fresh one and memoization only affects speed. *)
-
-type prio_entry = {
-  hash : int;
-  problem : Problem.t;
-  mapping : int array;
-  wcet : float array;
-  prio : float array;
-}
-
-let prio_ring_capacity = 32
-
-type prio_ring = { slots : prio_entry option array; mutable next : int }
-
-let prio_ring_key =
-  Domain.DLS.new_key (fun () ->
-      { slots = Array.make prio_ring_capacity None; next = 0 })
-
-let prio_hash mapping wcet n =
-  let h = ref 0x811c9dc5 in
-  let mix x = h := (!h lxor x) * 0x01000193 in
-  for p = 0 to n - 1 do
-    mix mapping.(p);
-    mix (Int64.to_int (Int64.bits_of_float wcet.(p)))
-  done;
-  !h
-
-let array_prefix_eq_int (a : int array) (b : int array) n =
-  Array.length b = n
-  &&
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    if a.(i) <> b.(i) then ok := false
-  done;
-  !ok
-
-let array_prefix_eq_float (a : float array) (b : float array) n =
-  Array.length b = n
-  &&
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    (* Bit compare: the key must distinguish -0. from 0. like a fresh
-       pass would not, but must never unify distinct NaN payloads with
-       anything. *)
-    if Int64.bits_of_float a.(i) <> Int64.bits_of_float b.(i) then ok := false
-  done;
-  !ok
-
-let priorities_memo problem design ~wcet =
-  let graph = Problem.graph problem in
-  let n = Task_graph.n graph in
-  let mapping = design.Design.mapping in
-  let hash = prio_hash mapping wcet n in
-  let ring = Domain.DLS.get prio_ring_key in
-  let found = ref None in
-  let i = ref 0 in
-  (* [==] against the immediate [None]: a structural [=] here would be
-     a generic-compare call per probed slot. *)
-  while !found == None && !i < prio_ring_capacity do
-    (match ring.slots.(!i) with
-    | Some e
-      when e.hash = hash && e.problem == problem
-           && array_prefix_eq_int mapping e.mapping n
-           && array_prefix_eq_float wcet e.wcet n ->
-        found := Some e.prio
-    | _ -> ());
-    incr i
-  done;
-  match !found with
-  | Some prio ->
-      Ftes_obs.Metrics.incr c_prio_hits;
-      prio
-  | None ->
-      Ftes_obs.Metrics.incr c_prio_misses;
-      Ftes_obs.Metrics.incr c_priority_passes;
-      let prio = Task_graph.bottom_levels_wcet graph ~wcet ~mapping in
-      ring.slots.(ring.next) <-
-        Some
-          { hash;
-            problem;
-            mapping = Array.copy mapping;
-            wcet = Array.sub wcet 0 n;
-            prio };
-      ring.next <- (ring.next + 1) mod prio_ring_capacity;
-      prio
-
 let validate_slack ~slack n =
   match slack with
   | Per_process budgets ->
@@ -145,8 +41,8 @@ type _ output = Full : Schedule.t output | Length : float output
 
 (* The one list-scheduling pass.  The ready set lives in a binary heap
    ordered (priority desc, index asc); WCETs are fetched once into a
-   scratch vector; priority vectors come from the per-domain memo ring;
-   working arrays come from the domain's scratch arena.
+   scratch vector and priorities are the bottom levels over that
+   vector; working arrays come from the domain's scratch arena.
 
    For [Full], [record] is set: the pass builds the entry and message
    records, books every transfer through [Bus.transmit] (which
@@ -176,7 +72,8 @@ let pass : type a.
   let k slot = design.Design.reexecs.(slot) in
   let wcet = Scratch.floats arena ~slot:0 ~n in
   Design.wcet_into problem design ~out:wcet;
-  let prio = priorities_memo problem design ~wcet in
+  let prio = Scratch.floats arena ~slot:8 ~n in
+  Task_graph.bottom_levels_wcet graph ~wcet ~mapping ~out:prio;
   let node_avail = Scratch.floats arena ~slot:1 ~n:members in
   let max_exec = Scratch.floats arena ~slot:2 ~n:members in
   (* Under checkpointing a fault re-executes only one segment, so the
@@ -347,7 +244,6 @@ let pass : type a.
      process; in Dedicated mode each process already carries its own
      slack, so the node ends at the last commit.  The length folds the
      node maxima in slot order from [0.0]. *)
-  Ftes_obs.Metrics.incr c_slack_recomputations;
   let node_worst = if record then Array.make members 0.0 else [||] in
   let length = ref 0.0 in
   for slot = 0 to members - 1 do

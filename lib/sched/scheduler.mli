@@ -57,9 +57,9 @@ val schedule :
     Processes are placed in decreasing bottom-level priority, ties to
     the lower index — the bottom level counts the design's WCETs and
     transmission times only on edges that cross nodes under its
-    mapping.  The ready set lives in a binary heap, priority vectors
-    are served from a per-domain memo ring, and short-lived working
-    arrays come from the domain's {!Scratch} arena. *)
+    mapping.  The ready set lives in a binary heap, and the priority
+    vector and the other short-lived working arrays come from the
+    domain's {!Scratch} arena. *)
 
 val schedule_length :
   ?slack:slack_mode ->

@@ -22,7 +22,7 @@ val with_arena : (t -> 'a) -> 'a
     cannot alias live scratch. *)
 
 val floats : t -> slot:int -> n:int -> float array
-(** Slot indices [0..7]. *)
+(** Slot indices [0..8]. *)
 
 val ints : t -> slot:int -> n:int -> int array
 (** Slot indices [0..3]. *)

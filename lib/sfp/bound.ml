@@ -21,21 +21,14 @@ let pr_exceeds_upper p ~k =
     Rounding.clamp01
       (Rounding.up ((s ** float_of_int (k + 1)) /. (1.0 -. s)))
 
-(* [pr_exceeds_upper] is non-increasing in [k] (S^(k+1) shrinks for
-   S < 1 and both degenerate branches are constant), so the predicate
-   "bound <= budget" is monotone and the smallest satisfying [k] can be
-   bisected instead of scanned. *)
 let required_k p ~budget ~kmax =
   if kmax < 0 then invalid_arg "Bound.required_k: negative kmax";
-  if pr_exceeds_upper p ~k:kmax > budget then None
-  else begin
-    let lo = ref 0 and hi = ref kmax in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if pr_exceeds_upper p ~k:mid <= budget then hi := mid else lo := mid + 1
-    done;
-    Some !lo
-  end
+  let rec search k =
+    if k > kmax then None
+    else if pr_exceeds_upper p ~k <= budget then Some k
+    else search (k + 1)
+  in
+  search 0
 
 (* The slop has two sources.  Grain rounding: [Sfp.node_analysis] and
    [Sfp.pr_exceeds] round at most [2 * (kmax + 2)] intermediate terms
@@ -58,7 +51,7 @@ let admissible_budget ~kmax app =
    partial sums add non-negative terms (monotone in IEEE arithmetic),
    and the subtraction, multiplication by pr0 and directed rounding are
    all monotone, so the predicate "exceedance <= budget" can be
-   bisected just like the closed-form variant. *)
+   bisected. *)
 let required_k_exact p ~budget ~kmax =
   if kmax < 0 then invalid_arg "Bound.required_k_exact: negative kmax";
   let analysis = Sfp.node_analysis ~kmax p in

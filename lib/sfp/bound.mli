@@ -23,8 +23,8 @@ val pr_exceeds_upper : float array -> k:int -> float
 
 val required_k : float array -> budget:float -> kmax:int -> int option
 (** [required_k p ~budget ~kmax] is the smallest [k <= kmax] whose
-    {!pr_exceeds_upper} does not exceed [budget], if any.  Found by
-    binary search — the bound is monotone in [k]. *)
+    {!pr_exceeds_upper} does not exceed [budget], if any, by a linear
+    scan from [k = 0]. *)
 
 val is_sound : float array -> k:int -> bool
 (** [is_sound p ~k] checks the defining inequality against the exact

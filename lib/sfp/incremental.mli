@@ -10,43 +10,25 @@
     operation order of {!Sfp.pr_exceeds}, so each entry is bit-identical
     — and re-evaluates a candidate with one fold over cached floats.
 
-    Two further result-preserving accelerations:
-
-    - {b prefix reuse}: formula (5) folds the per-node survival terms
-      left to right, so a candidate that bumps member [j] shares the
-      fold prefix [0 .. j-1] with the base vector ({!prefix_into} /
-      {!candidate_failure});
-    - {b saturation caps}: once a node's rounded exceedance clamps to
-      exactly [0.], more re-executions cannot change any float the
-      analysis produces, so the ascent skips such candidates.  The cap
-      is the first [k] with a zero entry, bisected over the monotone
-      table with {!Bound.required_k} as the analytic seed.
+    It also reuses fold prefixes: formula (5) folds the per-node
+    survival terms left to right, so a candidate that bumps member [j]
+    shares the fold prefix [0 .. j-1] with the base vector
+    ({!prefix_into} / {!candidate_failure}).
 
     Everything here is a pure function of the {!Sfp.node_analysis}
-    inputs; {!Ftes_par.Sfp_cache} memoizes {!node_vectors} alongside
+    inputs; {!Ftes_par.Sfp_cache} memoizes {!exceed_vector} alongside
     the node tables, one per (node, h-version, mapping) key. *)
 
 val exceed_vector : Sfp.node_analysis -> float array
 (** [exceed_vector a] has [Sfp.pr_exceeds a ~k] at index [k] for every
     [k <= Sfp.kmax a], bit-identical to calling {!Sfp.pr_exceeds}. *)
 
-type node_vectors = {
-  exceed : float array;  (** {!exceed_vector} of the analysis. *)
-  sat : int;
-      (** first [k] with [exceed.(k) = 0.], or [kmax + 1]: re-executions
-          beyond this point provably change no analysis output. *)
-}
-
-val node_vectors : Sfp.node_analysis -> node_vectors
-
 type t
 (** Evaluation state for one member-analysis array. *)
 
-val make : node_vectors array -> t
-
-val saturated : t -> member:int -> k:int -> bool
-(** Whether raising [member] beyond [k] re-executions provably leaves
-    every analysis float unchanged. *)
+val make : float array array -> t
+(** [make exceed] evaluates over the members' {!exceed_vector}s, in
+    member order. *)
 
 val system_failure : t -> k:int array -> float
 (** Formula (5); bit-identical to

@@ -1,7 +1,7 @@
 (* From-scratch reference for [Ftes_core.Re_execution_opt.for_mapping]:
    every candidate [k + e_j] rebuilds formula (5) from the per-node
-   tables and formula (6) from its failure, with no prefix reuse,
-   saturation skip or exp elision. *)
+   tables and formula (6) from its failure, with no prefix reuse or
+   exp elision. *)
 
 module Design = Ftes_model.Design
 module Application = Ftes_model.Application

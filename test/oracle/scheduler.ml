@@ -13,12 +13,7 @@ open Ftes_sched.Scheduler
 
 let c_schedules = Ftes_obs.Metrics.counter "sched.schedules"
 
-let c_priority_passes = Ftes_obs.Metrics.counter "sched.priority_passes"
-
-let c_slack_recomputations = Ftes_obs.Metrics.counter "sched.slack_recomputations"
-
 let priorities problem design =
-  Ftes_obs.Metrics.incr c_priority_passes;
   let graph = Problem.graph problem in
   let exec proc = Design.wcet problem design ~proc in
   let comm (e : Task_graph.edge) =
@@ -153,7 +148,6 @@ let schedule_impl ~slack ~bus problem design =
      slack region after its nominal finish, sized by its largest
      process; in Dedicated mode each process already carries its own
      slack, so the node ends at the last commit. *)
-  Ftes_obs.Metrics.incr c_slack_recomputations;
   let node_worst =
     Array.init members (fun slot ->
         match slack with

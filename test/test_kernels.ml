@@ -1,29 +1,20 @@
 (* Equivalence suite for the evaluation kernels (the heap scheduler,
-   the incremental SFP ascent, the bisected k-search and the pre-flight
-   reliability-only cost bound): each must be bit-identical to its
-   reference in the test-only [Ftes_oracle], the delta paths must
-   demonstrably fire, and the length-only schedule must allocate the
-   same per call whatever the graph size. *)
+   the incremental SFP ascent and the pre-flight reliability-only cost
+   bound): each must be bit-identical to its reference in the
+   test-only [Ftes_oracle], and the length-only schedule must allocate
+   the same per call whatever the graph size. *)
 
 module Oracle = Ftes_oracle
 module Prng = Ftes_util.Prng
 module Task_graph = Ftes_model.Task_graph
 module Design = Ftes_model.Design
 module Problem = Ftes_model.Problem
-module Application = Ftes_model.Application
-module Platform = Ftes_model.Platform
 module Sfp = Ftes_sfp.Sfp
 module Incremental = Ftes_sfp.Incremental
-module Bound = Ftes_sfp.Bound
 module Scheduler = Ftes_sched.Scheduler
 module Schedule = Ftes_sched.Schedule
 module Bus = Ftes_sched.Bus
-module Config = Ftes_core.Config
 module Re_execution_opt = Ftes_core.Re_execution_opt
-module Redundancy_opt = Ftes_core.Redundancy_opt
-module Metrics = Ftes_obs.Metrics
-
-let counter_value name = Metrics.counter_value (Metrics.counter name)
 
 (* Bit-level float equality: the kernels promise the identical float,
    not a nearby one. *)
@@ -146,7 +137,7 @@ let prop_system_failure_bit_identical =
       let analyses =
         Array.init members (fun _ -> Sfp.node_analysis ~kmax:8 (random_probs prng))
       in
-      let inc = Incremental.make (Array.map Incremental.node_vectors analyses) in
+      let inc = Incremental.make (Array.map Incremental.exceed_vector analyses) in
       let k = Array.init members (fun _ -> Prng.int prng 9) in
       let fast = Incremental.system_failure inc ~k in
       let reference = Sfp.system_failure_per_iteration analyses ~k in
@@ -162,7 +153,7 @@ let prop_candidate_failure_bit_identical =
       let analyses =
         Array.init members (fun _ -> Sfp.node_analysis ~kmax:8 (random_probs prng))
       in
-      let inc = Incremental.make (Array.map Incremental.node_vectors analyses) in
+      let inc = Incremental.make (Array.map Incremental.exceed_vector analyses) in
       let k = Array.init members (fun _ -> Prng.int prng 8) in
       let prefix = Array.make (members + 1) 0.0 in
       Incremental.prefix_into inc ~k prefix;
@@ -201,25 +192,6 @@ let prop_for_mapping_matches_reference =
       in
       fast = reference && cached = reference)
 
-(* --- Bound: binary search = linear scan --- *)
-
-let prop_required_k_matches_scan =
-  QCheck.Test.make ~count:300
-    ~name:"Bound.required_k (bisection) = required_k_scan"
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let prng = Prng.create (seed + 7) in
-      let p = random_probs prng in
-      let budget = 10.0 ** float_of_int (- Prng.int prng 14) in
-      let ok = ref true in
-      for kmax = 0 to 14 do
-        if
-          Bound.required_k p ~budget ~kmax
-          <> Oracle.Bound.required_k_scan p ~budget ~kmax
-        then ok := false
-      done;
-      !ok)
-
 (* --- Pre-flight: the reliability-only bound folded out of kneed =
    the per-singleton reference --- *)
 
@@ -236,93 +208,66 @@ let prop_sfp_cost_lower_bound_matches_reference =
       feq pf.Ftes_analyze.Preflight.sfp_cost_lower_bound
         (Oracle.Bound.cost_lower_bound ~kmax problem))
 
-(* --- Delta paths demonstrably fire --- *)
-
-(* Two members, every process mapped on the second: the empty member's
-   exceedance clamps to zero at k = 0, so each greedy sweep must skip
-   it. *)
-let two_node_problem ~deadline_ms ~pfail =
-  let graph =
-    Task_graph.make ~n:2 [ { Task_graph.src = 0; dst = 1; transmission_ms = 1.0 } ]
-  in
-  let app =
-    Application.make ~graph ~deadline_ms ~gamma:1e-7 ~recovery_overhead_ms:1.0
-      ()
-  in
-  let node name p =
-    Platform.node_type ~name
-      ~versions:
-        [| Platform.hversion ~level:1 ~cost:1.0 ~wcet_ms:[| 10.0; 10.0 |]
-             ~pfail:[| p; p |] |]
-  in
-  Problem.make ~app ~library:[| node "A" 1e-9; node "B" pfail |]
-
-let test_grow_skips_saturated_member () =
-  let problem = two_node_problem ~deadline_ms:1000.0 ~pfail:1e-3 in
-  let design =
-    Design.make problem ~members:[| 0; 1 |] ~levels:[| 1; 1 |]
-      ~reexecs:[| 0; 0 |] ~mapping:[| 1; 1 |]
-  in
-  let before = counter_value "kernel.grow_skips" in
-  let k = Re_execution_opt.for_mapping problem design in
-  let after = counter_value "kernel.grow_skips" in
-  Alcotest.(check bool) "goal reachable" true (k <> None);
-  Alcotest.(check bool) "empty member needs no re-executions" true
-    ((Option.get k).(0) = 0);
-  Alcotest.(check bool) "saturated candidates were skipped" true
-    (after > before);
-  Alcotest.(check (option (array int)))
-    "skipping preserves the selected vector"
-    (Oracle.Re_execution_opt.for_mapping_reference problem design)
-    k
-
-let test_priorities_memo_hits_on_unchanged_wcet_vector () =
-  let problem = Helpers.synthetic_problem ~seed:21 ~n:14 () in
-  let design = Helpers.design_on_all_nodes ~levels:1 ~k:1 problem in
-  let reference = Oracle.Scheduler.schedule_reference problem design in
-  ignore (Scheduler.schedule problem design);
-  let before = counter_value "kernel.prio_hits" in
-  let again = Scheduler.schedule problem design in
-  let after = counter_value "kernel.prio_hits" in
-  Alcotest.(check bool) "re-schedule hits the priorities memo" true
-    (after > before);
-  Alcotest.(check bool) "memoized priorities leave the schedule intact" true
-    (schedule_eq again reference)
-
 (* The length-only pass takes every working array from the domain's
    scratch arena, so once warm its per-call minor allocation is a
    constant: the same at 80 processes as at 20 on the same library.  A
    float boxed per edge or process would show up as a size-dependent
-   count here. *)
+   count here.  Each size is measured twice: re-scheduling one design,
+   and cycling over 40 designs with distinct mappings, so no per-design
+   state carried between calls can hide a size-dependent allocation. *)
 let test_length_only_allocation_is_size_independent () =
-  let words_per_call ~n =
+  let words_per_call ~n ~distinct =
     let problem = Helpers.synthetic_problem ~seed:5 ~n () in
-    let design = Helpers.design_on_all_nodes ~levels:1 ~k:1 problem in
-    let length () = Scheduler.schedule_length ~bus:Bus.Fcfs problem design in
-    for _ = 1 to 10 do
-      ignore (length ())
+    let designs =
+      if distinct = 1 then
+        [| Helpers.design_on_all_nodes ~levels:1 ~k:1 problem |]
+      else begin
+        let prng = Prng.create n in
+        let m = Problem.n_library problem in
+        Array.init distinct (fun _ ->
+            Design.make problem ~members:(Array.init m Fun.id)
+              ~levels:(Array.make m 1) ~reexecs:(Array.make m 1)
+              ~mapping:(Array.init n (fun _ -> Prng.int prng m)))
+      end
+    in
+    let mappings =
+      Array.to_list (Array.map (fun d -> d.Design.mapping) designs)
+    in
+    Alcotest.(check int)
+      (Printf.sprintf "distinct mappings at n = %d" n)
+      distinct
+      (List.length (List.sort_uniq compare mappings));
+    let length i =
+      Scheduler.schedule_length ~bus:Bus.Fcfs problem
+        designs.(i mod distinct)
+    in
+    for i = 1 to 10 do
+      ignore (length i)
     done;
     let calls = 1000 in
     let before = Gc.minor_words () in
-    for _ = 1 to calls do
-      ignore (length ())
+    for i = 1 to calls do
+      ignore (length i)
     done;
     let after = Gc.minor_words () in
     Float.to_int (Float.round ((after -. before) /. float_of_int calls))
   in
-  let small = words_per_call ~n:20 in
-  let large = words_per_call ~n:80 in
-  Alcotest.(check int)
-    (Printf.sprintf "minor words per call at n = 80 (n = 20: %d)" small)
-    small large
+  List.iter
+    (fun distinct ->
+      let small = words_per_call ~n:20 ~distinct in
+      let large = words_per_call ~n:80 ~distinct in
+      Alcotest.(check int)
+        (Printf.sprintf
+           "minor words per call at n = 80 over %d design(s) (n = 20: %d)"
+           distinct small)
+        small large)
+    [ 1; 40 ]
 
 let () =
   Alcotest.run "kernels"
     [ ( "scheduler",
         [ QCheck_alcotest.to_alcotest prop_heap_schedule_matches_reference;
           QCheck_alcotest.to_alcotest prop_schedule_length_matches_reference;
-          Alcotest.test_case "priorities memo fires and preserves output"
-            `Quick test_priorities_memo_hits_on_unchanged_wcet_vector;
           Alcotest.test_case "length-only allocation is size-independent"
             `Quick test_length_only_allocation_is_size_independent ] );
       ( "sfp",
@@ -330,10 +275,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_system_failure_bit_identical;
           QCheck_alcotest.to_alcotest prop_candidate_failure_bit_identical ] );
       ( "re-execution",
-        [ QCheck_alcotest.to_alcotest prop_for_mapping_matches_reference;
-          Alcotest.test_case "saturation skips fire and preserve the vector"
-            `Quick test_grow_skips_saturated_member ] );
+        [ QCheck_alcotest.to_alcotest prop_for_mapping_matches_reference ] );
       ( "bound",
-        [ QCheck_alcotest.to_alcotest prop_required_k_matches_scan;
-          QCheck_alcotest.to_alcotest
+        [ QCheck_alcotest.to_alcotest
             prop_sfp_cost_lower_bound_matches_reference ] ) ]
